@@ -7,7 +7,8 @@ Conventions, fixed once and used everywhere:
   w(alpha) + (n - <lambda, alpha>) delta, a group homomorphism under the
   multiplication above;
 * lambda is stored in fundamental-coweight coordinates, so membership in the
-  coroot lattice is an exact linear solve against the transposed Cartan matrix;
+  coroot lattice is an integer mat-vec with the adjugate of the transposed
+  Cartan matrix and a divisibility test by its denominator;
 * length: number of positive real affine roots sent negative, computed by the
   closed formula sum_{alpha > 0} |chi(w(alpha) < 0) + <lambda, alpha>|, which
   also covers translations by general coweights (the hat part has the same
@@ -23,11 +24,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .rootsys import AffineRoot, RootSystem, Vec, dot, is_positive_vec, vadd, vneg, vsub
+from .rootsys import (
+    AffineRoot,
+    RootSystem,
+    Vec,
+    dot,
+    int_inverse,
+    is_positive_vec,
+    vadd,
+    vneg,
+    vsub,
+)
 from .weyl import (
     ParabolicSet,
     WeylElt,
@@ -278,23 +288,6 @@ def from_word_affine(rs: RootSystem, word) -> ExtAffElt:
 # -- parabolic factorizations -------------------------------------------------
 
 
-def _solve_square(mat: list[list[int]], rhs: list[int]) -> Optional[list[Fraction]]:
-    n = len(rhs)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * u for v, u in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def _parabolic_coweight(p: ParabolicSet, coeffs) -> Vec:
     """sum c_k alpha_k_vee over the parabolic nodes, in coweight coordinates."""
     rs = p.rs
@@ -323,6 +316,24 @@ def _parabolic_set(p: ParabolicSet) -> frozenset[WeylElt]:
 
 
 @lru_cache(maxsize=None)
+def _candidate_systems(p: ParabolicSet) -> tuple:
+    """Per u in W_P: (u, u^-1, rows u^-1(alpha_j) over j off I_P, adj, d).
+
+    The k x k matrix <alpha_k_vee, u^-1(alpha_j)> pairs the parabolic coroots
+    with the base u^-1(Delta_P) of R_P, so it is invertible; adj / d is its
+    inverse, and each pi_P candidate solve is then one integer mat-vec.
+    """
+    rs = p.rs
+    coroot_rows = [rs.cartan[j - 1] for j in p.wp_nodes]  # alpha_j_vee as coweights
+    out = []
+    for u in enumerate_parabolic_subgroup(p):
+        rows = tuple(u.inv_act_root(rs.simple_root(j)) for j in p.wp_nodes)
+        adj, d = int_inverse([[dot(c, r) for c in coroot_rows] for r in rows])
+        out.append((u, w_inv(u), rows, adj, d))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def pi_P(x: ExtAffElt, p: ParabolicSet) -> ExtAffElt:
     """The (W^P)_aff factor of x = x1 * x2, x2 in (W_P)_aff, for x in W_aff.
 
@@ -336,23 +347,16 @@ def pi_P(x: ExtAffElt, p: ParabolicSet) -> ExtAffElt:
     if not rs.in_coroot_lattice(x.lam):
         raise ValueError("pi_P over W_aff needs a coroot-lattice translation; "
                          "use pi_P_ext for general coweights")
-    k = len(p.wp_nodes)
-    coroot_rows = [rs.cartan[j - 1] for j in p.wp_nodes]  # alpha_j_vee as coweights
-    for u in enumerate_parabolic_subgroup(p):
-        w1 = w_mul(x.w, w_inv(u))
-        mat, rhs = [], []
-        for j in p.wp_nodes:
-            aj = rs.simple_root(j)
-            target = 0 if is_positive_vec(w1.act_root(aj)) else -1
-            r = u.inv_act_root(aj)
-            mat.append([dot(row, r) for row in coroot_rows])
-            rhs.append(dot(x.lam, r) - target)
-        sol = _solve_square(mat, rhs) if k else []
-        if sol is None or any(c.denominator != 1 for c in sol):
+    lam = x.lam
+    act = x.w.act_root
+    for u, u_inv, rows, adj, d in _candidate_systems(p):
+        # rhs_j = <lambda, r_j> - target_j, target_j = 0 if x.w(r_j) > 0 else -1
+        rhs = [dot(lam, r) + (0 if is_positive_vec(act(r)) else 1) for r in rows]
+        sol = [sum([a * b for a, b in zip(row, rhs)]) for row in adj]
+        if any(c % d for c in sol):
             continue
-        mu = _parabolic_coweight(p, (int(c) for c in sol))
-        lam1 = u.act_coweight(vsub(x.lam, mu))
-        x1 = ExtAffElt(w1, lam1)
+        mu = _parabolic_coweight(p, (c // d for c in sol))
+        x1 = ExtAffElt(w_mul(x.w, u_inv), u.act_coweight(vsub(lam, mu)))
         if not is_wpaff(x1, p):
             continue
         x2 = aff_mul(aff_inv(x1), x)

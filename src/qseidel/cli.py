@@ -2,8 +2,9 @@
 
 Subcommands: roots, weyl, affine (length | pi-p | decompose), qprod
 (chevalley | seidel), seidel-table, verify. Exit codes: 0 success, 1 suite
-failure, 2 usage error. All output is exact; JSON keys and rows are emitted
-in sorted order so output is byte-stable for a fixed configuration.
+failure (a suite that made no check counts as one), 2 usage error. All
+output is exact; JSON keys and rows are emitted in sorted order so output is
+byte-stable for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .qh import (
     qh_to_json,
     seidel_multiply,
 )
-from .rootsys import build_root_system
+from .rootsys import build_root_system, strict_ints
 from .suites import SUITES, RunConfig, run_suites, seidel_table
 from .weyl import (
     enumerate_minreps,
@@ -49,8 +50,8 @@ def _emit(payload: dict, args, text: str) -> None:
 
 
 def _parse_ext(rs, data: dict) -> ExtAffElt:
-    w = from_word(rs, tuple(int(i) for i in data["w"]))
-    lam = tuple(int(c) for c in data["lambda"])
+    w = from_word(rs, strict_ints(data["w"], "w"))
+    lam = strict_ints(data["lambda"], "lambda")
     if len(lam) != rs.rank:
         raise ValueError("lambda has wrong rank")
     return ExtAffElt(w, lam)
@@ -64,9 +65,13 @@ def _load_json_arg(value: str) -> dict:
     """A literal JSON object, or a path to a file holding one."""
     value = value.strip()
     if value.startswith("{"):
-        return json.loads(value)
-    with open(value, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.loads(value)
+    else:
+        with open(value, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    return data
 
 
 def _cmd_roots(args) -> int:
@@ -210,7 +215,15 @@ def _cmd_verify(args) -> int:
     if updates:
         cfg = replace(cfg, **updates)
     results = run_suites(cfg)
-    ok = all(r.ok() for r in results)
+    # A suite that made no check verified nothing: the run does not pass.
+    empty = [r for r in results if r.checks == 0]
+    for r in results:
+        if r.skipped:
+            print(f"note: {r.name} skipped by rank cap: {' '.join(r.skipped)}",
+                  file=sys.stderr)
+    for r in empty:
+        print(f"error: {r.name} made no checks", file=sys.stderr)
+    ok = all(r.ok() for r in results) and not empty
     fmt = args.format or cfg.fmt
     if fmt == "json":
         payload = {
@@ -225,7 +238,7 @@ def _cmd_verify(args) -> int:
         print(json.dumps(payload, sort_keys=True))
     else:
         for r in results:
-            status = "ok" if r.ok() else "FAIL"
+            status = "FAIL" if not r.ok() else "EMPTY" if r.checks == 0 else "ok"
             print(f"{r.name}: {status} checks={r.checks} "
                   f"failures={len(r.failures)} findings={len(r.findings)}")
             for f in r.failures:

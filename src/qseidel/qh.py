@@ -32,7 +32,7 @@ from .affine import (
     peterson_decompose,
 )
 from .poly import SPoly
-from .rootsys import RootSystem, Vec, dot, vadd, vsub
+from .rootsys import RootSystem, Vec, dot, strict_int, strict_ints, vadd, vsub
 from .weyl import (
     ParabolicSet,
     WeylElt,
@@ -301,16 +301,28 @@ def qh_from_json(data: dict) -> QHClass:
     from .rootsys import build_root_system
     from .weyl import from_word, parabolic
 
+    if not isinstance(data["type"], str):
+        raise ValueError(f"type must be a string, got {data['type']!r}")
     rs = build_root_system(data["type"])
-    p = parabolic(rs, data["parabolic"])
+    p = parabolic(rs, strict_ints(data["parabolic"], "parabolic"))
+    raw_terms = data.get("terms", [])
+    if not isinstance(raw_terms, list) or not all(isinstance(t, dict) for t in raw_terms):
+        raise ValueError("terms must be a list of objects")
     terms: dict[QKey, SPoly] = {}
-    for t in data.get("terms", []):
-        w = from_word(rs, t["w"])
+    for t in raw_terms:
+        w = from_word(rs, strict_ints(t["w"], "w"))
         if not is_minrep(w, p):
             raise ValueError("term Weyl part is not a minimal coset representative")
-        key = (w, tuple(int(x) for x in t["q"]))
+        q = strict_ints(t["q"], "q")
+        if len(q) != len(p.nodes):
+            raise ValueError("q needs one exponent per quantum node")
+        key = (w, q)
         raw = t.get("coeff")
-        coeff = SPoly.from_json(rs.rank, raw) if raw else SPoly.one(rs.rank)
+        if raw is not None and not isinstance(raw, dict):
+            raise ValueError(f"coeff must be an object, got {raw!r}")
+        coeff = (SPoly.from_json(rs.rank, {k: strict_int(v, "coefficient")
+                                           for k, v in raw.items()})
+                 if raw else SPoly.one(rs.rank))
         prev = terms.get(key)
         terms[key] = coeff if prev is None else prev + coeff
     return QHClass(p, terms)

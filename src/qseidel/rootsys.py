@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Optional
 
 Vec = tuple[int, ...]
@@ -53,6 +54,24 @@ def vsub(u: Vec, v: Vec) -> Vec:
 
 def vneg(u: Vec) -> Vec:
     return tuple(-a for a in u)
+
+
+def strict_int(value, what: str) -> int:
+    """value itself if it is an int; ValueError for bool, float, str and the rest.
+
+    Lattice tests are `x % d`, which a float passes or fails silently, so
+    every integer read from outside the program goes through here.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def strict_ints(values, what: str) -> Vec:
+    """A JSON list of integers as a tuple; ValueError for anything else."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    return tuple(strict_int(v, what) for v in values)
 
 
 def is_positive_vec(u: Vec) -> bool:
@@ -97,23 +116,33 @@ def cartan_matrix(letter: str, n: int) -> tuple[Vec, ...]:
     return tuple(tuple(row) for row in a)
 
 
-def _invert_fraction_matrix(m: tuple[Vec, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse by Gauss-Jordan over Fraction; raises on singular input."""
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
+def int_inverse(mat) -> tuple[tuple[Vec, ...], int]:
+    """(adj, d) with d > 0 and mat^-1 = adj / d, by fraction-free elimination.
+
+    Bareiss' Gauss-Jordan form: each row update is divided exactly by the
+    previous pivot, so every entry stays an integer minor and the left block
+    ends as det * I. The pair is reduced by the gcd of all its entries.
+    Raises ValueError on a singular matrix.
+    """
+    n = len(mat)
+    aug = [list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    prev = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
             raise ValueError("singular matrix")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        pivot_row = aug[col]
+        p = pivot_row[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                fac = aug[r][col]
-                aug[r] = [x - fac * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [(p * a - f * b) // prev for a, b in zip(aug[r], pivot_row)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    g = gcd(prev, *(x for row in aug for x in row[n:]))
+    adj = tuple(tuple(sign * x // g for x in row[n:]) for row in aug)
+    return adj, abs(prev) // g
 
 
 @dataclass(frozen=True)
@@ -139,7 +168,8 @@ class RootSystem:
         self.letter = letter
         self.rank = rank
         self.cartan = cartan_matrix(letter, rank)
-        self._cartan_t_inv = _invert_fraction_matrix(
+        # (Cartan^T)^-1 = adj / denom maps coweight to coroot coordinates.
+        self._adj, self._denom = int_inverse(
             tuple(tuple(self.cartan[j][i] for j in range(rank)) for i in range(rank)))
         self._generate_roots()
         self._find_theta()
@@ -235,7 +265,7 @@ class RootSystem:
 
     def _central_class_table(self) -> None:
         """Map each nontrivial coset of the coweight lattice mod Q_vee to its minuscule node."""
-        table: dict[tuple[Fraction, ...], int] = {}
+        table: dict[Vec, int] = {}
         for i in self.minuscule_nodes:
             m = tuple(-int(k == i - 1) for k in range(self.rank))  # -varpi_i_vee
             table[self.coweight_class(m)] = i
@@ -260,29 +290,35 @@ class RootSystem:
         n = self.rank
         return tuple(sum(c[j] * self.cartan[j][i] for j in range(n)) for i in range(n))
 
+    def _scaled_coroot(self, m: Vec) -> Vec:
+        """d * (coroot coordinates of m), an integer vector."""
+        return tuple(sum([a * b for a, b in zip(row, m)]) for row in self._adj)
+
     def coweight_to_coroot(self, m: Vec) -> tuple[Fraction, ...]:
-        n = self.rank
-        return tuple(sum(self._cartan_t_inv[i][j] * m[j] for j in range(n))
-                     for i in range(n))
+        """Rational coroot coordinates of any coweight (a view; not used internally)."""
+        return tuple(Fraction(x, self._denom) for x in self._scaled_coroot(m))
 
     def in_coroot_lattice(self, m: Vec) -> bool:
-        return all(x.denominator == 1 for x in self.coweight_to_coroot(m))
+        d = self._denom
+        return all(x % d == 0 for x in self._scaled_coroot(m))
 
     def coroot_coords(self, m: Vec) -> Vec:
-        c = self.coweight_to_coroot(m)
-        if any(x.denominator != 1 for x in c):
+        d = self._denom
+        c = self._scaled_coroot(m)
+        if any(x % d for x in c):
             raise ValueError("coweight is not in the coroot lattice")
-        return tuple(int(x) for x in c)
+        return tuple(x // d for x in c)
 
-    def coweight_class(self, m: Vec) -> tuple[Fraction, ...]:
-        """Residue of a coweight modulo the coroot lattice, as fractional parts."""
-        return tuple(x - x.__floor__() for x in self.coweight_to_coroot(m))
+    def coweight_class(self, m: Vec) -> Vec:
+        """Residue of a coweight modulo the coroot lattice: adj * m mod d."""
+        d = self._denom
+        return tuple(x % d for x in self._scaled_coroot(m))
 
     def minuscule_class_node(self, m: Vec) -> Optional[int]:
         """Node i in I_m with [m] = [-varpi_i_vee], or None when m is in Q_vee."""
-        if self.in_coroot_lattice(m):
-            return None
         cls = self.coweight_class(m)
+        if not any(cls):
+            return None
         i = self._class_to_minuscule.get(cls)
         if i is None:
             raise AssertionError("coset without minuscule representative")

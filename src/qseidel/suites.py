@@ -71,11 +71,12 @@ from .rootsys import (
     build_root_system,
     dot,
     is_positive_vec,
+    strict_int,
+    strict_ints,
     vadd,
     vsub,
 )
 from .weyl import (
-    WEYL_ENUM_CAP,
     ParabolicSet,
     WeylElt,
     enumerate_minreps,
@@ -99,21 +100,20 @@ class RunConfig:
     radius: int = 2
     fmt: str = "text"
     max_rank: int = 4
-    weyl_cap: int = WEYL_ENUM_CAP
     expansion_cap: int = EXPANSION_CAP
     seed: int = 0
 
     @staticmethod
     def from_json(data: dict) -> "RunConfig":
         cfg = RunConfig()
+        # int marks an integer key, read strictly (no bool, float or str)
         keys = {
             "types": lambda v: tuple(v),
-            "parabolic": lambda v: None if v is None else tuple(int(i) for i in v),
+            "parabolic": lambda v: None if v is None else strict_ints(v, "parabolic"),
             "suite": str,
             "radius": int,
             "format": str,
             "max_rank": int,
-            "weyl_cap": int,
             "expansion_cap": int,
             "seed": int,
         }
@@ -122,7 +122,8 @@ class RunConfig:
         for k, v in data.items():
             if k not in keys:
                 raise ValueError(f"unknown config key {k!r}")
-            updates[fields.get(k, k)] = keys[k](v)
+            conv = keys[k]
+            updates[fields.get(k, k)] = strict_int(v, k) if conv is int else conv(v)
         return replace(cfg, **updates)
 
 
@@ -132,6 +133,7 @@ class SuiteResult:
     checks: int = 0
     failures: list[str] = field(default_factory=list)
     findings: list[str] = field(default_factory=list)
+    skipped: list[str] = field(default_factory=list)  # types a rank cap left out
 
     def ok(self) -> bool:
         return not self.failures
@@ -142,12 +144,17 @@ class SuiteResult:
             self.failures.append(msg)
 
 
-def _scoped_types(cfg: RunConfig, rank_cap: int | None = None) -> list[RootSystem]:
+def _scoped_types(cfg: RunConfig, res: SuiteResult,
+                  rank_cap: int | None = None) -> list[RootSystem]:
+    """The configured types within both rank caps; the others go to res.skipped."""
+    cap = cfg.max_rank if rank_cap is None else min(cfg.max_rank, rank_cap)
     out = []
     for name in cfg.types:
         rs = build_root_system(name)
-        if rs.rank <= cfg.max_rank and (rank_cap is None or rs.rank <= rank_cap):
+        if rs.rank <= cap:
             out.append(rs)
+        else:
+            res.skipped.append(rs.name())
     return out
 
 
@@ -213,7 +220,7 @@ def suite_seidel_table(cfg: RunConfig) -> SuiteResult:
 
 def suite_commutation(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("commutation")
-    for rs in _scoped_types(cfg):
+    for rs in _scoped_types(cfg, res):
         for p in _scoped_parabolics(rs, cfg):
             reps = enumerate_minreps(rs, p)
             for i in rs.minuscule_nodes:
@@ -234,7 +241,7 @@ def suite_commutation(cfg: RunConfig) -> SuiteResult:
 
 def suite_chevalley(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("chevalley")
-    for rs in _scoped_types(cfg):
+    for rs in _scoped_types(cfg, res):
         for p in _scoped_parabolics(rs, cfg):
             reps = enumerate_minreps(rs, p)
             for j, k in itertools.combinations(p.nodes, 2):
@@ -268,7 +275,7 @@ def suite_orbit(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("orbit")
     group_order = {"A1": 2, "A2": 3, "A3": 4, "A4": 5, "B2": 2, "B3": 2,
                    "C3": 2, "D4": 4}
-    for rs in _scoped_types(cfg):
+    for rs in _scoped_types(cfg, res):
         zs = central_elements(rs)
         orders = {z.node: central_order(z) for z in zs if z.node is not None}
         for node, order in orders.items():
@@ -329,7 +336,7 @@ def suite_orbit(cfg: RunConfig) -> SuiteResult:
 
 def suite_length(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("length")
-    for rs in _scoped_types(cfg, rank_cap=3):
+    for rs in _scoped_types(cfg, res, rank_cap=3):
         elems = enumerate_weyl(rs)
         for c in _coroot_box(rs.rank, cfg.radius):
             lam = rs.coroot_to_coweight(c)
@@ -348,7 +355,7 @@ def suite_length(cfg: RunConfig) -> SuiteResult:
 
 def suite_hat(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("hat")
-    for rs in _scoped_types(cfg, rank_cap=3):
+    for rs in _scoped_types(cfg, res, rank_cap=3):
         elems = enumerate_weyl(rs)
         for m in itertools.product(range(-cfg.radius, cfg.radius + 1),
                                    repeat=rs.rank):
@@ -383,7 +390,7 @@ def _parabolic_translation(p: ParabolicSet, coeffs: dict[int, int]) -> Vec:
 
 def suite_pi_p(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("pi-p")
-    for rs in _scoped_types(cfg):
+    for rs in _scoped_types(cfg, res):
         box = [rs.coroot_to_coweight(c) for c in _coroot_box(rs.rank, cfg.radius)]
         for p in _scoped_parabolics(rs, cfg):
             wp = enumerate_parabolic_subgroup(p)
@@ -450,7 +457,7 @@ def suite_pi_p(cfg: RunConfig) -> SuiteResult:
 
 def suite_closure(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("closure")
-    for rs in _scoped_types(cfg, rank_cap=3):
+    for rs in _scoped_types(cfg, res, rank_cap=3):
         for p in _scoped_parabolics(rs, cfg):
             rp = p.rp_pos
             # the translation criterion, exhaustively over the coordinate box
@@ -497,7 +504,7 @@ def suite_closure(cfg: RunConfig) -> SuiteResult:
 
 def suite_v_elements(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("v-elements")
-    for rs in _scoped_types(cfg, rank_cap=4):
+    for rs in _scoped_types(cfg, res, rank_cap=4):
         for i in rs.minuscule_nodes:
             vi = v_element(rs, i)
             res.check(w_inv(vi) == v_element(rs, rs.involution[i - 1]),
@@ -533,20 +540,27 @@ def _short_affine_elements(rs: RootSystem, max_len: int) -> list[ExtAffElt]:
 
 def suite_nilhecke(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("nilhecke")
+
+    def mul(a, b):
+        return nh_mul(a, b, cfg.expansion_cap)
+
+    def embed(x):
+        return embed_group(x, cfg.expansion_cap)
+
     for name in ("A1", "A2"):
         if name not in cfg.types:
             continue
         rs = build_root_system(name)
         for i in range(rs.rank + 1):
-            si = embed_group(affine_simple_ext(rs, i))
-            res.check(nh_mul(si, si) == nh_one(rs),
+            si = embed(affine_simple_ext(rs, i))
+            res.check(mul(si, si) == nh_one(rs),
                       f"{name}: embedded s_{i}^2 != 1")
         if name == "A2":
             for a, b in ((1, 2), (0, 1), (0, 2)):
-                ea = embed_group(affine_simple_ext(rs, a))
-                eb = embed_group(affine_simple_ext(rs, b))
-                res.check(nh_mul(nh_mul(ea, eb), ea)
-                          == nh_mul(nh_mul(eb, ea), eb),
+                ea = embed(affine_simple_ext(rs, a))
+                eb = embed(affine_simple_ext(rs, b))
+                res.check(mul(mul(ea, eb), ea)
+                          == mul(mul(eb, ea), eb),
                           f"A2: braid relation fails for ({a},{b})")
         for z in central_elements(rs):
             if z.is_identity():
@@ -555,7 +569,7 @@ def suite_nilhecke(cfg: RunConfig) -> SuiteResult:
             ezi = nh_basis(central_inv(z).to_ext())
             for i in range(rs.rank + 1):
                 j = central_dynkin_action(z, i)
-                lhs = nh_mul(nh_mul(ez, nh_basis(affine_simple_ext(rs, i))), ezi)
+                lhs = mul(mul(ez, nh_basis(affine_simple_ext(rs, i))), ezi)
                 res.check(lhs == nh_basis(affine_simple_ext(rs, j)),
                           f"{name}: tau_{z.node} A_s{i} tau^-1 != A_s{j}")
     # seeded multiplicativity of the group embedding
@@ -579,8 +593,8 @@ def suite_nilhecke(cfg: RunConfig) -> SuiteResult:
         if aff_length(x) + aff_length(y) > cfg.expansion_cap:
             continue
         pairs += 1
-        res.check(nh_mul(embed_group(x), embed_group(y))
-                  == embed_group(aff_mul(x, y)),
+        res.check(mul(embed(x), embed(y))
+                  == embed(aff_mul(x, y)),
                   f"{rs.name()}: embedding not multiplicative on pair {pairs}")
     # the module action against the nil Hecke engine itself
     for name in ("A1", "A2"):
@@ -594,7 +608,7 @@ def suite_nilhecke(cfg: RunConfig) -> SuiteResult:
             for y in minus:
                 if aff_length(x) + aff_length(y) > cfg.expansion_cap:
                     continue
-                via_engine = nh_mod_Jtilde(nh_mul(ax, nh_basis(y)))
+                via_engine = nh_mod_Jtilde(mul(ax, nh_basis(y)))
                 via_rule = act_on_xi(x, XiVector(rs, {y: SPoly.one(rs.rank)}))
                 engine_terms = {k[1]: v for k, v in via_engine.terms.items()}
                 res.check(engine_terms == via_rule.terms,
@@ -619,7 +633,7 @@ def suite_psi(cfg: RunConfig) -> SuiteResult:
                   == q_shift(unit_class(b), (1,)),
                   "A1: psi(xi_id) relative to t_{-alpha1vee} != q*1")
     # representative independence on every scoped (type, I_P)
-    for rs in _scoped_types(cfg, rank_cap=3):
+    for rs in _scoped_types(cfg, res, rank_cap=3):
         for p in _scoped_parabolics(rs, cfg):
             rp = p.rp_pos
             shifts = []
@@ -684,7 +698,7 @@ def suite_equivariant(cfg: RunConfig) -> SuiteResult:
 
 def suite_intertwine(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("intertwine")
-    for rs in _scoped_types(cfg, rank_cap=2):
+    for rs in _scoped_types(cfg, res, rank_cap=2):
         zero = (0,) * rs.rank
         for p in _scoped_parabolics(rs, cfg):
             anti = [m for m in _antidominant_box(rs.rank, 1)]

@@ -5,6 +5,7 @@ brute-force enumeration) without calling into the package's own machinery,
 so agreement is evidence rather than tautology.
 """
 
+import itertools
 from fractions import Fraction
 
 # Coxeter numbers; |R^+| = rank * h / 2.
@@ -133,3 +134,98 @@ def brute_orbit_size(apply_step, start, is_start):
         if steps > 64:
             raise RuntimeError("orbit failed to close")
     return steps
+
+
+# -- a windowed brute force for the parabolic projection ----------------------
+#
+# Weyl elements are root-lattice matrices stored by columns (cols[j] is the
+# image of the simple root alpha_j), built here from the Cartan matrix alone.
+# Coweights are in fundamental-coweight coordinates, so <lambda, alpha> is a
+# dot product and alpha_k_vee is row k of the Cartan matrix.
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _apply_cols(cols, vec):
+    out = [0] * len(vec)
+    for j, c in enumerate(vec):
+        for k, a in enumerate(cols[j]):
+            out[k] += c * a
+    return tuple(out)
+
+
+def _compose(a, b):
+    return tuple(_apply_cols(a, col) for col in b)
+
+
+def _reflection_cols(cartan, i):
+    """s_i(alpha_j) = alpha_j - A[i][j] alpha_i, for a 0-based node i."""
+    n = len(cartan)
+    return tuple(tuple(int(t == j) - cartan[i][j] * int(t == i) for t in range(n))
+                 for j in range(n))
+
+
+def weyl_cols_from_word(cartan, word):
+    """Columns of s_{word[0]} s_{word[1]} ... (1-based letters)."""
+    n = len(cartan)
+    cols = tuple(tuple(int(t == j) for t in range(n)) for j in range(n))
+    for i in word:
+        cols = _compose(cols, _reflection_cols(cartan, i - 1))
+    return cols
+
+
+def _subgroup(cartan, gens):
+    """All (g, g^-1) of the group generated by the given simple reflections."""
+    n = len(cartan)
+    eye = tuple(tuple(int(t == j) for t in range(n)) for j in range(n))
+    seen = {eye: eye}
+    frontier = [eye]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for i in gens:
+                s = _reflection_cols(cartan, i)
+                h = _compose(g, s)
+                if h not in seen:
+                    seen[h] = _compose(s, seen[g])
+                    nxt.append(h)
+        frontier = nxt
+    return list(seen.items())
+
+
+def windowed_pi_p(cartan, word, lam, nodes, radius):
+    """Every factorization x = x1 (u t_mu) of x = w t_lam with u in W_P,
+    mu = sum c_k alpha_k_vee over the nodes off `nodes`, |c_k| <= radius,
+    and x1 = w u^-1 t_{u(lam - mu)} in (W^P)_aff, i.e.
+    <u(lam - mu), alpha> = 0 if w u^-1(alpha) > 0 and -1 otherwise, for every
+    positive root alpha of the Levi subsystem. Returns [(x1 columns, nu)].
+    """
+    n = len(cartan)
+    off = [k for k in range(n) if k + 1 not in nodes]
+    group = _subgroup(cartan, off)
+    levi = set()
+    for g, _ in group:
+        for k in off:
+            r = g[k]
+            if all(a >= 0 for a in r):
+                levi.add(r)
+    w = weyl_cols_from_word(cartan, word)
+    window = list(itertools.product(range(-radius, radius + 1), repeat=len(off)))
+    hits = []
+    for u, u_inv in group:
+        v = _compose(w, u_inv)
+        # <u(lam - mu), alpha> = <lam - mu, u^-1(alpha)>
+        conds = []
+        for alpha in levi:
+            r = _apply_cols(u_inv, alpha)
+            target = 0 if any(a > 0 for a in _apply_cols(v, alpha)) else -1
+            conds.append(([_dot(cartan[k], r) for k in off], _dot(lam, r) - target))
+        for cs in window:
+            if all(_dot(cs, pair) == want for pair, want in conds):
+                rest = [lam[t] - sum(c * cartan[k][t] for c, k in zip(cs, off))
+                        for t in range(n)]
+                # <u(rest), alpha_i> = <rest, u^-1(alpha_i)>
+                hits.append((v, tuple(_dot(rest, col) for col in u_inv)))
+    return hits

@@ -27,6 +27,7 @@ from qseidel.affine import (
     is_waff_minus,
     is_wpaff,
     peterson_decompose,
+    pi_P,
     pi_P_ext,
     reduced_word_affine,
     translation,
@@ -40,7 +41,7 @@ from qseidel.weyl import (
     w_inv,
 )
 
-from oracles import INVARIANT_FACTORS, coweight_order_in_quotient
+from oracles import INVARIANT_FACTORS, coweight_order_in_quotient, windowed_pi_p
 
 
 def _random_elt(rs, rng, box=2):
@@ -260,6 +261,26 @@ def test_pi_p_properties():
                 assert in_parabolic_aff(x2, p)
                 # projection is idempotent on its image
                 assert pi_P_ext(x1, p) == x1
+
+
+def test_pi_p_matches_windowed_brute_force():
+    # general w t_lambda (lambda in Q_vee), not only translations, on every
+    # catalog type; the window is wider than any residual shift seen here
+    rng = random.Random(41)
+    for name in CATALOG:
+        rs = build_root_system(name)
+        n = rs.rank
+        subsets = [s for r in range(1, n + 1)
+                   for s in itertools.combinations(range(1, n + 1), r)]
+        for _ in range(25):
+            word = [rng.randint(1, n) for _ in range(rng.randint(0, 6))]
+            c = [rng.randint(-2, 2) for _ in range(n)]
+            lam = tuple(sum(c[k] * rs.cartan[k][t] for k in range(n))
+                        for t in range(n))
+            nodes = rng.choice(subsets)
+            x1 = pi_P(ExtAffElt(from_word(rs, word), lam), parabolic(rs, nodes))
+            hits = windowed_pi_p(rs.cartan, word, lam, nodes, 6)
+            assert hits == [(x1.w.images, x1.lam)], (name, word, lam, nodes)
 
 
 def test_eta_p_reads_coroot_coordinates():

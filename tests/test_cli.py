@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qseidel import cli
 from qseidel.suites import SuiteResult
 
@@ -210,3 +212,106 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["type"] == "A1"
+
+
+@pytest.mark.parametrize("elt", [
+    '{"w": [], "lambda": [0.5, 0]}',
+    '{"w": [], "lambda": [1.0, 0]}',
+    '{"w": [], "lambda": [true, 0]}',
+    '{"w": [], "lambda": ["1", 0]}',
+    '{"w": "12", "lambda": [0, 0]}',
+    '{"w": [1.0], "lambda": [0, 0]}',
+    '{"w": [false], "lambda": [0, 0]}',
+])
+def test_affine_rejects_non_integers(elt, capsys):
+    for action in ("length", "decompose"):
+        assert cli.run(["affine", action, "A2", "--elt", elt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be" in captured.err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("w", "[1.0]"), ("w", '"1"'), ("q", "[0.5]"), ("q", "[true]"),
+    ("coeff", '{"0,0": 1.7}'), ("coeff", '{"0,0": true}'),
+    ("coeff", '{"0,0": "2"}'),
+])
+def test_qprod_rejects_non_integers(field, value, capsys):
+    term = {"w": "[1]", "q": "[0]", "coeff": '{"0,0": 1}'}
+    term[field] = value
+    cls = ('{"type": "A2", "parabolic": [1], "terms": [{'
+           + ", ".join(f'"{k}": {v}' for k, v in term.items()) + "}]}")
+    assert cli.run(["qprod", "chevalley", "-j", "1", "--class", cls]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be" in captured.err
+
+
+def test_qprod_q_needs_one_exponent_per_node(capsys):
+    cls = UNIT_P2.replace('"q":[0]', '"q":[0, 0]')
+    assert cli.run(["qprod", "seidel", "-i", "1", "--class", cls]) == 2
+    assert "quantum node" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("radius", 1.0), ("radius", True), ("seed", "3"), ("max_rank", 2.5),
+    ("expansion_cap", False), ("parabolic", [1.0]), ("parabolic", "1"),
+])
+def test_verify_config_rejects_non_integers(key, value, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"suite": "v-elements", key: value}))
+    assert cli.run(["verify", "--config", str(path)]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_verify_config_has_no_weyl_cap(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"suite": "v-elements", "weyl_cap": 100}')
+    assert cli.run(["verify", "--config", str(path)]) == 2
+    assert "weyl_cap" in capsys.readouterr().err
+
+
+def test_verify_empty_radius_is_not_a_pass(capsys):
+    assert cli.run(["verify", "--suite", "hat", "--radius", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "hat: EMPTY checks=0" in captured.out
+    assert "verify: FAIL" in captured.out
+    assert "hat made no checks" in captured.err
+
+
+def test_verify_names_types_a_rank_cap_skipped(capsys):
+    assert cli.run(["verify", "--suite", "psi", "--types", "A4",
+                    "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert data["ok"] is False
+    assert data["suites"][0]["checks"] == 0
+    assert "psi skipped by rank cap: A4" in captured.err
+    assert "psi made no checks" in captured.err
+
+
+def test_verify_partial_skip_still_passes(capsys):
+    assert cli.run(["verify", "--suite", "v-elements", "--types", "A1",
+                    "A4", "--max-rank", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("verify: ok\n")
+    assert "v-elements skipped by rank cap: A4" in captured.err
+
+
+@pytest.mark.parametrize("cls", [
+    '{"type": 2, "parabolic": [1]}',
+    '{"type": ["A2"], "parabolic": [1]}',
+    '{"type": "A2", "parabolic": [1], "terms": [5]}',
+    '{"type": "A2", "parabolic": [1], "terms": {"w": []}}',
+    '{"type": "A2", "parabolic": [1], "terms": [{"w": [], "q": [0], "coeff": [1]}]}',
+])
+def test_qprod_malformed_class_is_usage_error(cls, capsys):
+    assert cli.run(["qprod", "seidel", "-i", "1", "--class", cls]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_elt_file_must_hold_an_object(tmp_path, capsys):
+    path = tmp_path / "elt.json"
+    path.write_text("[1, 2]")
+    assert cli.run(["affine", "length", "A2", "--elt", str(path)]) == 2
+    assert "JSON object" in capsys.readouterr().err

@@ -1,3 +1,8 @@
+import itertools
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
 from qseidel.rootsys import (
@@ -5,12 +10,18 @@ from qseidel.rootsys import (
     build_root_system,
     cartan_matrix,
     dot,
+    int_inverse,
     is_positive_vec,
     vadd,
     vneg,
 )
 
-from oracles import COXETER_NUMBER, INVARIANT_FACTORS, smith_invariant_factors
+from oracles import (
+    COXETER_NUMBER,
+    INVARIANT_FACTORS,
+    rational_solve,
+    smith_invariant_factors,
+)
 
 
 def test_catalog_builds():
@@ -158,3 +169,80 @@ def test_affine_simple_root():
             ai = rs.affine_simple(i)
             assert ai.finite == rs.simple_root(i)
             assert ai.level == 0
+
+
+def _leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_int_inverse_against_rational_solve():
+    rng = random.Random(11)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if _leibniz_det(m) == 0:
+            singular += 1
+            with pytest.raises(ValueError):
+                int_inverse(m)
+            continue
+        adj, d = int_inverse(m)
+        assert d > 0
+        for j in range(n):
+            col = rational_solve(m, [int(i == j) for i in range(n)])
+            assert [Fraction(adj[i][j], d) for i in range(n)] == col
+    assert singular > 0
+    assert int_inverse([]) == ((), 1)
+
+
+def _lattice_probe(rs):
+    """A box of coweights: all of [-2, 2]^n up to rank 4, else [-1, 1]^n
+    (rank 6) or 400 random points of [-2, 2]^n (ranks 7 and 8)."""
+    n = rs.rank
+    if n <= 4:
+        return list(itertools.product(range(-2, 3), repeat=n))
+    if n <= 6:
+        return list(itertools.product(range(-1, 2), repeat=n))
+    rng = random.Random(n)
+    return [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(400)]
+
+
+@pytest.mark.parametrize("name", CATALOG + ("F4", "G2", "E6", "E7", "E8"))
+def test_coroot_lattice_arithmetic_against_rational_solve(name):
+    rs = build_root_system(name)
+    n = rs.rank
+    at = [[rs.cartan[j][i] for j in range(n)] for i in range(n)]
+    # columns of (Cartan^T)^-1, one rational solve per unit vector
+    inv_cols = [rational_solve(at, [int(i == j) for i in range(n)]) for j in range(n)]
+    class_of_frac: dict = {}
+    frac_of_class: dict = {}
+    for m in _lattice_probe(rs):
+        exact = [sum(inv_cols[j][i] * m[j] for j in range(n)) for i in range(n)]
+        integral = all(x.denominator == 1 for x in exact)
+        assert rs.coweight_to_coroot(m) == tuple(exact)
+        assert rs.in_coroot_lattice(m) == integral
+        if integral:
+            assert rs.coroot_coords(m) == tuple(int(x) for x in exact)
+        else:
+            with pytest.raises(ValueError):
+                rs.coroot_coords(m)
+        cls = rs.coweight_class(m)
+        assert (not any(cls)) == integral
+        frac = tuple(x - math.floor(x) for x in exact)
+        assert class_of_frac.setdefault(frac, cls) == cls
+        assert frac_of_class.setdefault(cls, frac) == frac
+        node = rs.minuscule_class_node(m)
+        if integral:
+            assert node is None
+        else:
+            # [m] = [-varpi_node_vee]: m + varpi_node_vee is in the coroot lattice
+            assert node in rs.minuscule_nodes
+            shifted = [exact[i] + inv_cols[node - 1][i] for i in range(n)]
+            assert all(x.denominator == 1 for x in shifted)
+    # the probe meets every class of the coweight lattice mod Q_vee
+    assert len(class_of_frac) == math.prod(smith_invariant_factors(rs.cartan))

@@ -74,3 +74,12 @@ def test_all_runs_every_suite():
         "equivariant", "intertwine",
     ]
     assert all(r.ok() for r in results)
+
+
+def test_rank_caps_record_skipped_types():
+    (res,) = run_suites(RunConfig(suite="intertwine", types=("A1", "A3", "B2")))
+    assert res.skipped == ["A3"]
+    assert res.checks > 0
+    (res,) = run_suites(RunConfig(suite="v-elements", types=("A2", "A3"),
+                                  max_rank=2))
+    assert res.skipped == ["A3"]
