@@ -34,6 +34,7 @@ from .rootsys import (
     dot,
     int_inverse,
     is_positive_vec,
+    mat_vec,
     vadd,
     vneg,
     vsub,
@@ -352,7 +353,7 @@ def pi_P(x: ExtAffElt, p: ParabolicSet) -> ExtAffElt:
     for u, u_inv, rows, adj, d in _candidate_systems(p):
         # rhs_j = <lambda, r_j> - target_j, target_j = 0 if x.w(r_j) > 0 else -1
         rhs = [dot(lam, r) + (0 if is_positive_vec(act(r)) else 1) for r in rows]
-        sol = [sum([a * b for a, b in zip(row, rhs)]) for row in adj]
+        sol = mat_vec(adj, rhs)
         if any(c % d for c in sol):
             continue
         mu = _parabolic_coweight(p, (c // d for c in sol))

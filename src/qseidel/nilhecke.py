@@ -40,8 +40,6 @@ from .poly import SPoly
 from .rootsys import RootSystem, Vec, dot
 from .weyl import WeylElt, identity, v_element
 
-# Default bound on the reduced-word length nh_mul and embed_group expand;
-# RunConfig.expansion_cap passes its own.
 EXPANSION_CAP = 8
 
 NHKey = tuple[Optional[int], ExtAffElt]
@@ -237,7 +235,7 @@ def _conj_by_central(z: CentralElt, x: ExtAffElt) -> ExtAffElt:
     return aff_mul(aff_mul(aff_inv(ze), x), ze)
 
 
-def nh_mul(a: NilHeckeElt, b: NilHeckeElt, cap: int = EXPANSION_CAP) -> NilHeckeElt:
+def nh_mul(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
     """Product in the smashed extension: (tau (x) u)(sigma (x) v) = tau sigma (x) sigma^-1(u) v."""
     rs = a.rs
     if b.rs is not rs:
@@ -252,8 +250,8 @@ def nh_mul(a: NilHeckeElt, b: NilHeckeElt, cap: int = EXPANSION_CAP) -> NilHecke
             g1 = central_act_poly(inv2, f1)
             x1c = _conj_by_central(tau2, x1)
             word = reduced_word_affine(x1c)
-            if len(word) > cap:
-                raise ValueError(f"nil Hecke expansion beyond length {cap}")
+            if len(word) > EXPANSION_CAP:
+                raise ValueError(f"nil Hecke expansion beyond length {EXPANSION_CAP}")
             len2 = aff_length(x2)
             for z, c in _aword_times_poly(rs, word, f2).items():
                 z2 = aff_mul(z, x2)
@@ -270,20 +268,20 @@ def nh_mul(a: NilHeckeElt, b: NilHeckeElt, cap: int = EXPANSION_CAP) -> NilHecke
     return NilHeckeElt(rs, out)
 
 
-def embed_group(x: ExtAffElt, cap: int = EXPANSION_CAP) -> NilHeckeElt:
+def embed_group(x: ExtAffElt) -> NilHeckeElt:
     """Multiplicative inclusion of the extended affine Weyl group, s_i = 1 - alpha_i A_i."""
     rs = x.rs
     tau, hat = hat_decompose(x)
     word = reduced_word_affine(hat)
-    if len(word) > cap:
-        raise ValueError(f"group embedding beyond length {cap}")
+    if len(word) > EXPANSION_CAP:
+        raise ValueError(f"group embedding beyond length {EXPANSION_CAP}")
     acc = nh_one(rs)
     for i in word:
         factor = NilHeckeElt(rs, {
             (None, identity_aff(rs)): SPoly.one(rs.rank),
             (None, affine_simple_ext(rs, i)): -scalar_root(rs, i),
         })
-        acc = nh_mul(acc, factor, cap)
+        acc = nh_mul(acc, factor)
     if tau.node is None:
         return acc
     return NilHeckeElt(rs, {(tau.node, z): f for (_, z), f in acc.terms.items()})

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from .rootsys import strict_int
+
 
 class SPoly:
     __slots__ = ("nvars", "terms")
@@ -146,7 +148,7 @@ class SPoly:
         terms = {}
         for key, v in data.items():
             k = tuple(int(t) for t in key.split(",")) if key else ()
-            terms[k] = int(v)
+            terms[k] = strict_int(v, "coefficient")
         return SPoly(nvars, terms)
 
     def to_text(self, prefix: str = "w") -> str:

@@ -32,7 +32,7 @@ from .affine import (
     peterson_decompose,
 )
 from .poly import SPoly
-from .rootsys import RootSystem, Vec, dot, strict_int, strict_ints, vadd, vsub
+from .rootsys import RootSystem, Vec, dot, strict_ints, vadd, vsub
 from .weyl import (
     ParabolicSet,
     WeylElt,
@@ -320,9 +320,7 @@ def qh_from_json(data: dict) -> QHClass:
         raw = t.get("coeff")
         if raw is not None and not isinstance(raw, dict):
             raise ValueError(f"coeff must be an object, got {raw!r}")
-        coeff = (SPoly.from_json(rs.rank, {k: strict_int(v, "coefficient")
-                                           for k, v in raw.items()})
-                 if raw else SPoly.one(rs.rank))
+        coeff = SPoly.from_json(rs.rank, raw) if raw else SPoly.one(rs.rank)
         prev = terms.get(key)
         terms[key] = coeff if prev is None else prev + coeff
     return QHClass(p, terms)

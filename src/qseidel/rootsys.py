@@ -145,6 +145,11 @@ def int_inverse(mat) -> tuple[tuple[Vec, ...], int]:
     return adj, abs(prev) // g
 
 
+def mat_vec(mat, v: Vec) -> Vec:
+    """The integer product mat . v, for a matrix given by its rows."""
+    return tuple([sum([a * b for a, b in zip(row, v)]) for row in mat])
+
+
 @dataclass(frozen=True)
 class AffineRoot:
     """Real affine root alpha + n*delta with finite part a root and integer level n."""
@@ -292,7 +297,7 @@ class RootSystem:
 
     def _scaled_coroot(self, m: Vec) -> Vec:
         """d * (coroot coordinates of m), an integer vector."""
-        return tuple(sum([a * b for a, b in zip(row, m)]) for row in self._adj)
+        return mat_vec(self._adj, m)
 
     def coweight_to_coroot(self, m: Vec) -> tuple[Fraction, ...]:
         """Rational coroot coordinates of any coweight (a view; not used internally)."""

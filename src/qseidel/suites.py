@@ -92,6 +92,12 @@ from .weyl import (
 )
 
 
+def _type_names(v) -> tuple[str, ...]:
+    if not isinstance(v, list) or not all(isinstance(t, str) for t in v):
+        raise ValueError(f"types must be a list of type names, got {v!r}")
+    return tuple(v)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     types: tuple[str, ...] = CATALOG
@@ -108,7 +114,7 @@ class RunConfig:
         cfg = RunConfig()
         # int marks an integer key, read strictly (no bool, float or str)
         keys = {
-            "types": lambda v: tuple(v),
+            "types": _type_names,
             "parabolic": lambda v: None if v is None else strict_ints(v, "parabolic"),
             "suite": str,
             "radius": int,
@@ -124,6 +130,9 @@ class RunConfig:
                 raise ValueError(f"unknown config key {k!r}")
             conv = keys[k]
             updates[fields.get(k, k)] = strict_int(v, k) if conv is int else conv(v)
+        # nh_mul and embed_group expand words only up to EXPANSION_CAP
+        if updates.get("expansion_cap", EXPANSION_CAP) > EXPANSION_CAP:
+            raise ValueError(f"expansion_cap must be at most {EXPANSION_CAP}")
         return replace(cfg, **updates)
 
 
@@ -541,26 +550,20 @@ def _short_affine_elements(rs: RootSystem, max_len: int) -> list[ExtAffElt]:
 def suite_nilhecke(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("nilhecke")
 
-    def mul(a, b):
-        return nh_mul(a, b, cfg.expansion_cap)
-
-    def embed(x):
-        return embed_group(x, cfg.expansion_cap)
-
     for name in ("A1", "A2"):
         if name not in cfg.types:
             continue
         rs = build_root_system(name)
         for i in range(rs.rank + 1):
-            si = embed(affine_simple_ext(rs, i))
-            res.check(mul(si, si) == nh_one(rs),
+            si = embed_group(affine_simple_ext(rs, i))
+            res.check(nh_mul(si, si) == nh_one(rs),
                       f"{name}: embedded s_{i}^2 != 1")
         if name == "A2":
             for a, b in ((1, 2), (0, 1), (0, 2)):
-                ea = embed(affine_simple_ext(rs, a))
-                eb = embed(affine_simple_ext(rs, b))
-                res.check(mul(mul(ea, eb), ea)
-                          == mul(mul(eb, ea), eb),
+                ea = embed_group(affine_simple_ext(rs, a))
+                eb = embed_group(affine_simple_ext(rs, b))
+                res.check(nh_mul(nh_mul(ea, eb), ea)
+                          == nh_mul(nh_mul(eb, ea), eb),
                           f"A2: braid relation fails for ({a},{b})")
         for z in central_elements(rs):
             if z.is_identity():
@@ -569,7 +572,7 @@ def suite_nilhecke(cfg: RunConfig) -> SuiteResult:
             ezi = nh_basis(central_inv(z).to_ext())
             for i in range(rs.rank + 1):
                 j = central_dynkin_action(z, i)
-                lhs = mul(mul(ez, nh_basis(affine_simple_ext(rs, i))), ezi)
+                lhs = nh_mul(nh_mul(ez, nh_basis(affine_simple_ext(rs, i))), ezi)
                 res.check(lhs == nh_basis(affine_simple_ext(rs, j)),
                           f"{name}: tau_{z.node} A_s{i} tau^-1 != A_s{j}")
     # seeded multiplicativity of the group embedding
@@ -593,8 +596,8 @@ def suite_nilhecke(cfg: RunConfig) -> SuiteResult:
         if aff_length(x) + aff_length(y) > cfg.expansion_cap:
             continue
         pairs += 1
-        res.check(mul(embed(x), embed(y))
-                  == embed(aff_mul(x, y)),
+        res.check(nh_mul(embed_group(x), embed_group(y))
+                  == embed_group(aff_mul(x, y)),
                   f"{rs.name()}: embedding not multiplicative on pair {pairs}")
     # the module action against the nil Hecke engine itself
     for name in ("A1", "A2"):
@@ -608,7 +611,7 @@ def suite_nilhecke(cfg: RunConfig) -> SuiteResult:
             for y in minus:
                 if aff_length(x) + aff_length(y) > cfg.expansion_cap:
                     continue
-                via_engine = nh_mod_Jtilde(mul(ax, nh_basis(y)))
+                via_engine = nh_mod_Jtilde(nh_mul(ax, nh_basis(y)))
                 via_rule = act_on_xi(x, XiVector(rs, {y: SPoly.one(rs.rank)}))
                 engine_terms = {k[1]: v for k, v in via_engine.terms.items()}
                 res.check(engine_terms == via_rule.terms,

@@ -256,12 +256,22 @@ def test_qprod_q_needs_one_exponent_per_node(capsys):
 @pytest.mark.parametrize("key, value", [
     ("radius", 1.0), ("radius", True), ("seed", "3"), ("max_rank", 2.5),
     ("expansion_cap", False), ("parabolic", [1.0]), ("parabolic", "1"),
+    ("types", "A2"), ("types", ["A2", 3]),
 ])
 def test_verify_config_rejects_non_integers(key, value, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"suite": "v-elements", key: value}))
     assert cli.run(["verify", "--config", str(path)]) == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_verify_config_caps_expansion_at_the_engine_bound(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"suite": "nilhecke", "types": ["A1"], "expansion_cap": 9}')
+    assert cli.run(["verify", "--config", str(path)]) == 2
+    assert "expansion_cap must be at most 8" in capsys.readouterr().err
+    path.write_text('{"suite": "nilhecke", "types": ["A1"], "expansion_cap": 4}')
+    assert cli.run(["verify", "--config", str(path)]) == 0
 
 
 def test_verify_config_has_no_weyl_cap(tmp_path, capsys):
@@ -296,6 +306,18 @@ def test_verify_partial_skip_still_passes(capsys):
     captured = capsys.readouterr()
     assert captured.out.endswith("verify: ok\n")
     assert "v-elements skipped by rank cap: A4" in captured.err
+
+
+def test_verify_all_passes_when_one_suite_does_not_apply(capsys):
+    # intertwine caps rank at 2 and psi has no box at radius 0: both make
+    # no check on A3, which under "all" is not a failure
+    assert cli.run(["verify", "--types", "A3", "--radius", "0"]) == 0
+    captured = capsys.readouterr()
+    assert "intertwine: ok checks=0" in captured.out
+    assert "psi: ok checks=0" in captured.out
+    assert captured.out.endswith("verify: ok\n")
+    assert "intertwine skipped by rank cap: A3" in captured.err
+    assert "made no checks" not in captured.err
 
 
 @pytest.mark.parametrize("cls", [

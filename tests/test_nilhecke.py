@@ -1,10 +1,6 @@
 import random
 
-import pytest
-
-from qseidel import suites
 from qseidel.affine import (
-    aff_inv,
     affine_simple_ext,
     central_dynkin_action,
     central_elements,
@@ -222,35 +218,3 @@ def test_nh_linear_structure():
     assert nh_add(a, nh_zero(rs)) == a
     assert nh_mul(nh_one(rs), a) == a
     assert nh_mul(a, nh_one(rs)) == a
-
-
-def test_expansion_cap_is_a_parameter():
-    rs = build_root_system("A1")
-    x = from_word_affine(rs, (0, 1, 0, 1, 0, 1, 0, 1, 0))  # length 9
-    with pytest.raises(ValueError):
-        embed_group(x)
-    g = embed_group(x, cap=9)
-    h = embed_group(aff_inv(x), cap=9)
-    with pytest.raises(ValueError):
-        nh_mul(g, h)
-    assert nh_mul(g, h, cap=9) == nh_one(rs)
-
-
-def test_nilhecke_suite_threads_its_expansion_cap(monkeypatch):
-    caps = set()
-    real_mul, real_embed = suites.nh_mul, suites.embed_group
-
-    def mul(a, b, cap):
-        caps.add(cap)
-        return real_mul(a, b, cap)
-
-    def embed(x, cap):
-        caps.add(cap)
-        return real_embed(x, cap)
-
-    monkeypatch.setattr(suites, "nh_mul", mul)
-    monkeypatch.setattr(suites, "embed_group", embed)
-    (res,) = suites.run_suites(suites.RunConfig(suite="nilhecke", types=("A1",),
-                                                expansion_cap=11))
-    assert res.ok() and res.checks > 0
-    assert caps == {11}
