@@ -101,11 +101,11 @@ def aff_act_root(x: ExtAffElt, beta: AffineRoot) -> AffineRoot:
 
 
 def aff_length(x: ExtAffElt) -> int:
-    total = 0
-    for alpha in x.rs.pos_roots:
-        chi = 0 if is_positive_vec(x.w.act_root(alpha)) else 1
-        total += abs(chi + dot(x.lam, alpha))
-    return total
+    rs = x.rs
+    big = len(rs.pos_roots)
+    # alpha = roots[k] for k < N; chi(w(alpha) < 0) is perm[k] >= N
+    return sum(abs((k >= big) + c)
+               for k, c in zip(x.w.perm, mat_vec(rs.pos_roots, x.lam)))
 
 
 def inversion_count_oracle(x: ExtAffElt) -> int:
@@ -130,20 +130,23 @@ def inversion_count_oracle(x: ExtAffElt) -> int:
 def is_waff_minus(x: ExtAffElt) -> bool:
     """Minimal length in its right W-coset: x(alpha_i) affine-positive for all i."""
     rs = x.rs
-    for i in range(rs.rank):
-        c = x.lam[i]
+    big = len(rs.pos_roots)
+    perm = x.w.perm
+    for c, k in zip(x.lam, rs.simple_index):
         if c > 0:
             return False
-        if c == 0 and not is_positive_vec(x.w.images[i]):
+        if c == 0 and perm[k] >= big:
             return False
     return True
 
 
 def is_wpaff(x: ExtAffElt, p: ParabolicSet) -> bool:
     """<lambda, alpha> = 0 where w(alpha) > 0 and -1 where w(alpha) < 0, over R_P^+."""
-    for alpha in p.rp_pos:
-        target = 0 if is_positive_vec(x.w.act_root(alpha)) else -1
-        if dot(x.lam, alpha) != target:
+    big = len(p.rs.pos_roots)
+    perm = x.w.perm
+    lam = x.lam
+    for k, alpha in zip(p.rp_index, p.rp_pos):
+        if dot(lam, alpha) != (-1 if perm[k] >= big else 0):
             return False
     return True
 
@@ -318,7 +321,8 @@ def _parabolic_set(p: ParabolicSet) -> frozenset[WeylElt]:
 
 @lru_cache(maxsize=None)
 def _candidate_systems(p: ParabolicSet) -> tuple:
-    """Per u in W_P: (u, u^-1, rows u^-1(alpha_j) over j off I_P, adj, d).
+    """Per u in W_P: (u, u^-1, rows u^-1(alpha_j) over j off I_P, their root
+    indices, adj, d).
 
     The k x k matrix <alpha_k_vee, u^-1(alpha_j)> pairs the parabolic coroots
     with the base u^-1(Delta_P) of R_P, so it is invertible; adj / d is its
@@ -328,9 +332,11 @@ def _candidate_systems(p: ParabolicSet) -> tuple:
     coroot_rows = [rs.cartan[j - 1] for j in p.wp_nodes]  # alpha_j_vee as coweights
     out = []
     for u in enumerate_parabolic_subgroup(p):
-        rows = tuple(u.inv_act_root(rs.simple_root(j)) for j in p.wp_nodes)
+        u_inv = w_inv(u)
+        idx = tuple(u_inv.perm[rs.simple_index[j - 1]] for j in p.wp_nodes)
+        rows = tuple(rs.roots[k] for k in idx)
         adj, d = int_inverse([[dot(c, r) for c in coroot_rows] for r in rows])
-        out.append((u, w_inv(u), rows, adj, d))
+        out.append((u, u_inv, rows, idx, adj, d))
     return tuple(out)
 
 
@@ -349,10 +355,11 @@ def pi_P(x: ExtAffElt, p: ParabolicSet) -> ExtAffElt:
         raise ValueError("pi_P over W_aff needs a coroot-lattice translation; "
                          "use pi_P_ext for general coweights")
     lam = x.lam
-    act = x.w.act_root
-    for u, u_inv, rows, adj, d in _candidate_systems(p):
+    perm = x.w.perm
+    big = len(rs.pos_roots)
+    for u, u_inv, rows, idx, adj, d in _candidate_systems(p):
         # rhs_j = <lambda, r_j> - target_j, target_j = 0 if x.w(r_j) > 0 else -1
-        rhs = [dot(lam, r) + (0 if is_positive_vec(act(r)) else 1) for r in rows]
+        rhs = [dot(lam, r) + (perm[k] >= big) for r, k in zip(rows, idx)]
         sol = mat_vec(adj, rhs)
         if any(c % d for c in sol):
             continue

@@ -16,10 +16,11 @@ Simple roots are numbered 1..n following Bourbaki (see README for the table).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add, mul, neg, sub
 from typing import Optional
 
 Vec = tuple[int, ...]
@@ -41,19 +42,19 @@ CATALOG = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4")
 
 
 def dot(u: Vec, v: Vec) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
+    return tuple(map(neg, u))
 
 
 def strict_int(value, what: str) -> int:
@@ -76,7 +77,7 @@ def strict_ints(values, what: str) -> Vec:
 
 def is_positive_vec(u: Vec) -> bool:
     """Sign of a root vector: roots have all coordinates >= 0 or all <= 0."""
-    return any(a > 0 for a in u)
+    return max(u, default=0) > 0
 
 
 def _bourbaki_edges(letter: str, n: int) -> list[tuple[int, int, int, int]]:
@@ -147,7 +148,7 @@ def int_inverse(mat) -> tuple[tuple[Vec, ...], int]:
 
 def mat_vec(mat, v: Vec) -> Vec:
     """The integer product mat . v, for a matrix given by its rows."""
-    return tuple([sum([a * b for a, b in zip(row, v)]) for row in mat])
+    return tuple([sum(map(mul, row, v)) for row in mat])
 
 
 @dataclass(frozen=True)
@@ -210,6 +211,10 @@ class RootSystem:
         self.pos_roots: tuple[Vec, ...] = tuple(pos)
         self.roots: tuple[Vec, ...] = tuple(pos) + tuple(vneg(r) for r in pos)
         self.root_set = frozenset(self.roots)
+        # Root k + N is -root k (N = |R^+|); Weyl elements permute these indices.
+        self.root_index: dict[Vec, int] = {r: k for k, r in enumerate(self.roots)}
+        self.simple_index: tuple[int, ...] = tuple(self.root_index[r] for r in simple)
+        self.negative_indices = frozenset(range(len(pos), len(self.roots)))
         self._coroot = {r: known[r] for r in self.roots}
         if len(self.roots) != 2 * len(self.pos_roots):
             raise AssertionError("root closure produced asymmetric sign sets")

@@ -1,28 +1,40 @@
-"""Finite Weyl groups as unimodular matrices on the root lattice.
+"""Finite Weyl groups as permutations of the root system.
 
-A group element is stored by the images of the simple roots (the columns of
-its root-lattice matrix) together with the images under the inverse, so that
-inversion is free and the coweight/weight actions need no linear solves:
+A group element w is stored as the permutation `perm` of the indices of
+`rs.roots`, with w(roots[k]) = roots[perm[k]]. Positive roots come first and
+root k + N is -root k, N = |R^+|. This is the representation of CHEVIE/GAP
+(Geck-Hiss-Luebeck-Malle-Pfeiffer 1996): it needs no enumeration of W, so
+elements of E7 and E8 cost no more than those of D4.
 
-* on roots:      w(alpha_j) = images[j-1]
+* product:   (ab).perm[k] = a.perm[b.perm[k]], one tuple composition;
+* inverse:   the inverse permutation;
+* length:    the number of positive indices k < N with perm[k] >= N;
+* descents:  s_j is a right descent of w iff perm[simple_index[j-1]] >= N;
+* on roots:  an index lookup.
+
+The images of the simple roots under w and under w^-1 (the columns of the
+root-lattice matrices) are read off perm; they carry the other actions:
+
 * on coweights:  <w(lambda), alpha_i> = <lambda, w^-1(alpha_i)>
 * on weights:    <w(mu), alpha_i_vee> = <mu, (w^-1(alpha_i))_vee>
 
-Length is the number of positive roots sent negative; every reduced word in
-this module composes left to right (word [1, 2] means s_1 s_2, apply s_2 first).
+Every reduced word in this module composes left to right (word [1, 2] means
+s_1 s_2, apply s_2 first).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
-from .rootsys import RootSystem, Vec, dot, is_positive_vec, vneg
+from .rootsys import RootSystem, Vec, dot, mat_vec
 
 WEYL_ENUM_CAP = 2**21
 
 
 def _apply(mat: tuple[Vec, ...], vec: Vec) -> Vec:
+    """The root-lattice matrix with columns `mat` applied to any vector."""
     n = len(vec)
     out = [0] * n
     for j, c in enumerate(vec):
@@ -34,23 +46,48 @@ def _apply(mat: tuple[Vec, ...], vec: Vec) -> Vec:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class WeylElt:
-    rs: RootSystem
-    images: tuple[Vec, ...]
-    inv_images: tuple[Vec, ...]
+    """An element of W by its root permutation `perm` (see the module docstring).
+
+    WeylElt(rs, images, inv_images) builds the element from the images of the
+    simple roots under it and under its inverse; w_mul, w_inv, from_word and
+    the reflections build elements directly from permutations. Elements are
+    never mutated: they key caches, and == and hash use (rs, perm).
+    """
+
+    def __init__(self, rs: RootSystem, images, inv_images):
+        perm = tuple(rs.root_index.get(_apply(images, r)) for r in rs.roots)
+        if None in perm or len(set(perm)) != len(perm):
+            raise ValueError("images do not permute the roots")
+        self.rs = rs
+        self.perm = perm
+        if self.inv_images != tuple(map(tuple, inv_images)):
+            raise ValueError("inv_images are not the images of the inverse")
+
+    @cached_property
+    def images(self) -> tuple[Vec, ...]:
+        """w(alpha_j) for j = 1..n."""
+        roots, perm = self.rs.roots, self.perm
+        return tuple(roots[perm[k]] for k in self.rs.simple_index)
+
+    @cached_property
+    def inv_images(self) -> tuple[Vec, ...]:
+        """w^-1(alpha_j) for j = 1..n."""
+        roots, perm = self.rs.roots, self.perm
+        return tuple(roots[perm.index(k)] for k in self.rs.simple_index)
 
     def act_root(self, vec: Vec) -> Vec:
-        return _apply(self.images, vec)
-
-    def inv_act_root(self, vec: Vec) -> Vec:
-        return _apply(self.inv_images, vec)
+        rs = self.rs
+        k = rs.root_index.get(vec)
+        if k is None:
+            return _apply(self.images, vec)
+        return rs.roots[self.perm[k]]
 
     def act_coweight(self, m: Vec) -> Vec:
-        return tuple(dot(m, col) for col in self.inv_images)
+        return mat_vec(self.inv_images, m)
 
     def inv_act_coweight(self, m: Vec) -> Vec:
-        return tuple(dot(m, col) for col in self.images)
+        return mat_vec(self.images, m)
 
     def act_weight(self, a: Vec) -> Vec:
         """Action on the weight lattice in fundamental-weight coordinates."""
@@ -59,40 +96,42 @@ class WeylElt:
 
     @cached_property
     def length(self) -> int:
-        return sum(1 for r in self.rs.pos_roots if not is_positive_vec(self.act_root(r)))
+        rs = self.rs
+        return len(rs.negative_indices.intersection(self.perm[:len(rs.pos_roots)]))
 
     def is_identity(self) -> bool:
-        return self.images == _identity_images(self.rs)
+        return self.perm == identity(self.rs).perm
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeylElt):
+            return NotImplemented
+        return self.perm == other.perm and self.rs is other.rs
+
+    def __hash__(self) -> int:
+        return hash((self.rs, self.perm))
 
     def __repr__(self) -> str:
         word = reduced_word(self)
         return "W[e]" if not word else "W[" + ".".join(map(str, word)) + "]"
 
 
-@lru_cache(maxsize=None)
-def _identity_images(rs: RootSystem) -> tuple[Vec, ...]:
-    n = rs.rank
-    return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+def _elt(rs: RootSystem, perm: tuple[int, ...]) -> WeylElt:
+    w = object.__new__(WeylElt)
+    w.rs = rs
+    w.perm = perm
+    return w
 
 
 @lru_cache(maxsize=None)
 def identity(rs: RootSystem) -> WeylElt:
-    eye = _identity_images(rs)
-    return WeylElt(rs, eye, eye)
+    return _elt(rs, tuple(range(len(rs.roots))))
 
 
 @lru_cache(maxsize=None)
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
     if not 1 <= i <= rs.rank:
         raise ValueError(f"simple reflection index out of range: {i}")
-    n = rs.rank
-    imgs = []
-    for j in range(n):
-        # s_i(alpha_j) = alpha_j - <alpha_j, alpha_i_vee> alpha_i
-        k = rs.cartan[i - 1][j]
-        imgs.append(tuple(int(t == j) - k * int(t == i - 1) for t in range(n)))
-    imgs = tuple(imgs)
-    return WeylElt(rs, imgs, imgs)
+    return reflection(rs, rs.simple_root(i))
 
 
 @lru_cache(maxsize=None)
@@ -100,23 +139,32 @@ def reflection(rs: RootSystem, root: Vec) -> WeylElt:
     """The reflection s_alpha for any root alpha."""
     if root not in rs.root_set:
         raise ValueError(f"not a root: {root}")
-    n = rs.rank
     cw = rs.coroot_to_coweight(rs.coroot_of(root))  # alpha_vee as coweight
-    imgs = tuple(tuple(int(t == j) - cw[j] * root[t] for t in range(n))
-                 for j in range(n))
-    return WeylElt(rs, imgs, imgs)
+    perm = []
+    for beta in rs.roots:
+        # s_alpha(beta) = beta - <beta, alpha_vee> alpha
+        c = dot(cw, beta)
+        perm.append(rs.root_index[tuple(b - c * a for a, b in zip(root, beta))])
+    return _elt(rs, tuple(perm))
+
+
+@lru_cache(maxsize=None)
+def _right_simple(rs: RootSystem) -> tuple[itemgetter, ...]:
+    """Per node j, the map w.perm -> (w s_j).perm."""
+    return tuple(itemgetter(*simple_reflection(rs, j).perm) for j in range(1, rs.rank + 1))
 
 
 def w_mul(a: WeylElt, b: WeylElt) -> WeylElt:
     if a.rs is not b.rs:
         raise ValueError("mixed root systems")
-    images = tuple(_apply(a.images, col) for col in b.images)
-    inv_images = tuple(_apply(b.inv_images, col) for col in a.inv_images)
-    return WeylElt(a.rs, images, inv_images)
+    return _elt(a.rs, itemgetter(*b.perm)(a.perm))
 
 
 def w_inv(a: WeylElt) -> WeylElt:
-    return WeylElt(a.rs, a.inv_images, a.images)
+    inv = [0] * len(a.perm)
+    for k, img in enumerate(a.perm):
+        inv[img] = k
+    return _elt(a.rs, tuple(inv))
 
 
 def w_len(a: WeylElt) -> int:
@@ -130,22 +178,33 @@ def from_word(rs: RootSystem, word) -> WeylElt:
     return w
 
 
+def _peel(w: WeylElt, nodes) -> tuple[tuple[int, ...], list[int]]:
+    """Right-descent peeling over `nodes`: (perm of w s_j1 s_j2 ..., [j1, j2, ...]).
+
+    Each step takes the first node of `nodes` that is a right descent of the
+    current element, until none is left.
+    """
+    rs = w.rs
+    big = len(rs.pos_roots)
+    simple = rs.simple_index
+    right = _right_simple(rs)
+    perm = w.perm
+    letters: list[int] = []
+    while True:
+        j = next((j for j in nodes if perm[simple[j - 1]] >= big), None)
+        if j is None:
+            return perm, letters
+        perm = right[j - 1](perm)
+        letters.append(j)
+
+
 @lru_cache(maxsize=None)
 def reduced_word(w: WeylElt) -> tuple[int, ...]:
     """Lexicographically smallest-at-each-peel reduced word, right descent peeling."""
-    rs = w.rs
-    rev: list[int] = []
-    cur = w
-    while True:
-        i = next((i for i in range(1, rs.rank + 1)
-                  if not is_positive_vec(cur.act_root(rs.simple_root(i)))), None)
-        if i is None:
-            break
-        cur = w_mul(cur, simple_reflection(rs, i))
-        rev.append(i)
-    if not cur.is_identity():
+    perm, letters = _peel(w, range(1, w.rs.rank + 1))
+    if perm != identity(w.rs).perm:
         raise AssertionError("descent peeling stalled off the identity")
-    return tuple(reversed(rev))
+    return tuple(reversed(letters))
 
 
 def weyl_order(rs: RootSystem) -> int:
@@ -161,29 +220,39 @@ def weyl_order(rs: RootSystem) -> int:
             ("F", 4): 1152, ("G", 2): 12}[(rs.letter, n)]
 
 
-@lru_cache(maxsize=None)
-def enumerate_weyl(rs: RootSystem) -> tuple[WeylElt, ...]:
-    """All of W in length order (breadth-first closure under right multiplication)."""
-    if weyl_order(rs) > WEYL_ENUM_CAP:
-        raise ValueError(f"|W({rs.name()})| = {weyl_order(rs)} exceeds the enumeration cap")
-    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
-    seen = {identity(rs)}
-    order = [identity(rs)]
-    frontier = [identity(rs)]
+def _closure(rs: RootSystem, nodes) -> tuple[WeylElt, ...]:
+    """The subgroup generated by s_j, j in nodes: breadth-first closure under
+    right multiplication, so in length order, and by reduced word within a length."""
+    right = [_right_simple(rs)[j - 1] for j in nodes]
+    e = identity(rs)
+    seen = {e.perm}
+    order = [e]
+    frontier = [e]
     while frontier:
         nxt = []
         for w in frontier:
-            for s in gens:
-                w2 = w_mul(w, s)
-                if w2 not in seen:
-                    seen.add(w2)
-                    nxt.append(w2)
-        nxt.sort(key=lambda w: reduced_word(w))
+            for step in right:
+                perm = step(w.perm)
+                if perm not in seen:
+                    if len(seen) >= WEYL_ENUM_CAP:
+                        raise ValueError(f"a subgroup of W({rs.name()}) exceeds the enumeration cap")
+                    seen.add(perm)
+                    nxt.append(_elt(rs, perm))
+        nxt.sort(key=reduced_word)
         order.extend(nxt)
         frontier = nxt
+    return tuple(order)
+
+
+@lru_cache(maxsize=None)
+def enumerate_weyl(rs: RootSystem) -> tuple[WeylElt, ...]:
+    """All of W in length order."""
+    if weyl_order(rs) > WEYL_ENUM_CAP:
+        raise ValueError(f"|W({rs.name()})| = {weyl_order(rs)} exceeds the enumeration cap")
+    order = _closure(rs, range(1, rs.rank + 1))
     if len(order) != weyl_order(rs):
         raise AssertionError("Weyl enumeration has wrong size")
-    return tuple(order)
+    return order
 
 
 @lru_cache(maxsize=None)
@@ -232,6 +301,11 @@ class ParabolicSet:
         return tuple(r for r in self.rs.pos_roots
                      if all(r[i - 1] == 0 for i in self.nodes))
 
+    @cached_property
+    def rp_index(self) -> tuple[int, ...]:
+        """Indices of rp_pos in rs.roots."""
+        return tuple(self.rs.root_index[r] for r in self.rp_pos)
+
     def __repr__(self) -> str:
         return f"ParabolicSet({self.rs.name()}, {list(self.nodes)})"
 
@@ -241,23 +315,18 @@ def parabolic(rs: RootSystem, nodes) -> ParabolicSet:
 
 
 def is_minrep(w: WeylElt, p: ParabolicSet) -> bool:
-    return all(is_positive_vec(w.act_root(w.rs.simple_root(j))) for j in p.wp_nodes)
+    rs, perm = w.rs, w.perm
+    big = len(rs.pos_roots)
+    return all(perm[rs.simple_index[j - 1]] < big for j in p.wp_nodes)
 
 
 @lru_cache(maxsize=None)
 def coset_reduce(w: WeylElt, p: ParabolicSet) -> tuple[WeylElt, WeylElt]:
     """w = wP * u with wP minimal in w*W_P and u in W_P, lengths additive."""
     rs = w.rs
-    cur = w
-    rev: list[int] = []
-    while True:
-        j = next((j for j in p.wp_nodes
-                  if not is_positive_vec(cur.act_root(rs.simple_root(j)))), None)
-        if j is None:
-            break
-        cur = w_mul(cur, simple_reflection(rs, j))
-        rev.append(j)
-    u = from_word(rs, reversed(rev))
+    perm, letters = _peel(w, p.wp_nodes)
+    cur = _elt(rs, perm) if letters else w
+    u = from_word(rs, reversed(letters))
     if cur.length + u.length != w.length:
         raise AssertionError("coset reduction lost length additivity")
     return cur, u
@@ -266,25 +335,7 @@ def coset_reduce(w: WeylElt, p: ParabolicSet) -> tuple[WeylElt, WeylElt]:
 @lru_cache(maxsize=None)
 def enumerate_parabolic_subgroup(p: ParabolicSet) -> tuple[WeylElt, ...]:
     """Elements of W_P in length order."""
-    rs = p.rs
-    gens = [simple_reflection(rs, j) for j in p.wp_nodes]
-    seen = {identity(rs)}
-    order = [identity(rs)]
-    frontier = [identity(rs)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                w2 = w_mul(w, s)
-                if w2 not in seen:
-                    if len(seen) >= WEYL_ENUM_CAP:
-                        raise ValueError("parabolic subgroup exceeds the enumeration cap")
-                    seen.add(w2)
-                    nxt.append(w2)
-        nxt.sort(key=lambda w: reduced_word(w))
-        order.extend(nxt)
-        frontier = nxt
-    return tuple(order)
+    return _closure(p.rs, p.wp_nodes)
 
 
 @lru_cache(maxsize=None)

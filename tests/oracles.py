@@ -136,7 +136,7 @@ def brute_orbit_size(apply_step, start, is_start):
     return steps
 
 
-# -- a windowed brute force for the parabolic projection ----------------------
+# -- Weyl matrices, and a windowed brute force for the parabolic projection ---
 #
 # Weyl elements are root-lattice matrices stored by columns (cols[j] is the
 # image of the simple root alpha_j), built here from the Cartan matrix alone.
@@ -148,7 +148,7 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _apply_cols(cols, vec):
+def apply_cols(cols, vec):
     out = [0] * len(vec)
     for j, c in enumerate(vec):
         for k, a in enumerate(cols[j]):
@@ -156,8 +156,8 @@ def _apply_cols(cols, vec):
     return tuple(out)
 
 
-def _compose(a, b):
-    return tuple(_apply_cols(a, col) for col in b)
+def compose_cols(a, b):
+    return tuple(apply_cols(a, col) for col in b)
 
 
 def _reflection_cols(cartan, i):
@@ -172,11 +172,11 @@ def weyl_cols_from_word(cartan, word):
     n = len(cartan)
     cols = tuple(tuple(int(t == j) for t in range(n)) for j in range(n))
     for i in word:
-        cols = _compose(cols, _reflection_cols(cartan, i - 1))
+        cols = compose_cols(cols, _reflection_cols(cartan, i - 1))
     return cols
 
 
-def _subgroup(cartan, gens):
+def subgroup_cols(cartan, gens):
     """All (g, g^-1) of the group generated by the given simple reflections."""
     n = len(cartan)
     eye = tuple(tuple(int(t == j) for t in range(n)) for j in range(n))
@@ -187,9 +187,9 @@ def _subgroup(cartan, gens):
         for g in frontier:
             for i in gens:
                 s = _reflection_cols(cartan, i)
-                h = _compose(g, s)
+                h = compose_cols(g, s)
                 if h not in seen:
-                    seen[h] = _compose(s, seen[g])
+                    seen[h] = compose_cols(s, seen[g])
                     nxt.append(h)
         frontier = nxt
     return list(seen.items())
@@ -204,7 +204,7 @@ def windowed_pi_p(cartan, word, lam, nodes, radius):
     """
     n = len(cartan)
     off = [k for k in range(n) if k + 1 not in nodes]
-    group = _subgroup(cartan, off)
+    group = subgroup_cols(cartan, off)
     levi = set()
     for g, _ in group:
         for k in off:
@@ -215,12 +215,12 @@ def windowed_pi_p(cartan, word, lam, nodes, radius):
     window = list(itertools.product(range(-radius, radius + 1), repeat=len(off)))
     hits = []
     for u, u_inv in group:
-        v = _compose(w, u_inv)
+        v = compose_cols(w, u_inv)
         # <u(lam - mu), alpha> = <lam - mu, u^-1(alpha)>
         conds = []
         for alpha in levi:
-            r = _apply_cols(u_inv, alpha)
-            target = 0 if any(a > 0 for a in _apply_cols(v, alpha)) else -1
+            r = apply_cols(u_inv, alpha)
+            target = 0 if any(a > 0 for a in apply_cols(v, alpha)) else -1
             conds.append(([_dot(cartan[k], r) for k in off], _dot(lam, r) - target))
         for cs in window:
             if all(_dot(cs, pair) == want for pair, want in conds):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qseidel import cli
+from qseidel import cli, weyl
 from qseidel.suites import SuiteResult
 
 GOLDEN_ROOTS_A2 = (
@@ -108,6 +108,16 @@ def test_affine_commands(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["pi_p"] == {"lambda": [-1, -1], "w": [1, 2]}
     assert data["residual"] == {"lambda": [0, 0], "w": []}
+
+
+def test_affine_length_in_e7_and_e8_enumerates_nothing(capsys):
+    # |W(E8)| = 696,729,600: the length must come from the element alone.
+    before = weyl.enumerate_weyl.cache_info().currsize
+    for name, lam, want in (("E8", [0] * 7 + [1], 65), ("E7", [0] * 6 + [1], 34)):
+        elt = json.dumps({"w": [1, 2, 3, 4, 5, 6, 7], "lambda": lam})
+        assert cli.run(["affine", "length", name, "--elt", elt]) == 0
+        assert capsys.readouterr().out == f"length {want}\n"
+        assert weyl.enumerate_weyl.cache_info().currsize == before
 
 
 def test_affine_pi_p_without_parabolic_errors(capsys):

@@ -1,8 +1,11 @@
 import itertools
 import random
 
+import pytest
+
 from qseidel.rootsys import CATALOG, build_root_system, dot, is_positive_vec
 from qseidel.weyl import (
+    WeylElt,
     coset_reduce,
     enumerate_minreps,
     enumerate_parabolic_subgroup,
@@ -22,7 +25,13 @@ from qseidel.weyl import (
     weyl_order,
 )
 
-from oracles import brute_min_coset_rep
+from oracles import (
+    apply_cols,
+    brute_min_coset_rep,
+    compose_cols,
+    subgroup_cols,
+    weyl_cols_from_word,
+)
 
 GROUP_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120,
@@ -179,3 +188,65 @@ def test_v_element_inverse_is_dual():
         for i in rs.minuscule_nodes:
             assert w_inv(v_element(rs, i)) == v_element(
                 rs, rs.involution[i - 1])
+
+
+# -- the root permutation against the matrix oracle --------------------------
+
+
+def _oracle_inversions(rs, cols):
+    return sum(1 for r in rs.pos_roots if not any(a > 0 for a in apply_cols(cols, r)))
+
+
+def _assert_matches_oracle(rs, word, other):
+    """from_word(word) and its product with from_word(other) against the oracle."""
+    cols = weyl_cols_from_word(rs.cartan, word)
+    inv_cols = weyl_cols_from_word(rs.cartan, word[::-1])
+    w = from_word(rs, word)
+    assert w.images == cols and w.inv_images == inv_cols
+    assert w.length == _oracle_inversions(rs, cols)
+    assert all(w.act_root(r) == apply_cols(cols, r) for r in rs.roots)
+    wi = w_inv(w)
+    assert wi.images == inv_cols and wi.inv_images == cols
+    assert wi.length == w.length
+    built = WeylElt(rs, cols, inv_cols)
+    assert built == w and hash(built) == hash(w)
+    other_cols = weyl_cols_from_word(rs.cartan, other)
+    other_inv = weyl_cols_from_word(rs.cartan, other[::-1])
+    prod = w_mul(w, from_word(rs, other))
+    prod_cols = compose_cols(cols, other_cols)
+    assert prod.images == prod_cols
+    assert prod.inv_images == compose_cols(other_inv, inv_cols)
+    assert prod.length == _oracle_inversions(rs, prod_cols)
+    return cols
+
+
+def test_permutation_matches_matrix_oracle_on_all_of_w():
+    for name in CATALOG + ("F4", "G2"):
+        rs = build_root_system(name)
+        elems = enumerate_weyl(rs)
+        rng = random.Random(5)
+        seen = set()
+        for w in elems:
+            word = reduced_word(w)
+            seen.add(_assert_matches_oracle(rs, word, reduced_word(rng.choice(elems))))
+        # the closure is all of W: the oracle's own closure gives the same matrices
+        assert seen == {g for g, _ in subgroup_cols(rs.cartan, range(rs.rank))}
+
+
+def test_permutation_matches_matrix_oracle_in_type_e():
+    rng = random.Random(17)
+    for name in ("E6", "E7", "E8"):
+        rs = build_root_system(name)
+        words = [tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(0, 40)))
+                 for _ in range(201)]
+        for word, other in zip(words, words[1:]):
+            _assert_matches_oracle(rs, word, other)
+
+
+def test_compatibility_constructor_rejects_bad_columns():
+    rs = build_root_system("A2")
+    s1 = simple_reflection(rs, 1)
+    with pytest.raises(ValueError):
+        WeylElt(rs, ((1, 1), (0, 1)), ((1, -1), (0, 1)))
+    with pytest.raises(ValueError):
+        WeylElt(rs, s1.images, simple_reflection(rs, 2).images)
