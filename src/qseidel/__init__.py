@@ -9,149 +9,45 @@ dictionary (qh). The suites module re-derives the identities these
 implementations rely on from independent definitions.
 """
 
-from .affine import (
-    CentralElt,
-    ExtAffElt,
-    aff_inv,
-    aff_length,
-    aff_mul,
-    central_dynkin_action,
-    central_elements,
-    central_inv,
-    central_mul,
-    central_order,
-    eta_P,
-    ext,
-    hat_decompose,
-    identity_aff,
-    is_antidominant,
-    is_waff_minus,
-    is_wpaff,
-    peterson_decompose,
-    pi_P,
-    pi_P_ext,
-    translation,
-)
-from .nilhecke import (
-    NilHeckeElt,
-    XiVector,
-    act_on_xi,
-    divdiff,
-    embed_group,
-    nh_add,
-    nh_basis,
-    nh_mod_Jtilde,
-    nh_mul,
-    nh_one,
-    nh_scalar,
-    nh_zero,
-    xi_unit,
-)
-from .poly import SPoly
+from .affine import ExtAffElt, hat_decompose, peterson_decompose, pi_P, pi_P_ext
 from .qh import (
     QHClass,
     chevalley_multiply,
     psi_P,
-    q_shift,
-    qh_add,
     qh_from_json,
-    qh_scale,
-    qh_sub,
     qh_text,
     qh_to_json,
-    seidel_apply,
     seidel_element,
     seidel_multiply,
-    seidel_orbit,
     sigma,
     unit_class,
 )
-from .rootsys import CATALOG, RootSystem, build_root_system
-from .suites import RunConfig, SuiteResult, run_suites, seidel_table
-from .weyl import (
-    ParabolicSet,
-    WeylElt,
-    coset_reduce,
-    enumerate_minreps,
-    enumerate_weyl,
-    from_word,
-    longest_element,
-    parabolic,
-    reduced_word,
-    v_element,
-    w_inv,
-    w_mul,
-)
+from .rootsys import CATALOG, build_root_system
+from .suites import RunConfig, SuiteResult, run_suites
+from .weyl import from_word, parabolic, reduced_word
 
 __all__ = [
     "CATALOG",
-    "CentralElt",
     "ExtAffElt",
-    "NilHeckeElt",
-    "ParabolicSet",
     "QHClass",
-    "RootSystem",
     "RunConfig",
-    "SPoly",
     "SuiteResult",
-    "WeylElt",
-    "XiVector",
-    "act_on_xi",
-    "aff_inv",
-    "aff_length",
-    "aff_mul",
     "build_root_system",
-    "central_dynkin_action",
-    "central_elements",
-    "central_inv",
-    "central_mul",
-    "central_order",
     "chevalley_multiply",
-    "coset_reduce",
-    "divdiff",
-    "embed_group",
-    "enumerate_minreps",
-    "enumerate_weyl",
-    "eta_P",
-    "ext",
     "from_word",
     "hat_decompose",
-    "identity_aff",
-    "is_antidominant",
-    "is_waff_minus",
-    "is_wpaff",
-    "longest_element",
-    "nh_add",
-    "nh_basis",
-    "nh_mod_Jtilde",
-    "nh_mul",
-    "nh_one",
-    "nh_scalar",
-    "nh_zero",
     "parabolic",
     "peterson_decompose",
     "pi_P",
     "pi_P_ext",
     "psi_P",
-    "q_shift",
-    "qh_add",
     "qh_from_json",
-    "qh_scale",
-    "qh_sub",
     "qh_text",
     "qh_to_json",
     "reduced_word",
     "run_suites",
-    "seidel_apply",
     "seidel_element",
     "seidel_multiply",
-    "seidel_orbit",
-    "seidel_table",
     "sigma",
-    "translation",
     "unit_class",
-    "v_element",
-    "w_inv",
-    "w_mul",
-    "xi_unit",
 ]

@@ -36,7 +36,7 @@ from .affine import (
     is_waff_minus,
     reduced_word_affine,
 )
-from .poly import SPoly
+from .poly import SPoly, add_terms
 from .rootsys import RootSystem, Vec, dot
 from .weyl import WeylElt, identity, v_element
 
@@ -94,19 +94,12 @@ def divdiff(rs: RootSystem, i: int, f: SPoly) -> SPoly:
         if k is None:
             return SPoly.zero(n)
         rest = tuple(e - int(t == k) for t, e in enumerate(expts))
-        rest_poly = SPoly(n, {rest: 1})
-        out = rest_poly * pair[k]
+        head = SPoly(n, {rest: pair[k]})
         tail = rec(rest)
-        if tail:
-            out = out + images[k] * tail
-        return out
+        return head + images[k] * tail if tail else head
 
-    total = SPoly.zero(n)
-    for expts, c in f.terms.items():
-        part = rec(expts)
-        if part:
-            total = total + part * c
-    return total
+    return SPoly(n, add_terms(term for expts, c in f.terms.items()
+                              for term in (rec(expts) * c).terms.items()))
 
 
 def weyl_act_poly(w: WeylElt, f: SPoly) -> SPoly:
@@ -179,15 +172,7 @@ def nh_basis(x: ExtAffElt) -> NilHeckeElt:
 
 
 def nh_add(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
-    out = dict(a.terms)
-    for k, v in b.terms.items():
-        s = out.get(k)
-        s = v if s is None else s + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return NilHeckeElt(a.rs, out)
+    return NilHeckeElt(a.rs, add_terms(b.terms.items(), a.terms))
 
 
 def nh_neg(a: NilHeckeElt) -> NilHeckeElt:
@@ -210,22 +195,11 @@ def _aword_times_poly(rs: RootSystem, word: tuple[int, ...], g: SPoly) -> dict[E
     for z, c in _aword_times_poly(rs, head, reflect_poly(rs, last, g)).items():
         z2 = aff_mul(z, s_last)
         if aff_length(z2) == aff_length(z) + 1:
-            prev = out.get(z2)
-            tot = c if prev is None else prev + c
-            if tot:
-                out[z2] = tot
-            else:
-                out.pop(z2, None)
+            out[z2] = c  # z -> z*s_last is injective, so no key repeats
     dd = divdiff(rs, last, g)
-    if dd:
-        for z, c in _aword_times_poly(rs, head, dd).items():
-            prev = out.get(z)
-            tot = c if prev is None else prev + c
-            if tot:
-                out[z] = tot
-            else:
-                out.pop(z, None)
-    return out
+    if not dd:
+        return out
+    return add_terms(_aword_times_poly(rs, head, dd).items(), out)
 
 
 def _conj_by_central(z: CentralElt, x: ExtAffElt) -> ExtAffElt:
@@ -240,7 +214,7 @@ def nh_mul(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
     rs = a.rs
     if b.rs is not rs:
         raise ValueError("mixed root systems")
-    out: dict[NHKey, SPoly] = {}
+    pairs = []
     for (c1, x1), f1 in a.terms.items():
         tau1 = CentralElt(rs, c1)
         for (c2, x2), f2 in b.terms.items():
@@ -257,15 +231,8 @@ def nh_mul(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
                 z2 = aff_mul(z, x2)
                 if aff_length(z2) != aff_length(z) + len2:
                     continue
-                coeff = g1 * c
-                key = (central, z2)
-                prev = out.get(key)
-                tot = coeff if prev is None else prev + coeff
-                if tot:
-                    out[key] = tot
-                else:
-                    out.pop(key, None)
-    return NilHeckeElt(rs, out)
+                pairs.append(((central, z2), g1 * c))
+    return NilHeckeElt(rs, add_terms(pairs))
 
 
 def embed_group(x: ExtAffElt) -> NilHeckeElt:
@@ -332,8 +299,5 @@ def act_on_xi(x: ExtAffElt, v: XiVector) -> XiVector:
     for y, c in v.terms.items():
         xy = aff_mul(x, y)
         if aff_length(xy) == lx + aff_length(y) and is_waff_minus(xy):
-            prev = out.get(xy)
-            tot = c if prev is None else prev + c
-            if tot:
-                out[xy] = tot
+            out[xy] = c  # y -> xy is injective, so no key repeats
     return XiVector(rs, out)

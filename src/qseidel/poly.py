@@ -8,9 +8,32 @@ equality, hashing-free comparison and byte-stable rendering are all exact.
 
 from __future__ import annotations
 
+import re
+from operator import add
 from typing import Iterable, Mapping
 
 from .rootsys import strict_int
+
+_EXPONENTS = re.compile(r"[0-9]+(,[0-9]+)*")
+
+
+def add_terms(pairs: Iterable[tuple], start: Mapping | None = None) -> dict:
+    """Sum the values of (key, value) pairs by key, dropping every zero sum.
+
+    `start` is copied, never changed. Values need only `+` and truth (int,
+    SPoly); this is the one accumulate-and-drop-zeros loop of the package.
+    """
+    out = dict(start) if start else {}
+    get = out.get
+    for k, v in pairs:
+        prev = get(k)
+        if prev is not None:
+            v = prev + v
+        if v:
+            out[k] = v
+        elif prev is not None:
+            del out[k]
+    return out
 
 
 class SPoly:
@@ -69,14 +92,7 @@ class SPoly:
     def __add__(self, other: "SPoly") -> "SPoly":
         if isinstance(other, int):
             other = SPoly.const(self.nvars, other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            c = out.get(k, 0) + v
-            if c:
-                out[k] = c
-            else:
-                out.pop(k, None)
-        return SPoly(self.nvars, out)
+        return SPoly(self.nvars, add_terms(other.terms.items(), self.terms))
 
     def __neg__(self) -> "SPoly":
         return SPoly(self.nvars, {k: -v for k, v in self.terms.items()})
@@ -89,16 +105,9 @@ class SPoly:
             if not other:
                 return SPoly.zero(self.nvars)
             return SPoly(self.nvars, {k: v * other for k, v in self.terms.items()})
-        out: dict[tuple[int, ...], int] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                c = out.get(k, 0) + v1 * v2
-                if c:
-                    out[k] = c
-                else:
-                    out.pop(k, None)
-        return SPoly(self.nvars, out)
+        return SPoly(self.nvars, add_terms(
+            (tuple(map(add, k1, k2)), v1 * v2)
+            for k1, v1 in self.terms.items() for k2, v2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -129,14 +138,14 @@ class SPoly:
         if len(images) != self.nvars:
             raise ValueError("substitution needs one image per variable")
         n_out = images[0].nvars if images else self.nvars
-        out = SPoly.zero(n_out)
+        pairs = []
         for k, v in self.terms.items():
             term = SPoly.const(n_out, v)
             for idx, e in enumerate(k):
                 if e:
                     term = term * images[idx] ** e
-            out = out + term
-        return out
+            pairs.extend(term.terms.items())
+        return SPoly(n_out, add_terms(pairs))
 
     # -- rendering ---------------------------------------------------------
 
@@ -147,7 +156,10 @@ class SPoly:
     def from_json(nvars: int, data: Mapping[str, int]) -> "SPoly":
         terms = {}
         for key, v in data.items():
-            k = tuple(int(t) for t in key.split(",")) if key else ()
+            if key and not _EXPONENTS.fullmatch(key):
+                raise ValueError("exponent key must be comma-separated "
+                                 f"non-negative integers, got {key!r}")
+            k = tuple(map(int, key.split(","))) if key else ()
             terms[k] = strict_int(v, "coefficient")
         return SPoly(nvars, terms)
 

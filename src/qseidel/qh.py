@@ -31,7 +31,7 @@ from .affine import (
     is_wpaff,
     peterson_decompose,
 )
-from .poly import SPoly
+from .poly import SPoly, add_terms
 from .rootsys import RootSystem, Vec, dot, strict_ints, vadd, vsub
 from .weyl import (
     ParabolicSet,
@@ -97,15 +97,7 @@ def sigma(p: ParabolicSet, w: WeylElt, q: Vec | None = None,
 def qh_add(a: QHClass, b: QHClass) -> QHClass:
     if a.p != b.p:
         raise ValueError("mixed parabolic contexts")
-    out = dict(a.terms)
-    for k, v in b.terms.items():
-        s = out.get(k)
-        s = v if s is None else s + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return QHClass(a.p, out)
+    return QHClass(a.p, add_terms(b.terms.items(), a.terms))
 
 
 def qh_sub(a: QHClass, b: QHClass) -> QHClass:
@@ -132,19 +124,13 @@ def seidel_multiply(i: int, c: QHClass) -> QHClass:
         raise ValueError(f"node {i} is not minuscule in {rs.name()}")
     vi = v_element(rs, i)
     cw = rs.fund_coweight(i)
-    out: dict[QKey, SPoly] = {}
+    pairs = []
     for (w, d), coeff in c.terms.items():
         diff = vsub(cw, w.inv_act_coweight(cw))  # in the coroot lattice
         e = vadd(d, eta_P(rs, diff, p))
         w2, _ = coset_reduce(w_mul(vi, w), p)
-        key = (w2, e)
-        prev = out.get(key)
-        tot = coeff if prev is None else prev + coeff
-        if tot:
-            out[key] = tot
-        else:
-            out.pop(key, None)
-    return QHClass(p, out)
+        pairs.append(((w2, e), coeff))
+    return QHClass(p, add_terms(pairs))
 
 
 def seidel_element(z: CentralElt, p: ParabolicSet) -> QHClass:
@@ -199,19 +185,15 @@ def _chevalley_data(p: ParabolicSet):
 def chevalley_multiply(j: int, c: QHClass, equivariant: bool = False) -> QHClass:
     """Multiplication by sigma(s_j) for a quantum node j, by the two-part root sum."""
     p = c.p
-    rs = p.rs
     if j not in p.nodes:
         raise ValueError(f"node {j} is not a quantum node of {p!r}")
-    out: dict[QKey, SPoly] = {}
+    return QHClass(p, add_terms(_chevalley_terms(j, c, equivariant)))
 
-    def acc(key: QKey, val: SPoly) -> None:
-        prev = out.get(key)
-        tot = val if prev is None else prev + val
-        if tot:
-            out[key] = tot
-        else:
-            out.pop(key, None)
 
+def _chevalley_terms(j: int, c: QHClass, equivariant: bool):
+    """The (key, coefficient) terms of chevalley_multiply, repeats not yet summed."""
+    p = c.p
+    rs = p.rs
     for (w, d), coeff in c.terms.items():
         lw = w.length
         for s_alpha, cv, n_alpha, eta in _chevalley_data(p):
@@ -220,16 +202,15 @@ def chevalley_multiply(j: int, c: QHClass, equivariant: bool = False) -> QHClass
                 continue
             w2 = w_mul(w, s_alpha)
             if w2.length == lw + 1 and is_minrep(w2, p):
-                acc((w2, d), coeff * mult)
+                yield (w2, d), coeff * mult
             w2p, _ = coset_reduce(w2, p)
             if w2p.length == lw + 1 - n_alpha:
-                acc((w2p, vadd(d, eta)), coeff * mult)
+                yield (w2p, vadd(d, eta)), coeff * mult
         if equivariant:
             wj = tuple(int(t == j - 1) for t in range(rs.rank))
             diag = SPoly.weight(wj) - SPoly.weight(w.act_weight(wj))
             if diag:
-                acc((w, d), coeff * diag)
-    return QHClass(p, out)
+                yield (w, d), coeff * diag
 
 
 # -- the Peterson dictionary ---------------------------------------------------
@@ -308,7 +289,7 @@ def qh_from_json(data: dict) -> QHClass:
     raw_terms = data.get("terms", [])
     if not isinstance(raw_terms, list) or not all(isinstance(t, dict) for t in raw_terms):
         raise ValueError("terms must be a list of objects")
-    terms: dict[QKey, SPoly] = {}
+    pairs = []
     for t in raw_terms:
         w = from_word(rs, strict_ints(t["w"], "w"))
         if not is_minrep(w, p):
@@ -316,11 +297,9 @@ def qh_from_json(data: dict) -> QHClass:
         q = strict_ints(t["q"], "q")
         if len(q) != len(p.nodes):
             raise ValueError("q needs one exponent per quantum node")
-        key = (w, q)
         raw = t.get("coeff")
         if raw is not None and not isinstance(raw, dict):
             raise ValueError(f"coeff must be an object, got {raw!r}")
         coeff = SPoly.from_json(rs.rank, raw) if raw else SPoly.one(rs.rank)
-        prev = terms.get(key)
-        terms[key] = coeff if prev is None else prev + coeff
-    return QHClass(p, terms)
+        pairs.append(((w, q), coeff))
+    return QHClass(p, add_terms(pairs))

@@ -98,6 +98,14 @@ def _type_names(v) -> tuple[str, ...]:
     return tuple(v)
 
 
+def _one_of(key: str, choices: tuple[str, ...]):
+    def conv(v) -> str:
+        if not isinstance(v, str) or v not in choices:
+            raise ValueError(f"{key} must be one of {', '.join(choices)}, got {v!r}")
+        return v
+    return conv
+
+
 @dataclass(frozen=True)
 class RunConfig:
     types: tuple[str, ...] = CATALOG
@@ -116,9 +124,9 @@ class RunConfig:
         keys = {
             "types": _type_names,
             "parabolic": lambda v: None if v is None else strict_ints(v, "parabolic"),
-            "suite": str,
+            "suite": _one_of("suite", (*SUITES, "all")),
             "radius": int,
-            "format": str,
+            "format": _one_of("format", ("text", "json")),
             "max_rank": int,
             "expansion_cap": int,
             "seed": int,
@@ -177,7 +185,8 @@ def _scoped_parabolics(rs: RootSystem, cfg: RunConfig) -> list[ParabolicSet]:
     return [parabolic(rs, s) for s in subsets]
 
 
-def _coroot_box(rank: int, radius: int):
+def _box(rank: int, radius: int):
+    """Integer vectors (coroot or coweight coordinates) in [-radius, radius]^rank."""
     return itertools.product(range(-radius, radius + 1), repeat=rank)
 
 
@@ -347,7 +356,7 @@ def suite_length(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("length")
     for rs in _scoped_types(cfg, res, rank_cap=3):
         elems = enumerate_weyl(rs)
-        for c in _coroot_box(rs.rank, cfg.radius):
+        for c in _box(rs.rank, cfg.radius):
             lam = rs.coroot_to_coweight(c)
             for w in elems:
                 x = ExtAffElt(w, lam)
@@ -366,8 +375,7 @@ def suite_hat(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("hat")
     for rs in _scoped_types(cfg, res, rank_cap=3):
         elems = enumerate_weyl(rs)
-        for m in itertools.product(range(-cfg.radius, cfg.radius + 1),
-                                   repeat=rs.rank):
+        for m in _box(rs.rank, cfg.radius):
             for w in elems:
                 x = ExtAffElt(w, m)
                 tau, hat = hat_decompose(x)
@@ -400,7 +408,7 @@ def _parabolic_translation(p: ParabolicSet, coeffs: dict[int, int]) -> Vec:
 def suite_pi_p(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("pi-p")
     for rs in _scoped_types(cfg, res):
-        box = [rs.coroot_to_coweight(c) for c in _coroot_box(rs.rank, cfg.radius)]
+        box = [rs.coroot_to_coweight(c) for c in _box(rs.rank, cfg.radius)]
         for p in _scoped_parabolics(rs, cfg):
             wp = enumerate_parabolic_subgroup(p)
             rp = p.rp_pos
@@ -425,8 +433,7 @@ def suite_pi_p(cfg: RunConfig) -> SuiteResult:
             # candidates whose x1 = u^-1 t_{u(lam-mu)} satisfies the coset
             # criterion on R_P^+; exactly one may survive.
             window = []
-            for cs in itertools.product(range(-maxc, maxc + 1),
-                                        repeat=len(p.wp_nodes)):
+            for cs in _box(len(p.wp_nodes), maxc):
                 coeffs = dict(zip(p.wp_nodes, cs))
                 window.append(_parabolic_translation(p, coeffs))
             u_data = []
@@ -470,8 +477,7 @@ def suite_closure(cfg: RunConfig) -> SuiteResult:
         for p in _scoped_parabolics(rs, cfg):
             rp = p.rp_pos
             # the translation criterion, exhaustively over the coordinate box
-            for m in itertools.product(range(-cfg.radius, cfg.radius + 1),
-                                       repeat=rs.rank):
+            for m in _box(rs.rank, cfg.radius):
                 t = translation(rs, m)
                 lhs = is_waff_minus(t) and is_wpaff(t, p)
                 rhs = is_antidominant(m) and all(dot(m, a) == 0 for a in rp)
@@ -640,7 +646,7 @@ def suite_psi(cfg: RunConfig) -> SuiteResult:
         for p in _scoped_parabolics(rs, cfg):
             rp = p.rp_pos
             shifts = []
-            for c in _coroot_box(rs.rank, cfg.radius):
+            for c in _box(rs.rank, cfg.radius):
                 m = rs.coroot_to_coweight(c)
                 if (any(m) and is_antidominant(m)
                         and all(dot(m, a) == 0 for a in rp)):

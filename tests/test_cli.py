@@ -244,7 +244,8 @@ def test_affine_rejects_non_integers(elt, capsys):
 @pytest.mark.parametrize("field, value", [
     ("w", "[1.0]"), ("w", '"1"'), ("q", "[0.5]"), ("q", "[true]"),
     ("coeff", '{"0,0": 1.7}'), ("coeff", '{"0,0": true}'),
-    ("coeff", '{"0,0": "2"}'),
+    ("coeff", '{"0,0": "2"}'), ("coeff", '{"-1,0": 1}'),
+    ("coeff", '{"1_0,0": 1}'), ("coeff", '{" 1,+0": 1}'),
 ])
 def test_qprod_rejects_non_integers(field, value, capsys):
     term = {"w": "[1]", "q": "[0]", "coeff": '{"0,0": 1}'}
@@ -266,7 +267,8 @@ def test_qprod_q_needs_one_exponent_per_node(capsys):
 @pytest.mark.parametrize("key, value", [
     ("radius", 1.0), ("radius", True), ("seed", "3"), ("max_rank", 2.5),
     ("expansion_cap", False), ("parabolic", [1.0]), ("parabolic", "1"),
-    ("types", "A2"), ("types", ["A2", 3]),
+    ("types", "A2"), ("types", ["A2", 3]), ("format", "xml"),
+    ("format", ["json"]), ("suite", "no-such-suite"), ("suite", ["all"]),
 ])
 def test_verify_config_rejects_non_integers(key, value, tmp_path, capsys):
     path = tmp_path / "cfg.json"

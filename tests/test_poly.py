@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from qseidel.poly import SPoly
+from qseidel.affine import affine_simple_ext
+from qseidel.nilhecke import NilHeckeElt, nh_add, nh_basis, nh_one
+from qseidel.poly import SPoly, add_terms
+from qseidel.qh import qh_add, sigma, unit_class
+from qseidel.rootsys import build_root_system
+from qseidel.weyl import from_word, parabolic
 
 
 def _random_poly(rng, nvars, nterms=3, deg=2, coeff=4):
@@ -99,3 +104,47 @@ def test_text_rendering():
 def test_mismatched_arity_rejected():
     with pytest.raises(ValueError):
         SPoly.var(2, 1) + SPoly.var(3, 1)
+
+
+def test_add_terms_drops_cancelled_keys():
+    assert add_terms([("a", 2), ("b", 1), ("a", -2)]) == {"b": 1}
+    assert add_terms([("a", 1)], {"a": -1}) == {}
+    x = SPoly.var(2, 1)
+    assert add_terms([("k", x), ("k", -x)]) == {}
+
+
+def test_add_terms_does_not_store_a_zero_first_value():
+    assert add_terms([("a", 0), ("b", 3)]) == {"b": 3}
+    assert add_terms([("a", SPoly.zero(2))]) == {}
+
+
+def test_add_terms_sums_int_and_spoly_values():
+    assert add_terms([((0, 1), 2), ((1, 0), 5), ((0, 1), 3)]) == {(0, 1): 5, (1, 0): 5}
+    x, y = SPoly.var(2, 1), SPoly.var(2, 2)
+    out = add_terms([("k", x), ("j", y), ("k", 2 * y)], {"j": x})
+    assert out == {"k": x + 2 * y, "j": x + y}
+
+
+def test_add_terms_leaves_start_untouched():
+    start = {"a": 1, "b": 2}
+    assert add_terms([("a", -1), ("b", 1), ("c", 4)], start) == {"b": 3, "c": 4}
+    assert start == {"a": 1, "b": 2}
+    # through the three sums built on it: the left operand keeps its terms
+    x, y = SPoly.var(2, 1), SPoly.var(2, 2)
+    a, b = x + y, y - x
+    before = dict(a.terms)
+    assert a + b == 2 * y
+    assert a.terms == before
+    rs = build_root_system("A2")
+    p = parabolic(rs, (1,))
+    qa = qh_add(unit_class(p), sigma(p, from_word(rs, (1,))))
+    qb = sigma(p, from_word(rs, (1,)), coeff=-1)
+    before = dict(qa.terms)
+    assert qh_add(qa, qb) == unit_class(p)
+    assert qa.terms == before
+    s1 = affine_simple_ext(rs, 1)
+    na = nh_add(nh_one(rs), nh_basis(s1))
+    nb = NilHeckeElt(rs, {(None, s1): -SPoly.one(2)})
+    before = dict(na.terms)
+    assert nh_add(na, nb) == nh_one(rs)
+    assert na.terms == before
