@@ -22,7 +22,6 @@ lattice and act on the affine Dynkin diagram by rotation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -42,7 +41,7 @@ from .rootsys import (
 from .weyl import (
     ParabolicSet,
     WeylElt,
-    enumerate_minreps,
+    coset_reduce,
     enumerate_parabolic_subgroup,
     identity,
     reflection,
@@ -394,9 +393,13 @@ def is_antidominant(m: Vec) -> bool:
 def peterson_decompose(y: ExtAffElt, p: ParabolicSet) -> tuple[WeylElt, Vec]:
     """y = w * pi_P(t_nu) with w in W^P and nu antidominant in Q_vee.
 
-    The Weyl part is unique; nu is unique exactly up to antidominant directions
-    of Q_vee_P that pi_P cannot see, so the search asserts a single w and
-    returns the deterministically smallest nu. Requires y in
+    w is the minimal representative of y.w W_P, so w^-1 y = u t_lambda with
+    u in W_P, and pi_P(t_nu) = w^-1 y exactly for nu in u(lambda) + Q_vee_P.
+    Antidominant coweights have coroot coordinates <= 0 and, the Cartan matrix
+    having off-diagonal entries <= 0, those of the coset are closed under the
+    coordinatewise max. nu is the greatest of them: starting from coordinate 0
+    on every node off I_P, lowering c_j by ceil(m_j / 2) while some j off I_P
+    has m_j = <nu, alpha_j> > 0 never passes it and stops on it. Requires y in
     W_aff^- intersect (W^P)_aff.
     """
     rs = y.rs
@@ -404,31 +407,18 @@ def peterson_decompose(y: ExtAffElt, p: ParabolicSet) -> tuple[WeylElt, Vec]:
         raise ValueError("peterson_decompose needs a minimal coset representative")
     if not is_wpaff(y, p):
         raise ValueError("peterson_decompose needs membership in (W^P)_aff")
-    solutions: list[tuple[WeylElt, Vec]] = []
-    for w in enumerate_minreps(rs, p):
-        z = aff_mul(ext(w_inv(w)), y)
-        if z.w not in _parabolic_set(p) or not is_wpaff(z, p):
-            continue
-        # t_nu = z * (z.w^-1 t_mu) demands nu = z.w(lambda_z) + mu, mu in Q_vee_P;
-        # any antidominant hit makes pi_P(t_nu) = z by uniqueness of factorization.
-        nu0 = z.w.act_coweight(z.lam)
-        base = rs.coroot_coords(nu0)
-        radius = max(3, max(abs(c) for c in base) + 2)
-        for shift in itertools.product(range(-radius, radius + 1), repeat=len(p.wp_nodes)):
-            nu = vadd(nu0, _parabolic_coweight(p, shift))
-            if is_antidominant(nu):
-                solutions.append((w, nu))
-    if not solutions:
-        raise AssertionError("no Peterson decomposition found in the search window")
-    ws = {w for w, _ in solutions}
-    if len(ws) != 1:
-        raise AssertionError("Peterson decomposition found two distinct Weyl parts")
-    etas = {eta_P(rs, nu, p) for _, nu in solutions}
-    if len(etas) != 1:
-        raise AssertionError("Peterson decomposition found two distinct eta classes")
-    w = ws.pop()
-    nu = min((nu for _, nu in solutions),
-             key=lambda v: (sum(abs(c) for c in rs.coroot_coords(v)), v))
+    w, u = coset_reduce(y.w, p)
+    c = rs.coroot_coords(u.act_coweight(y.lam))
+    nu = rs.coroot_to_coweight(tuple(c[i - 1] if i in p.nodes else 0
+                                     for i in range(1, rs.rank + 1)))
+    while True:
+        j = next((j for j in p.wp_nodes if nu[j - 1] > 0), None)
+        if j is None:
+            break
+        step = (nu[j - 1] + 1) // 2
+        nu = tuple(a - step * b for a, b in zip(nu, rs.cartan[j - 1]))
+    if not is_antidominant(nu):
+        raise AssertionError("Peterson decomposition has no antidominant translation")
     if aff_mul(ext(w), pi_P(translation(rs, nu), p)) != y:
         raise AssertionError("Peterson decomposition does not recompose")
     return w, nu

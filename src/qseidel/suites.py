@@ -93,8 +93,8 @@ from .weyl import (
 
 
 def _type_names(v) -> tuple[str, ...]:
-    if not isinstance(v, list) or not all(isinstance(t, str) for t in v):
-        raise ValueError(f"types must be a list of type names, got {v!r}")
+    if not isinstance(v, list) or not v or not all(isinstance(t, str) for t in v):
+        raise ValueError(f"types must be a non-empty list of type names, got {v!r}")
     return tuple(v)
 
 
@@ -138,8 +138,12 @@ class RunConfig:
                 raise ValueError(f"unknown config key {k!r}")
             conv = keys[k]
             updates[fields.get(k, k)] = strict_int(v, k) if conv is int else conv(v)
-        # nh_mul and embed_group expand words only up to EXPANSION_CAP
-        if updates.get("expansion_cap", EXPANSION_CAP) > EXPANSION_CAP:
+        # nh_mul and embed_group expand words only up to EXPANSION_CAP; below
+        # 0 suite_nilhecke would skip every random pair and never finish
+        cap = updates.get("expansion_cap", EXPANSION_CAP)
+        if cap < 0:
+            raise ValueError("expansion_cap must be non-negative")
+        if cap > EXPANSION_CAP:
             raise ValueError(f"expansion_cap must be at most {EXPANSION_CAP}")
         return replace(cfg, **updates)
 
@@ -291,15 +295,16 @@ def suite_chevalley(cfg: RunConfig) -> SuiteResult:
 
 def suite_orbit(cfg: RunConfig) -> SuiteResult:
     res = SuiteResult("orbit")
-    group_order = {"A1": 2, "A2": 3, "A3": 4, "A4": 5, "B2": 2, "B3": 2,
-                   "C3": 2, "D4": 4}
     for rs in _scoped_types(cfg, res):
+        # |P_vee/Q_vee| = det(Cartan), read off the type (F and G: 1)
+        n = rs.rank
+        index = {"A": n + 1, "B": 2, "C": 2, "D": 4, "E": 9 - n}.get(rs.letter, 1)
         zs = central_elements(rs)
         orders = {z.node: central_order(z) for z in zs if z.node is not None}
         for node, order in orders.items():
-            res.check(group_order[rs.name()] % order == 0,
+            res.check(index % order == 0,
                       f"{rs.name()} tau_{node}: order {order} does not divide "
-                      f"|P_vee/Q_vee| = {group_order[rs.name()]}")
+                      f"|P_vee/Q_vee| = {index}")
         if rs.name()[0] == "A":
             res.check(orders.get(1) == rs.rank + 1,
                       f"{rs.name()}: tau_1 should generate the cyclic quotient")
@@ -398,11 +403,7 @@ def suite_hat(cfg: RunConfig) -> SuiteResult:
 
 def _parabolic_translation(p: ParabolicSet, coeffs: dict[int, int]) -> Vec:
     rs = p.rs
-    m = (0,) * rs.rank
-    for k, c in coeffs.items():
-        m = vadd(m, tuple(c * a for a in rs.coroot_to_coweight(
-            tuple(int(t == k - 1) for t in range(rs.rank)))))
-    return m
+    return rs.coroot_to_coweight(tuple(coeffs.get(k, 0) for k in range(1, rs.rank + 1)))
 
 
 def suite_pi_p(cfg: RunConfig) -> SuiteResult:

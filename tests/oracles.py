@@ -229,3 +229,20 @@ def windowed_pi_p(cartan, word, lam, nodes, radius):
                 # <u(rest), alpha_i> = <rest, u^-1(alpha_i)>
                 hits.append((v, tuple(_dot(rest, col) for col in u_inv)))
     return hits
+
+
+def antidominant_coset_points(cartan, coroot_coords, quantum_nodes, radius):
+    """Coroot coordinates of every antidominant point of the coset
+    coroot_coords + Q_vee_P: coordinates on the quantum nodes (1-based) kept,
+    the others over [-radius, radius], and <nu, alpha_i> <= 0 for every i.
+    """
+    n = len(cartan)
+    free = [k for k in range(n) if k + 1 not in quantum_nodes]
+    points = []
+    for cs in itertools.product(range(-radius, radius + 1), repeat=len(free)):
+        c = list(coroot_coords)
+        for k, v in zip(free, cs):
+            c[k] = v
+        if all(sum(c[k] * cartan[k][i] for k in range(n)) <= 0 for i in range(n)):
+            points.append(tuple(c))
+    return points

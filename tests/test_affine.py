@@ -41,7 +41,12 @@ from qseidel.weyl import (
     w_inv,
 )
 
-from oracles import INVARIANT_FACTORS, coweight_order_in_quotient, windowed_pi_p
+from oracles import (
+    INVARIANT_FACTORS,
+    antidominant_coset_points,
+    coweight_order_in_quotient,
+    windowed_pi_p,
+)
 
 
 def _random_elt(rs, rng, box=2):
@@ -316,6 +321,55 @@ def test_peterson_decompose_round_trip():
                 # the recovered eta class agrees with the one we built from
                 assert eta_P(rs, nu, p) == eta_P(rs, lam, p)
             assert seen > 0
+
+
+def test_peterson_nu_is_the_greatest_antidominant_coset_point():
+    # against the brute-force window: nu is one of the antidominant points of
+    # its Q_vee_P coset and >= each of them coordinatewise (a local test that
+    # no +alpha_j_vee step fits would not do: in A2, (-1, -1) is locally
+    # maximal but not greatest)
+    rng = random.Random(53)
+    for name in (*CATALOG, "G2", "F4"):
+        rs = build_root_system(name)
+        n = rs.rank
+        subsets = [s for r in range(1, n + 1)
+                   for s in itertools.combinations(range(1, n + 1), r)]
+        seen = 0
+        for _ in range(40):
+            p = parabolic(rs, rng.choice(subsets))
+            lam = tuple(-rng.randint(0, 2) for _ in range(n))
+            if not rs.in_coroot_lattice(lam):
+                continue
+            w = from_word(rs, [rng.randint(1, n) for _ in range(rng.randint(0, 4))])
+            y = aff_mul(ext(w), pi_P(translation(rs, lam), p))
+            if not (is_waff_minus(y) and is_wpaff(y, p)):
+                continue
+            seen += 1
+            _, nu = peterson_decompose(y, p)
+            c = rs.coroot_coords(nu)
+            # if an antidominant x beat nu somewhere, so would max(x, nu),
+            # which lies in this box
+            radius = max(abs(a) for a in c)
+            points = antidominant_coset_points(rs.cartan, c, p.nodes, radius)
+            assert c in points, (name, p.nodes, c)
+            assert all(a >= b for pt in points for a, b in zip(c, pt)), (name, p.nodes, c)
+        assert seen > 0, name
+
+
+def test_peterson_decompose_in_e6_enumerates_nothing():
+    rs = build_root_system("E6")
+    p = parabolic(rs, (1, 2, 3, 4, 5))
+    before = enumerate_weyl.cache_info().currsize
+    lam = vneg(rs.coroot_to_coweight(rs.theta_coroot))
+    seen = 0
+    for word in ((), (1,), (2, 4, 3)):
+        y = aff_mul(ext(from_word(rs, word)), pi_P(translation(rs, lam), p))
+        if is_waff_minus(y) and is_wpaff(y, p):
+            seen += 1
+            w, nu = peterson_decompose(y, p)
+            assert aff_mul(ext(w), pi_P(translation(rs, nu), p)) == y
+    assert seen > 0
+    assert enumerate_weyl.cache_info().currsize == before
 
 
 def test_peterson_decompose_rejects_bad_input():

@@ -269,6 +269,7 @@ def test_qprod_q_needs_one_exponent_per_node(capsys):
     ("expansion_cap", False), ("parabolic", [1.0]), ("parabolic", "1"),
     ("types", "A2"), ("types", ["A2", 3]), ("format", "xml"),
     ("format", ["json"]), ("suite", "no-such-suite"), ("suite", ["all"]),
+    ("types", []),
 ])
 def test_verify_config_rejects_non_integers(key, value, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -282,8 +283,18 @@ def test_verify_config_caps_expansion_at_the_engine_bound(tmp_path, capsys):
     path.write_text('{"suite": "nilhecke", "types": ["A1"], "expansion_cap": 9}')
     assert cli.run(["verify", "--config", str(path)]) == 2
     assert "expansion_cap must be at most 8" in capsys.readouterr().err
+    path.write_text('{"suite": "nilhecke", "types": ["A1"], "expansion_cap": -1}')
+    assert cli.run(["verify", "--config", str(path)]) == 2
+    assert "expansion_cap must be non-negative" in capsys.readouterr().err
     path.write_text('{"suite": "nilhecke", "types": ["A1"], "expansion_cap": 4}')
     assert cli.run(["verify", "--config", str(path)]) == 0
+
+
+def test_verify_orbit_on_a_type_of_rank_above_the_catalog(capsys):
+    # |P_vee/Q_vee| comes from the type, not from a table of the catalog
+    assert cli.run(["verify", "--suite", "orbit", "--types", "B4",
+                    "--parabolic", "1"]) == 0
+    assert "orbit: ok" in capsys.readouterr().out
 
 
 def test_verify_config_has_no_weyl_cap(tmp_path, capsys):
