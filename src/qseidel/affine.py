@@ -119,9 +119,11 @@ def inversion_count_oracle(x: ExtAffElt) -> int:
     bound = max((abs(dot(x.lam, a)) for a in rs.pos_roots), default=0) + 1
     count = 0
     for gamma in rs.roots:
+        # x fixes delta, so x(gamma + n delta) = x(gamma) + n delta
+        image = aff_act_root(x, AffineRoot(gamma, 0))
         start = 0 if is_positive_vec(gamma) else 1
         for level in range(start, bound + 1):
-            if not aff_act_root(x, AffineRoot(gamma, level)).is_positive():
+            if not AffineRoot(image.finite, image.level + level).is_positive():
                 count += 1
     return count
 
@@ -279,13 +281,6 @@ def reduced_word_affine(x: ExtAffElt) -> tuple[int, ...]:
     if not cur.is_identity():
         raise AssertionError("length-zero non-extended element is not the identity")
     return tuple(reversed(rev))
-
-
-def from_word_affine(rs: RootSystem, word) -> ExtAffElt:
-    x = identity_aff(rs)
-    for i in word:
-        x = aff_mul(x, affine_simple_ext(rs, i))
-    return x
 
 
 # -- parabolic factorizations -------------------------------------------------

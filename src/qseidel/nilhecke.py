@@ -153,16 +153,8 @@ class NilHeckeElt:
         return "NH[" + " + ".join(bits) + "]"
 
 
-def nh_zero(rs: RootSystem) -> NilHeckeElt:
-    return NilHeckeElt(rs, {})
-
-
 def nh_one(rs: RootSystem) -> NilHeckeElt:
     return NilHeckeElt(rs, {(None, identity_aff(rs)): SPoly.one(rs.rank)})
-
-
-def nh_scalar(rs: RootSystem, f: SPoly) -> NilHeckeElt:
-    return NilHeckeElt(rs, {(None, identity_aff(rs)): f})
 
 
 def nh_basis(x: ExtAffElt) -> NilHeckeElt:
@@ -173,14 +165,6 @@ def nh_basis(x: ExtAffElt) -> NilHeckeElt:
 
 def nh_add(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
     return NilHeckeElt(a.rs, add_terms(b.terms.items(), a.terms))
-
-
-def nh_neg(a: NilHeckeElt) -> NilHeckeElt:
-    return NilHeckeElt(a.rs, {k: -v for k, v in a.terms.items()})
-
-
-def nh_sub(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
-    return nh_add(a, nh_neg(b))
 
 
 def _aword_times_poly(rs: RootSystem, word: tuple[int, ...], g: SPoly) -> dict[ExtAffElt, SPoly]:
@@ -281,10 +265,6 @@ class XiVector:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-
-def xi_unit(rs: RootSystem) -> XiVector:
-    return XiVector(rs, {identity_aff(rs): SPoly.one(rs.rank)})
 
 
 def act_on_xi(x: ExtAffElt, v: XiVector) -> XiVector:

@@ -127,12 +127,6 @@ class SPoly:
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.nvars, 0)
 
-    def as_int(self) -> int:
-        """The value when every variable is specialized to zero must be everything."""
-        if self.degree() > 0:
-            raise ValueError("polynomial has positive-degree terms")
-        return self.constant_term()
-
     def subst(self, images: list["SPoly"]) -> "SPoly":
         """Substitute w_k -> images[k-1]; images must share one variable count."""
         if len(images) != self.nvars:

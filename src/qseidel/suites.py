@@ -98,6 +98,15 @@ def _type_names(v) -> tuple[str, ...]:
     return tuple(v)
 
 
+def _parabolic_nodes(v) -> tuple[int, ...] | None:
+    if v is None:
+        return None  # every parabolic set
+    nodes = strict_ints(v, "parabolic")
+    if not nodes:  # would silently run the degenerate P = G
+        raise ValueError("parabolic must be null or a non-empty list of nodes, got []")
+    return nodes
+
+
 def _one_of(key: str, choices: tuple[str, ...]):
     def conv(v) -> str:
         if not isinstance(v, str) or v not in choices:
@@ -123,7 +132,7 @@ class RunConfig:
         # int marks an integer key, read strictly (no bool, float or str)
         keys = {
             "types": _type_names,
-            "parabolic": lambda v: None if v is None else strict_ints(v, "parabolic"),
+            "parabolic": _parabolic_nodes,
             "suite": _one_of("suite", (*SUITES, "all")),
             "radius": int,
             "format": _one_of("format", ("text", "json")),
@@ -437,27 +446,21 @@ def suite_pi_p(cfg: RunConfig) -> SuiteResult:
             for cs in _box(len(p.wp_nodes), maxc):
                 coeffs = dict(zip(p.wp_nodes, cs))
                 window.append(_parabolic_translation(p, coeffs))
-            u_data = []
+            # per u, the window indexed by its pairings with u^-1(R_P^+); a
+            # factorization needs <lam - mu, u^-1 alpha> = target for every
+            # alpha, so one lookup per answer yields its hits in window order
+            hits_of = [[] for _ in answers]
             for u in wp:
                 ui = w_inv(u)
                 roots = [ui.act_root(a) for a in rp]
                 targets = [0 if is_positive_vec(r) else -1 for r in roots]
-                mu_pair = [[dot(mu, r) for r in roots] for mu in window]
-                u_data.append((u, roots, targets, mu_pair))
-            for x, x2 in answers:
-                hits = []
-                for u, roots, targets, mu_pair in u_data:
-                    base = [dot(x.lam, r) for r in roots]
-                    nr = len(roots)
-                    for mi in range(len(window)):
-                        pairs = mu_pair[mi]
-                        good = True
-                        for t in range(nr):
-                            if base[t] - pairs[t] != targets[t]:
-                                good = False
-                                break
-                        if good:
-                            hits.append((u, window[mi]))
+                by_pairing: dict[tuple[int, ...], list[Vec]] = {}
+                for mu in window:
+                    by_pairing.setdefault(tuple(dot(mu, r) for r in roots), []).append(mu)
+                for (x, _), hits in zip(answers, hits_of):
+                    key = tuple(dot(x.lam, r) - t for r, t in zip(roots, targets))
+                    hits.extend((u, mu) for mu in by_pairing.get(key, ()))
+            for (x, x2), hits in zip(answers, hits_of):
                 res.check(len(hits) == 1,
                           f"{rs.name()} I_P={p.nodes} lam={x.lam}: "
                           f"{len(hits)} factorizations in the window")

@@ -167,10 +167,6 @@ def w_inv(a: WeylElt) -> WeylElt:
     return _elt(a.rs, tuple(inv))
 
 
-def w_len(a: WeylElt) -> int:
-    return a.length
-
-
 def from_word(rs: RootSystem, word) -> WeylElt:
     w = identity(rs)
     for i in word:

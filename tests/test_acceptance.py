@@ -68,7 +68,7 @@ def test_c06_hat_decomposition():
 def test_c07_parabolic_projection():
     # pi_P lands in (W^P)_aff with parabolic residual, and a windowed brute
     # force confirms it is the unique such factor
-    _gate(7, "pi-p", 120.0)
+    _gate(7, "pi-p", 30.0)
 
 
 def test_c08_minimal_representative_closure():

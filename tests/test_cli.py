@@ -269,7 +269,7 @@ def test_qprod_q_needs_one_exponent_per_node(capsys):
     ("expansion_cap", False), ("parabolic", [1.0]), ("parabolic", "1"),
     ("types", "A2"), ("types", ["A2", 3]), ("format", "xml"),
     ("format", ["json"]), ("suite", "no-such-suite"), ("suite", ["all"]),
-    ("types", []),
+    ("types", []), ("parabolic", []),
 ])
 def test_verify_config_rejects_non_integers(key, value, tmp_path, capsys):
     path = tmp_path / "cfg.json"

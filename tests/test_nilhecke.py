@@ -1,10 +1,11 @@
 import random
 
 from qseidel.affine import (
+    aff_mul,
     affine_simple_ext,
     central_dynkin_action,
     central_elements,
-    from_word_affine,
+    identity_aff,
     is_waff_minus,
 )
 from qseidel.nilhecke import (
@@ -17,18 +18,38 @@ from qseidel.nilhecke import (
     nh_mod_Jtilde,
     nh_mul,
     nh_one,
-    nh_scalar,
-    nh_sub,
-    nh_zero,
     reflect_poly,
     scalar_root,
     weyl_act_poly,
-    xi_unit,
+    NilHeckeElt,
     XiVector,
 )
 from qseidel.poly import SPoly
 from qseidel.rootsys import build_root_system
 from qseidel.weyl import from_word
+
+
+def from_word_affine(rs, word):
+    x = identity_aff(rs)
+    for i in word:
+        x = aff_mul(x, affine_simple_ext(rs, i))
+    return x
+
+
+def nh_zero(rs):
+    return NilHeckeElt(rs, {})
+
+
+def nh_scalar(rs, f):
+    return NilHeckeElt(rs, {(None, identity_aff(rs)): f})
+
+
+def nh_sub(a, b):
+    return nh_add(a, NilHeckeElt(a.rs, {k: -v for k, v in b.terms.items()}))
+
+
+def xi_unit(rs):
+    return XiVector(rs, {identity_aff(rs): SPoly.one(rs.rank)})
 
 
 def _aff_words(rs, max_len):
@@ -130,7 +151,7 @@ def test_basis_multiplication_matches_word_concatenation():
     # A_x A_y = A_{xy} when lengths add, else 0
     rs = build_root_system("A2")
     elems = _short_elements(rs, 3)
-    from qseidel.affine import aff_length, aff_mul
+    from qseidel.affine import aff_length
     for x in elems:
         for y in elems:
             prod = nh_mul(nh_basis(x), nh_basis(y))
@@ -185,7 +206,6 @@ def test_xi_unit_action():
     s1 = affine_simple_ext(rs, 1)
     v = act_on_xi(s1, xi_unit(rs))
     assert all(is_waff_minus(x) for x in v.terms)
-    from qseidel.affine import aff_mul
     v2 = act_on_xi(s0, act_on_xi(s1, xi_unit(rs)))
     direct = act_on_xi(aff_mul(s0, s1), xi_unit(rs))
     assert v2.terms == direct.terms

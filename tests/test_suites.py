@@ -1,6 +1,7 @@
 import pytest
 
-from qseidel.affine import central_elements
+from qseidel import suites
+from qseidel.affine import ExtAffElt, central_elements
 from qseidel.rootsys import build_root_system
 from qseidel.suites import (
     SUITES,
@@ -9,7 +10,7 @@ from qseidel.suites import (
     run_suites,
     seidel_table,
 )
-from qseidel.weyl import enumerate_minreps, parabolic
+from qseidel.weyl import enumerate_minreps, identity, parabolic
 
 
 def test_registered_suites():
@@ -83,3 +84,25 @@ def test_rank_caps_record_skipped_types():
     (res,) = run_suites(RunConfig(suite="v-elements", types=("A2", "A3"),
                                   max_rank=2))
     assert res.skipped == ["A3"]
+
+
+def test_pi_p_oracle_keeps_the_multiplicity_of_its_hits(monkeypatch):
+    # W_P listed twice makes every factorization appear twice in the window
+    real = suites.enumerate_parabolic_subgroup
+    monkeypatch.setattr(suites, "enumerate_parabolic_subgroup",
+                        lambda p: real(p) * 2)
+    (res,) = run_suites(RunConfig(suite="pi-p", types=("A2",), radius=1))
+    # one failure per answer: 3 parabolic sets times a box of 3^2 points
+    assert len(res.failures) == 27
+    assert all(f.endswith(": 2 factorizations in the window")
+               for f in res.failures)
+
+
+def test_length_oracle_catches_one_wrong_length(monkeypatch):
+    rs = build_root_system("A2")
+    bad = ExtAffElt(identity(rs), rs.coroot_to_coweight((1, 0)))
+    real = suites.aff_length
+    monkeypatch.setattr(suites, "aff_length", lambda x: real(x) + (x == bad))
+    (res,) = run_suites(RunConfig(suite="length", types=("A2",), radius=1))
+    assert len(res.failures) == 1
+    assert res.failures[0].startswith("A2 w=() lam=(1, 0): formula")

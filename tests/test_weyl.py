@@ -20,7 +20,6 @@ from qseidel.weyl import (
     simple_reflection,
     v_element,
     w_inv,
-    w_len,
     w_mul,
     weyl_order,
 )
@@ -52,7 +51,7 @@ def test_simple_reflection_on_simple_roots():
         rs = build_root_system(name)
         for i in range(1, rs.rank + 1):
             si = simple_reflection(rs, i)
-            assert w_len(si) == 1
+            assert si.length == 1
             assert w_mul(si, si).is_identity()
             for j in range(1, rs.rank + 1):
                 img = si.act_root(rs.simple_root(j))
@@ -84,7 +83,7 @@ def test_length_is_inversion_count():
         for w in enumerate_weyl(rs):
             inv = sum(1 for r in rs.pos_roots
                       if not is_positive_vec(w.act_root(r)))
-            assert w_len(w) == inv
+            assert w.length == inv
 
 
 def test_reduced_word_round_trip():
@@ -95,7 +94,7 @@ def test_reduced_word_round_trip():
         sample = elems if len(elems) <= 64 else rng.sample(elems, 64)
         for w in sample:
             word = reduced_word(w)
-            assert len(word) == w_len(w)
+            assert len(word) == w.length
             assert from_word(rs, word) == w
 
 
@@ -126,7 +125,7 @@ def test_longest_element():
     for name in CATALOG:
         rs = build_root_system(name)
         w0 = longest_element(rs)
-        assert w_len(w0) == len(rs.pos_roots)
+        assert w0.length == len(rs.pos_roots)
         assert w_mul(w0, w0).is_identity()
         for r in rs.pos_roots:
             assert not is_positive_vec(w0.act_root(r))
@@ -155,9 +154,9 @@ def test_coset_reduce_against_brute_force():
                 wp, u = coset_reduce(w, p)
                 assert w_mul(wp, u) == w
                 assert is_minrep(wp, p)
-                assert w_len(wp) + w_len(u) == w_len(w)
-                best = brute_min_coset_rep(elems, sub, w, w_mul, w_len)
-                assert w_len(best) == w_len(wp)
+                assert wp.length + u.length == w.length
+                best = brute_min_coset_rep(elems, sub, w, w_mul, lambda v: v.length)
+                assert best.length == wp.length
                 assert best == wp
 
 
@@ -179,7 +178,7 @@ def test_v_elements_small():
     assert reduced_word(v_element(rs, 2)) == (1, 2)
     rs = build_root_system("B2")
     # single minuscule node: v_1 has length |R^+| - |R_P^+| = 4 - 1 = 3
-    assert w_len(v_element(rs, 1)) == 3
+    assert v_element(rs, 1).length == 3
 
 
 def test_v_element_inverse_is_dual():
