@@ -44,6 +44,7 @@ from .weyl import (
     coset_reduce,
     enumerate_parabolic_subgroup,
     identity,
+    involution,
     reflection,
     simple_reflection,
     v_element,
@@ -195,7 +196,7 @@ def hat_decompose(x: ExtAffElt) -> tuple[CentralElt, ExtAffElt]:
     i = rs.minuscule_class_node(x.lam)
     if i is None:
         return CentralElt(rs, None), x
-    fi = rs.involution[i - 1]
+    fi = involution(rs)[i - 1]
     what = w_mul(v_element(rs, fi), x.w)
     lam_hat = vsub(x.lam, x.w.inv_act_coweight(rs.fund_coweight(fi)))
     hat = ExtAffElt(what, lam_hat)

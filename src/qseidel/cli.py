@@ -35,6 +35,7 @@ from .suites import SUITES, RunConfig, run_suites, seidel_table
 from .weyl import (
     enumerate_minreps,
     from_word,
+    involution,
     longest_element,
     parabolic,
     reduced_word,
@@ -83,7 +84,7 @@ def _cmd_roots(args) -> int:
         "positive_roots": [list(r) for r in rs.pos_roots],
         "theta": list(rs.theta),
         "minuscule": list(rs.minuscule_nodes),
-        "involution": list(rs.involution),
+        "involution": list(involution(rs)),
     }
     lines = [f"type {rs.name()}  rank {rs.rank}"]
     lines.append("cartan:")
@@ -96,8 +97,8 @@ def _cmd_roots(args) -> int:
     lines.append("minuscule nodes: "
                  + (" ".join(str(i) for i in rs.minuscule_nodes) or "none"))
     lines.append("involution f: "
-                 + " ".join(f"{i + 1}->{rs.involution[i]}"
-                            for i in range(rs.rank)))
+                 + " ".join(f"{i + 1}->{j}"
+                            for i, j in enumerate(involution(rs))))
     _emit(payload, args, "\n".join(lines))
     return 0
 

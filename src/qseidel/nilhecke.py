@@ -163,10 +163,6 @@ def nh_basis(x: ExtAffElt) -> NilHeckeElt:
     return NilHeckeElt(x.rs, {(tau.node, hat): SPoly.one(x.rs.rank)})
 
 
-def nh_add(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
-    return NilHeckeElt(a.rs, add_terms(b.terms.items(), a.terms))
-
-
 def _aword_times_poly(rs: RootSystem, word: tuple[int, ...], g: SPoly) -> dict[ExtAffElt, SPoly]:
     """A_{word} * g in normal form: map from W_aff elements to left coefficients."""
     if not g:

@@ -124,9 +124,6 @@ class SPoly:
     def degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
 
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.nvars, 0)
-
     def subst(self, images: list["SPoly"]) -> "SPoly":
         """Substitute w_k -> images[k-1]; images must share one variable count."""
         if len(images) != self.nvars:

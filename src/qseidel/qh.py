@@ -38,6 +38,7 @@ from .weyl import (
     WeylElt,
     coset_reduce,
     identity,
+    involution,
     is_minrep,
     reduced_word,
     reflection,
@@ -138,14 +139,14 @@ def seidel_element(z: CentralElt, p: ParabolicSet) -> QHClass:
     if z.is_identity():
         return unit_class(p)
     rs = p.rs
-    return sigma(p, v_element(rs, rs.involution[z.node - 1]))
+    return sigma(p, v_element(rs, involution(rs)[z.node - 1]))
 
 
 def seidel_apply(z: CentralElt, c: QHClass) -> QHClass:
     """Multiply by seidel_element(z), i.e. the v_{f(i)} operator."""
     if z.is_identity():
         return c
-    return seidel_multiply(z.rs.involution[z.node - 1], c)
+    return seidel_multiply(involution(z.rs)[z.node - 1], c)
 
 
 def seidel_orbit(i: int, p: ParabolicSet) -> tuple[list[QHClass], Vec]:
@@ -300,6 +301,6 @@ def qh_from_json(data: dict) -> QHClass:
         raw = t.get("coeff")
         if raw is not None and not isinstance(raw, dict):
             raise ValueError(f"coeff must be an object, got {raw!r}")
-        coeff = SPoly.from_json(rs.rank, raw) if raw else SPoly.one(rs.rank)
+        coeff = SPoly.from_json(rs.rank, raw) if raw is not None else SPoly.one(rs.rank)
         pairs.append(((w, q), coeff))
     return QHClass(p, add_terms(pairs))

@@ -180,7 +180,6 @@ class RootSystem:
         self._generate_roots()
         self._find_theta()
         self._find_minuscule()
-        self._find_involution()
         self._central_class_table()
 
     # -- construction ---------------------------------------------------
@@ -236,42 +235,6 @@ class RootSystem:
         if by_theta != by_pairing:
             raise AssertionError("minuscule characterizations disagree")
         self.minuscule_nodes: tuple[int, ...] = by_theta
-
-    def _find_involution(self) -> None:
-        """f with alpha_f(i) = -w0(alpha_i), w0 built by greedy descent on rho_vee."""
-        n = self.rank
-        # Track rho_vee (all-ones coweight coords) down to its antidominant image,
-        # composing the corresponding root-lattice matrix on the fly.
-        m = [1] * n
-        mat = [[int(i == j) for j in range(n)] for i in range(n)]  # columns = images
-        steps = 0
-        while True:
-            i = next((k for k in range(n) if m[k] > 0), None)
-            if i is None:
-                break
-            c = m[i]
-            for j in range(n):
-                m[j] -= c * self.cartan[i][j]
-            # left-multiply mat by s_i on the root lattice
-            for col in range(n):
-                k = dot(self.cartan[i], tuple(mat[r][col] for r in range(n)))
-                mat[i][col] -= k
-            steps += 1
-            if steps > len(self.pos_roots):
-                raise AssertionError("longest-element descent did not terminate")
-        if steps != len(self.pos_roots):
-            raise AssertionError("longest element has wrong length")
-        self.w0_images: tuple[Vec, ...] = tuple(
-            tuple(mat[r][col] for r in range(n)) for col in range(n))
-        f = []
-        for i in range(n):
-            img = vneg(self.w0_images[i])
-            j = next((k for k in range(n)
-                      if img == tuple(int(t == k) for t in range(n))), None)
-            if j is None:
-                raise AssertionError("-w0 does not permute the simple roots")
-            f.append(j + 1)
-        self.involution: tuple[int, ...] = tuple(f)
 
     def _central_class_table(self) -> None:
         """Map each nontrivial coset of the coweight lattice mod Q_vee to its minuscule node."""
@@ -333,10 +296,6 @@ class RootSystem:
         if i is None:
             raise AssertionError("coset without minuscule representative")
         return i
-
-    def pairing(self, m: Vec, root: Vec) -> int:
-        """<lambda, alpha> for a coweight in fundamental-coweight coords and a root."""
-        return dot(m, root)
 
     def affine_simple(self, i: int) -> AffineRoot:
         """alpha_0 = delta - theta, alpha_i the finite simple roots."""

@@ -84,6 +84,7 @@ from .weyl import (
     enumerate_weyl,
     from_word,
     identity,
+    involution,
     parabolic,
     reduced_word,
     v_element,
@@ -351,8 +352,8 @@ def suite_orbit(cfg: RunConfig) -> SuiteResult:
                             wa == wb and e == exponent,
                             f"{rs.name()} I_P={p.nodes} z1={z1.node} z2={z2.node}"
                             f" w={reduced_word(w)}: composite law broken")
-                    j1 = rs.involution[z1.node - 1]
-                    j2 = rs.involution[z2.node - 1]
+                    j1 = involution(rs)[z1.node - 1]
+                    j2 = involution(rs)[z2.node - 1]
                     cw = rs.fund_coweight(j1)
                     predicted = eta_P(
                         rs, vsub(cw, w_inv(v_element(rs, j2)).act_coweight(cw)), p)
@@ -526,7 +527,7 @@ def suite_v_elements(cfg: RunConfig) -> SuiteResult:
     for rs in _scoped_types(cfg, res, rank_cap=4):
         for i in rs.minuscule_nodes:
             vi = v_element(rs, i)
-            res.check(w_inv(vi) == v_element(rs, rs.involution[i - 1]),
+            res.check(w_inv(vi) == v_element(rs, involution(rs)[i - 1]),
                       f"{rs.name()}: v_{i}^-1 != v_f({i})")
             for a in rs.pos_roots:
                 pos = is_positive_vec(vi.act_root(a))

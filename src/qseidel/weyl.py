@@ -30,7 +30,9 @@ from operator import itemgetter
 
 from .rootsys import RootSystem, Vec, dot, mat_vec
 
-WEYL_ENUM_CAP = 2**21
+# Enumerations build at most this many root-permutation entries (elements
+# times |R|): all of W up to B7/C7, D7, E6 and A8, but not B8, D8, E7 or E8.
+ENUM_CAP = 2**26
 
 
 def _apply(mat: tuple[Vec, ...], vec: Vec) -> Vec:
@@ -203,52 +205,53 @@ def reduced_word(w: WeylElt) -> tuple[int, ...]:
     return tuple(reversed(letters))
 
 
-def weyl_order(rs: RootSystem) -> int:
-    n = rs.rank
-    import math
-    if rs.letter == "A":
-        return math.factorial(n + 1)
-    if rs.letter in ("B", "C"):
-        return 2**n * math.factorial(n)
-    if rs.letter == "D":
-        return 2 ** (n - 1) * math.factorial(n)
-    return {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
-            ("F", 4): 1152, ("G", 2): 12}[(rs.letter, n)]
+def height_product(roots) -> int:
+    """prod (ht alpha + 1) / ht alpha over the positive roots given.
+
+    Over R^+ this is |W| (Macdonald 1972); over R_P^+ it is |W_P|, and over
+    R^+ minus R_P^+ it is |W^P| = |W| / |W_P|.
+    """
+    num = den = 1
+    for r in roots:
+        num *= sum(r) + 1
+        den *= sum(r)
+    return num // den
 
 
-def _closure(rs: RootSystem, nodes) -> tuple[WeylElt, ...]:
-    """The subgroup generated by s_j, j in nodes: breadth-first closure under
-    right multiplication, so in length order, and by reduced word within a length."""
-    right = [_right_simple(rs)[j - 1] for j in nodes]
-    e = identity(rs)
-    seen = {e.perm}
-    order = [e]
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for step in right:
-                perm = step(w.perm)
-                if perm not in seen:
-                    if len(seen) >= WEYL_ENUM_CAP:
-                        raise ValueError(f"a subgroup of W({rs.name()}) exceeds the enumeration cap")
-                    seen.add(perm)
-                    nxt.append(_elt(rs, perm))
-        nxt.sort(key=reduced_word)
-        order.extend(nxt)
-        frontier = nxt
+def _closure(rs: RootSystem, roots) -> tuple[WeylElt, ...]:
+    """The elements reached from e by left multiplication by simple reflections,
+    where s_j w is kept when w^-1(alpha_j) lies in `roots`; in length order,
+    each length sorted by reduced word.
+
+    With roots R^+ this is W, with R_P^+ it is W_P, and with R^+ minus R_P^+
+    it is W^P: the step adds one to the length and stays in the set, and every
+    nontrivial element of the set has a left descent whose removal stays in it
+    (Bjorner-Brenti ch. 2). The set has height_product(roots) elements; it is
+    refused before any is built when it would take more than ENUM_CAP
+    root-permutation entries.
+    """
+    size = height_product(roots)
+    if size * len(rs.roots) > ENUM_CAP:
+        raise ValueError(f"{size} elements of W({rs.name()}) exceed the enumeration "
+                         f"cap of {ENUM_CAP} root-permutation entries")
+    keep = {rs.root_index[r] for r in roots}
+    left = [(k, simple_reflection(rs, j).perm) for j, k in enumerate(rs.simple_index, 1)]
+    level = [identity(rs)]
+    order = list(level)
+    while level:
+        nxt = dict.fromkeys(itemgetter(*w.perm)(s) for w in level
+                            for k, s in left if w.perm.index(k) in keep)
+        level = sorted((_elt(rs, perm) for perm in nxt), key=reduced_word)
+        order.extend(level)
+    if len(order) != size:
+        raise AssertionError("enumeration size differs from the height product")
     return tuple(order)
 
 
 @lru_cache(maxsize=None)
 def enumerate_weyl(rs: RootSystem) -> tuple[WeylElt, ...]:
     """All of W in length order."""
-    if weyl_order(rs) > WEYL_ENUM_CAP:
-        raise ValueError(f"|W({rs.name()})| = {weyl_order(rs)} exceeds the enumeration cap")
-    order = _closure(rs, range(1, rs.rank + 1))
-    if len(order) != weyl_order(rs):
-        raise AssertionError("Weyl enumeration has wrong size")
-    return order
+    return _closure(rs, rs.pos_roots)
 
 
 @lru_cache(maxsize=None)
@@ -272,6 +275,14 @@ def longest_element(rs: RootSystem, nodes: tuple[int, ...] | None = None) -> Wey
             m[j] -= c * rs.cartan[i - 1][j]
         w = w_mul(simple_reflection(rs, i), w)
     return w
+
+
+@lru_cache(maxsize=None)
+def involution(rs: RootSystem) -> tuple[int, ...]:
+    """f with alpha_f(i) = -w0(alpha_i), read off w0's root permutation:
+    w0.perm[simple_index[i-1]] = simple_index[f(i)-1] + N."""
+    w0, big = longest_element(rs), len(rs.pos_roots)
+    return tuple(rs.simple_index.index(w0.perm[k] - big) + 1 for k in rs.simple_index)
 
 
 @dataclass(frozen=True)
@@ -331,20 +342,13 @@ def coset_reduce(w: WeylElt, p: ParabolicSet) -> tuple[WeylElt, WeylElt]:
 @lru_cache(maxsize=None)
 def enumerate_parabolic_subgroup(p: ParabolicSet) -> tuple[WeylElt, ...]:
     """Elements of W_P in length order."""
-    return _closure(p.rs, p.wp_nodes)
+    return _closure(p.rs, p.rp_pos)
 
 
 @lru_cache(maxsize=None)
 def enumerate_minreps(rs: RootSystem, p: ParabolicSet) -> tuple[WeylElt, ...]:
     """Minimal coset representatives W^P in length order."""
-    out = []
-    seen = set()
-    for w in enumerate_weyl(rs):
-        wp, _ = coset_reduce(w, p)
-        if wp not in seen:
-            seen.add(wp)
-            out.append(wp)
-    return tuple(out)
+    return _closure(rs, [r for r in rs.pos_roots if r not in p.rp_pos])
 
 
 @lru_cache(maxsize=None)

@@ -246,3 +246,16 @@ def antidominant_coset_points(cartan, coroot_coords, quantum_nodes, radius):
         if all(sum(c[k] * cartan[k][i] for k in range(n)) <= 0 for i in range(n)):
             points.append(tuple(c))
     return points
+
+
+def minreps_by_reduction(weyl_all, reduce):
+    """W^P by reducing every element of W: the distinct minimal factors
+    reduce(w)[0] of w = w^P u, in the order of weyl_all."""
+    out = []
+    seen = set()
+    for w in weyl_all:
+        wp, _ = reduce(w)
+        if wp not in seen:
+            seen.add(wp)
+            out.append(wp)
+    return tuple(out)

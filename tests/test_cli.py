@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -73,6 +74,34 @@ def test_weyl_counts(capsys):
     assert data["count"] == 3
     assert data["minreps"] == [[], [1], [2, 1]]
     assert data["v_elements"] == {"1": [2, 1], "2": [1, 2]}
+    assert cli.run(["weyl", "E7", "--parabolic", "7", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 56
+
+
+def _enumeration_cache_sizes():
+    return tuple(f.cache_info().currsize for f in (
+        weyl.enumerate_weyl, weyl.enumerate_minreps, weyl.enumerate_parabolic_subgroup))
+
+
+@pytest.mark.parametrize("argv", [["weyl", "E8"], ["weyl", "E8", "--parabolic", "1", "2", "3"]])
+def test_weyl_refuses_an_enumeration_above_the_cap_before_it_starts(argv, capsys):
+    # |W(E8)| = 696,729,600, and |W^P| = 967,680 with I_P = {1, 2, 3}: 232M
+    # root-permutation entries, though below the old cap of 2^21 elements
+    before = _enumeration_cache_sizes()
+    t0 = time.perf_counter()
+    assert cli.run(argv) == 2
+    assert time.perf_counter() - t0 < 10
+    assert "exceed the enumeration cap" in capsys.readouterr().err
+    assert _enumeration_cache_sizes() == before
+
+
+def test_verify_commutation_on_e7_enumerates_no_weyl_group(capsys):
+    before = weyl.enumerate_weyl.cache_info().currsize
+    assert cli.run(["verify", "--suite", "commutation", "--types", "E7",
+                    "--parabolic", "7", "--max-rank", "7"]) == 0
+    assert capsys.readouterr().out == (
+        "commutation: ok checks=56 failures=0 findings=0\nverify: ok\n")
+    assert weyl.enumerate_weyl.cache_info().currsize == before
 
 
 def test_qprod_seidel(capsys):
@@ -80,6 +109,19 @@ def test_qprod_seidel(capsys):
                     "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["terms"] == [{"coeff": {"0,0": 1}, "q": [0], "w": [2, 1]}]
+
+
+@pytest.mark.parametrize("coeff, want", [
+    (', "coeff": {}', "0"),
+    (', "coeff": {"0,0": 0}', "0"),
+    ('', "s[2.1]"),
+])
+def test_qprod_coeff_object_is_a_polynomial(coeff, want, capsys):
+    # {} is the zero polynomial, as SPoly.to_json writes it; no coeff means 1
+    cls = ('{"type": "A2", "parabolic": [1], "terms": [{"w": [], "q": [0]'
+           + coeff + '}]}')
+    assert cli.run(["qprod", "seidel", "-i", "1", "--class", cls]) == 0
+    assert capsys.readouterr().out == want + "\n"
 
 
 def test_qprod_chevalley(capsys):

@@ -13,7 +13,6 @@ from qseidel.nilhecke import (
     central_act_poly,
     divdiff,
     embed_group,
-    nh_add,
     nh_basis,
     nh_mod_Jtilde,
     nh_mul,
@@ -24,7 +23,7 @@ from qseidel.nilhecke import (
     NilHeckeElt,
     XiVector,
 )
-from qseidel.poly import SPoly
+from qseidel.poly import SPoly, add_terms
 from qseidel.rootsys import build_root_system
 from qseidel.weyl import from_word
 
@@ -34,6 +33,10 @@ def from_word_affine(rs, word):
     for i in word:
         x = aff_mul(x, affine_simple_ext(rs, i))
     return x
+
+
+def nh_add(a, b):
+    return NilHeckeElt(a.rs, add_terms(b.terms.items(), a.terms))
 
 
 def nh_zero(rs):

@@ -32,6 +32,7 @@ from qseidel.rootsys import CATALOG, build_root_system
 from qseidel.weyl import (
     enumerate_minreps,
     from_word,
+    involution,
     parabolic,
     v_element,
     w_inv,
@@ -126,7 +127,7 @@ def test_seidel_orbit_matches_central_order():
         for z in central_elements(rs):
             if z.node is None:
                 continue
-            i = rs.involution[z.node - 1]
+            i = involution(rs)[z.node - 1]
             steps, _ = seidel_orbit(i, p)
             assert len(steps) == central_order(z)
             # independent orbit size: iterate the operator on the unit
@@ -285,7 +286,7 @@ def test_seidel_vs_group_product():
         for z in central_elements(rs):
             if z.node is None:
                 continue
-            vi = v_element(rs, rs.involution[z.node - 1])
+            vi = v_element(rs, involution(rs)[z.node - 1])
             for w in enumerate_minreps(rs, p):
                 out = seidel_apply(z, sigma(p, w))
                 (key, coeff), = out.terms.items()

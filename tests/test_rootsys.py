@@ -15,6 +15,7 @@ from qseidel.rootsys import (
     vadd,
     vneg,
 )
+from qseidel.weyl import involution
 
 from oracles import (
     COXETER_NUMBER,
@@ -145,17 +146,31 @@ def test_coweight_quotient_structure():
 def test_involution_is_an_involution():
     for name in CATALOG:
         rs = build_root_system(name)
-        f = rs.involution
+        f = involution(rs)
         assert sorted(f) == list(range(1, rs.rank + 1))
         for i in range(1, rs.rank + 1):
             assert f[f[i - 1] - 1] == i
 
 
 def test_involution_tables():
-    assert build_root_system("A3").involution == (3, 2, 1)
-    assert build_root_system("A4").involution == (4, 3, 2, 1)
-    assert build_root_system("B3").involution == (1, 2, 3)
-    assert build_root_system("D4").involution == (1, 2, 3, 4)
+    # Bourbaki, Lie Groups ch. VI plates: -w0 is the diagram automorphism
+    # i -> n+1-i on A_n, swaps n-1 and n on D_n for odd n, swaps 1<->6 and
+    # 3<->5 on E6, and is the identity on every other type
+    types = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+             + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+             + ["E6", "E7", "E8", "F4", "G2"])
+    assert len(types) == 32
+    for name in types:
+        rs = build_root_system(name)
+        n = rs.rank
+        want = list(range(1, n + 1))
+        if rs.letter == "A":
+            want.reverse()
+        elif rs.letter == "D" and n % 2:
+            want[n - 2], want[n - 1] = n, n - 1
+        elif name == "E6":
+            want = [6, 2, 5, 4, 3, 1]
+        assert involution(rs) == tuple(want), name
 
 
 def test_affine_simple_root():

@@ -11,7 +11,9 @@ from qseidel.weyl import (
     enumerate_parabolic_subgroup,
     enumerate_weyl,
     from_word,
+    height_product,
     identity,
+    involution,
     is_minrep,
     longest_element,
     parabolic,
@@ -21,13 +23,13 @@ from qseidel.weyl import (
     v_element,
     w_inv,
     w_mul,
-    weyl_order,
 )
 
 from oracles import (
     apply_cols,
     brute_min_coset_rep,
     compose_cols,
+    minreps_by_reduction,
     subgroup_cols,
     weyl_cols_from_word,
 )
@@ -41,8 +43,9 @@ GROUP_ORDERS = {
 def test_group_orders():
     for name in CATALOG:
         rs = build_root_system(name)
-        assert weyl_order(rs) == GROUP_ORDERS[name]
+        assert height_product(rs.pos_roots) == GROUP_ORDERS[name]
         assert len(enumerate_weyl(rs)) == GROUP_ORDERS[name]
+        assert _in_length_then_word_order(enumerate_weyl(rs))
 
 
 def test_simple_reflection_on_simple_roots():
@@ -139,7 +142,7 @@ def test_longest_element_conjugation_is_involution():
         for i in range(1, rs.rank + 1):
             img = w0.act_root(rs.simple_root(i))
             neg = tuple(-c for c in img)
-            assert neg == rs.simple_root(rs.involution[i - 1])
+            assert neg == rs.simple_root(involution(rs)[i - 1])
 
 
 def test_coset_reduce_against_brute_force():
@@ -160,16 +163,43 @@ def test_coset_reduce_against_brute_force():
                 assert best == wp
 
 
+def _in_length_then_word_order(elems):
+    return list(elems) == sorted(elems, key=lambda w: (w.length, reduced_word(w)))
+
+
+def _parabolic_sets(rs):
+    for size in range(1, rs.rank + 1):
+        for nodes in itertools.combinations(range(1, rs.rank + 1), size):
+            yield parabolic(rs, nodes)
+
+
 def test_minrep_counts():
+    # |W^P| and |W_P| as enumerated, as height products over R^+ minus R_P^+
+    # and over R_P^+, and against the independent |W| table
     for name in CATALOG:
         rs = build_root_system(name)
-        for size in range(1, rs.rank + 1):
-            for nodes in itertools.combinations(range(1, rs.rank + 1), size):
-                p = parabolic(rs, nodes)
-                reps = enumerate_minreps(rs, p)
-                sub = enumerate_parabolic_subgroup(p)
-                assert len(reps) * len(sub) == weyl_order(rs)
-                assert all(is_minrep(w, p) for w in reps)
+        for p in _parabolic_sets(rs):
+            reps = enumerate_minreps(rs, p)
+            sub = enumerate_parabolic_subgroup(p)
+            assert len(reps) * len(sub) == GROUP_ORDERS[name]
+            assert len(sub) == height_product(p.rp_pos)
+            assert len(reps) == height_product(r for r in rs.pos_roots if r not in p.rp_pos)
+            assert all(is_minrep(w, p) for w in reps)
+            assert _in_length_then_word_order(reps) and _in_length_then_word_order(sub)
+
+
+def test_minrep_walk_matches_reduction_of_all_of_w():
+    # the walk over W^P against the first factors of coset_reduce over all of W,
+    # tuple for tuple and in the same order
+    sets = 0
+    for name in CATALOG + ("G2", "F4", "B4", "C4"):
+        rs = build_root_system(name)
+        elems = enumerate_weyl(rs)
+        for p in _parabolic_sets(rs):
+            want = minreps_by_reduction(elems, lambda w: coset_reduce(w, p))
+            assert enumerate_minreps(rs, p) == want, (name, p.nodes)
+            sets += 1
+    assert sets == 58 + 3 + 3 * 15
 
 
 def test_v_elements_small():
@@ -186,7 +216,7 @@ def test_v_element_inverse_is_dual():
         rs = build_root_system(name)
         for i in rs.minuscule_nodes:
             assert w_inv(v_element(rs, i)) == v_element(
-                rs, rs.involution[i - 1])
+                rs, involution(rs)[i - 1])
 
 
 # -- the root permutation against the matrix oracle --------------------------
