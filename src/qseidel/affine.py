@@ -52,6 +52,11 @@ from .weyl import (
     w_mul,
 )
 
+# reduced_word_affine refuses a word longer than this before its first letter.
+# The length grows linearly in lambda: on A2, lambda = (10**9, 0) has a hat
+# part of length 2 * 10**9.
+AFFINE_WORD_CAP = 4096
+
 
 @dataclass(frozen=True)
 class ExtAffElt:
@@ -260,17 +265,43 @@ def affine_simple_ext(rs: RootSystem, i: int) -> ExtAffElt:
     return ext(simple_reflection(rs, i))
 
 
+def _affine_descent(x: ExtAffElt) -> Optional[int]:
+    """The smallest i in 0..n with x(alpha_i) negative, or None.
+
+    By the action on affine roots, x(alpha_0) = -w(theta) + (1 + <lambda,
+    theta>) delta and x(alpha_i) = w(alpha_i) - lambda_i delta for i >= 1, so
+    each sign is read off lambda and one entry of w's root permutation.
+    """
+    rs = x.rs
+    big = len(rs.pos_roots)
+    perm = x.w.perm
+    level = 1 + dot(x.lam, rs.theta)
+    if level < 0 or (level == 0 and perm[rs.root_index[rs.theta]] < big):
+        return 0
+    for i, (c, k) in enumerate(zip(x.lam, rs.simple_index), 1):
+        if c > 0 or (c == 0 and perm[k] >= big):
+            return i
+    return None
+
+
 def reduced_word_affine(x: ExtAffElt) -> tuple[int, ...]:
-    """Reduced word over letters 0..n (left-to-right composition), lambda in Q_vee."""
+    """Reduced word over letters 0..n (left-to-right composition), lambda in Q_vee.
+
+    Each step peels the smallest right descent. The word has aff_length(x)
+    letters, which grows linearly in lambda; above AFFINE_WORD_CAP it is
+    refused before the first letter is computed.
+    """
     rs = x.rs
     if not rs.in_coroot_lattice(x.lam):
         raise ValueError("affine reduced words need a coroot-lattice translation")
-    rev: list[int] = []
     cur = x
     cur_len = aff_length(cur)
+    if cur_len > AFFINE_WORD_CAP:
+        raise ValueError(f"affine word of length {cur_len} exceeds the cap of "
+                         f"{AFFINE_WORD_CAP} letters")
+    rev: list[int] = []
     while cur_len:
-        i = next((i for i in range(rs.rank + 1)
-                  if not aff_act_root(cur, rs.affine_simple(i)).is_positive()), None)
+        i = _affine_descent(cur)
         if i is None:
             raise AssertionError("positive-length element without an affine descent")
         cur = aff_mul(cur, affine_simple_ext(rs, i))

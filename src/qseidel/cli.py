@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .affine import (
     ExtAffElt,
@@ -151,14 +152,11 @@ def _cmd_affine(args) -> int:
         _emit(payload, args, text)
         return 0
     tau, hat = hat_decompose(x)
-    payload = {
-        "central": tau.node,
-        "hat": _ext_json(hat),
-        "hat_word": list(reduced_word_affine(hat)),
-    }
+    word = list(reduced_word_affine(hat))
+    payload = {"central": tau.node, "hat": _ext_json(hat), "hat_word": word}
     text = (f"central node: {tau.node}\n"
             f"hat = {json.dumps(_ext_json(hat), sort_keys=True)}\n"
-            f"hat word: {list(reduced_word_affine(hat))}")
+            f"hat word: {word}")
     _emit(payload, args, text)
     return 0
 
@@ -254,7 +252,13 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing keeps no state on the parser (each call fills a new Namespace),
+    so every run() shares this one.
+    """
     parser = argparse.ArgumentParser(
         prog="qseidel",
         description="Exact combinatorics of Seidel multiplication in quantum "
@@ -319,9 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "command", None) == "qprod":

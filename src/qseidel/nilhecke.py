@@ -19,8 +19,8 @@ word of the hat part with the central part carried on the left.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Optional
+from functools import cache, lru_cache
+from typing import Callable, Optional
 
 from .affine import (
     CentralElt,
@@ -163,7 +163,8 @@ def nh_basis(x: ExtAffElt) -> NilHeckeElt:
     return NilHeckeElt(x.rs, {(tau.node, hat): SPoly.one(x.rs.rank)})
 
 
-def _aword_times_poly(rs: RootSystem, word: tuple[int, ...], g: SPoly) -> dict[ExtAffElt, SPoly]:
+def _aword_times_poly(rs: RootSystem, word: tuple[int, ...], g: SPoly,
+                      length: Callable[[ExtAffElt], int]) -> dict[ExtAffElt, SPoly]:
     """A_{word} * g in normal form: map from W_aff elements to left coefficients."""
     if not g:
         return {}
@@ -172,14 +173,14 @@ def _aword_times_poly(rs: RootSystem, word: tuple[int, ...], g: SPoly) -> dict[E
     head, last = word[:-1], word[-1]
     out: dict[ExtAffElt, SPoly] = {}
     s_last = affine_simple_ext(rs, last)
-    for z, c in _aword_times_poly(rs, head, reflect_poly(rs, last, g)).items():
+    for z, c in _aword_times_poly(rs, head, reflect_poly(rs, last, g), length).items():
         z2 = aff_mul(z, s_last)
-        if aff_length(z2) == aff_length(z) + 1:
+        if length(z2) == length(z) + 1:
             out[z2] = c  # z -> z*s_last is injective, so no key repeats
     dd = divdiff(rs, last, g)
     if not dd:
         return out
-    return add_terms(_aword_times_poly(rs, head, dd).items(), out)
+    return add_terms(_aword_times_poly(rs, head, dd, length).items(), out)
 
 
 def _conj_by_central(z: CentralElt, x: ExtAffElt) -> ExtAffElt:
@@ -194,6 +195,9 @@ def nh_mul(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
     rs = a.rs
     if b.rs is not rs:
         raise ValueError("mixed root systems")
+    # One product meets the same few elements many times; this memo of their
+    # lengths lives for this call only.
+    length = cache(aff_length)
     pairs = []
     for (c1, x1), f1 in a.terms.items():
         tau1 = CentralElt(rs, c1)
@@ -206,10 +210,10 @@ def nh_mul(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
             word = reduced_word_affine(x1c)
             if len(word) > EXPANSION_CAP:
                 raise ValueError(f"nil Hecke expansion beyond length {EXPANSION_CAP}")
-            len2 = aff_length(x2)
-            for z, c in _aword_times_poly(rs, word, f2).items():
+            len2 = length(x2)
+            for z, c in _aword_times_poly(rs, word, f2, length).items():
                 z2 = aff_mul(z, x2)
-                if aff_length(z2) != aff_length(z) + len2:
+                if length(z2) != length(z) + len2:
                     continue
                 pairs.append(((central, z2), g1 * c))
     return NilHeckeElt(rs, add_terms(pairs))

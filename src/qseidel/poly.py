@@ -49,6 +49,20 @@ class SPoly:
                 if v:
                     self.terms[k] = v
 
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "SPoly":
+        """Wrap `terms` as they are: a zero-free dict of nvars-long keys, such
+        as add_terms returns from well-formed operands. Nothing is checked."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
+    def _same_arity(self, other: "SPoly") -> None:
+        if other.nvars != self.nvars:
+            raise ValueError(f"polynomials in {self.nvars} and {other.nvars} "
+                             "variables do not combine")
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
@@ -92,10 +106,11 @@ class SPoly:
     def __add__(self, other: "SPoly") -> "SPoly":
         if isinstance(other, int):
             other = SPoly.const(self.nvars, other)
-        return SPoly(self.nvars, add_terms(other.terms.items(), self.terms))
+        self._same_arity(other)
+        return SPoly._of(self.nvars, add_terms(other.terms.items(), self.terms))
 
     def __neg__(self) -> "SPoly":
-        return SPoly(self.nvars, {k: -v for k, v in self.terms.items()})
+        return SPoly._of(self.nvars, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "SPoly") -> "SPoly":
         return self + (-other)
@@ -104,8 +119,9 @@ class SPoly:
         if isinstance(other, int):
             if not other:
                 return SPoly.zero(self.nvars)
-            return SPoly(self.nvars, {k: v * other for k, v in self.terms.items()})
-        return SPoly(self.nvars, add_terms(
+            return SPoly._of(self.nvars, {k: v * other for k, v in self.terms.items()})
+        self._same_arity(other)
+        return SPoly._of(self.nvars, add_terms(
             (tuple(map(add, k1, k2)), v1 * v2)
             for k1, v1 in self.terms.items() for k2, v2 in other.terms.items()))
 
@@ -136,7 +152,7 @@ class SPoly:
                 if e:
                     term = term * images[idx] ** e
             pairs.extend(term.terms.items())
-        return SPoly(n_out, add_terms(pairs))
+        return SPoly._of(n_out, add_terms(pairs))
 
     # -- rendering ---------------------------------------------------------
 

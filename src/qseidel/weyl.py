@@ -25,7 +25,7 @@ s_1 s_2, apply s_2 first).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 
 from .rootsys import RootSystem, Vec, dot, mat_vec
@@ -33,6 +33,28 @@ from .rootsys import RootSystem, Vec, dot, mat_vec
 # Enumerations build at most this many root-permutation entries (elements
 # times |R|): all of W up to B7/C7, D7, E6 and A8, but not B8, D8, E7 or E8.
 ENUM_CAP = 2**26
+
+
+class _lazy:
+    """A read-once attribute: the first read runs the method and stores its
+    value on the instance, which later reads find before this descriptor.
+
+    functools.cached_property without the lock it takes on every first read
+    under Python 3.11; values here are pure functions of immutable fields, so
+    a race could only compute one twice.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
 
 
 def _apply(mat: tuple[Vec, ...], vec: Vec) -> Vec:
@@ -54,7 +76,8 @@ class WeylElt:
     WeylElt(rs, images, inv_images) builds the element from the images of the
     simple roots under it and under its inverse; w_mul, w_inv, from_word and
     the reflections build elements directly from permutations. Elements are
-    never mutated: they key caches, and == and hash use (rs, perm).
+    never mutated: they key caches, and == and hash use (rs, perm); the hash
+    is taken once, when the element is made.
     """
 
     def __init__(self, rs: RootSystem, images, inv_images):
@@ -63,16 +86,17 @@ class WeylElt:
             raise ValueError("images do not permute the roots")
         self.rs = rs
         self.perm = perm
+        self._hash = hash((rs, perm))
         if self.inv_images != tuple(map(tuple, inv_images)):
             raise ValueError("inv_images are not the images of the inverse")
 
-    @cached_property
+    @_lazy
     def images(self) -> tuple[Vec, ...]:
         """w(alpha_j) for j = 1..n."""
         roots, perm = self.rs.roots, self.perm
         return tuple(roots[perm[k]] for k in self.rs.simple_index)
 
-    @cached_property
+    @_lazy
     def inv_images(self) -> tuple[Vec, ...]:
         """w^-1(alpha_j) for j = 1..n."""
         roots, perm = self.rs.roots, self.perm
@@ -96,7 +120,7 @@ class WeylElt:
         rs = self.rs
         return tuple(dot(a, rs.coroot_of(col)) for col in self.inv_images)
 
-    @cached_property
+    @_lazy
     def length(self) -> int:
         rs = self.rs
         return len(rs.negative_indices.intersection(self.perm[:len(rs.pos_roots)]))
@@ -110,7 +134,7 @@ class WeylElt:
         return self.perm == other.perm and self.rs is other.rs
 
     def __hash__(self) -> int:
-        return hash((self.rs, self.perm))
+        return self._hash
 
     def __repr__(self) -> str:
         word = reduced_word(self)
@@ -121,6 +145,7 @@ def _elt(rs: RootSystem, perm: tuple[int, ...]) -> WeylElt:
     w = object.__new__(WeylElt)
     w.rs = rs
     w.perm = perm
+    w._hash = hash((rs, perm))
     return w
 
 
@@ -297,18 +322,28 @@ class ParabolicSet:
             raise ValueError("parabolic nodes must be sorted and distinct")
         if any(not 1 <= i <= self.rs.rank for i in self.nodes):
             raise ValueError("parabolic node out of range")
+        # The dataclass hash, taken once: parabolic sets key the element caches.
+        object.__setattr__(self, "_hash", hash((self.rs, self.nodes)))
 
-    @cached_property
+    def __hash__(self) -> int:
+        return self._hash
+
+    @_lazy
     def wp_nodes(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.rs.rank + 1) if i not in self.nodes)
 
-    @cached_property
+    @_lazy
+    def wp_index(self) -> tuple[int, ...]:
+        """Indices in rs.roots of the simple roots of W_P."""
+        return tuple(self.rs.simple_index[j - 1] for j in self.wp_nodes)
+
+    @_lazy
     def rp_pos(self) -> tuple[Vec, ...]:
         """Positive roots of the parabolic subsystem (support off the quantum nodes)."""
         return tuple(r for r in self.rs.pos_roots
                      if all(r[i - 1] == 0 for i in self.nodes))
 
-    @cached_property
+    @_lazy
     def rp_index(self) -> tuple[int, ...]:
         """Indices of rp_pos in rs.roots."""
         return tuple(self.rs.root_index[r] for r in self.rp_pos)
@@ -322,9 +357,8 @@ def parabolic(rs: RootSystem, nodes) -> ParabolicSet:
 
 
 def is_minrep(w: WeylElt, p: ParabolicSet) -> bool:
-    rs, perm = w.rs, w.perm
-    big = len(rs.pos_roots)
-    return all(perm[rs.simple_index[j - 1]] < big for j in p.wp_nodes)
+    perm, big = w.perm, len(w.rs.pos_roots)
+    return all(perm[k] < big for k in p.wp_index)
 
 
 @lru_cache(maxsize=None)

@@ -259,3 +259,47 @@ def minreps_by_reduction(weyl_all, reduce):
             seen.add(wp)
             out.append(wp)
     return tuple(out)
+
+
+def affine_word_by_root_action(cartan, theta, theta_coweight, word, lam):
+    """Affine reduced word of x = w t_lam by right-descent peeling on roots.
+
+    w is s_word[0] s_word[1] ... (1-based letters) and lam a coroot-lattice
+    coweight; theta is the highest root and theta_coweight the coweight
+    coordinates of its coroot. Each step applies x to the affine simple roots
+    alpha_0 = delta - theta, alpha_1, ..., alpha_n, by x(alpha + m delta) =
+    w(alpha) + (m - <lam, alpha>) delta, and takes the smallest i whose image
+    is negative; x becomes x s_i, with s_i t_{s_i lam} for i >= 1 and
+    s_theta t_{s_theta lam - theta_vee} for i = 0. The letters are returned
+    left to right, and the peeling must end on the identity.
+    """
+    n = len(cartan)
+    eye = tuple(tuple(int(t == j) for t in range(n)) for j in range(n))
+    s_theta = tuple(tuple(int(t == j) - theta_coweight[j] * theta[t] for t in range(n))
+                    for j in range(n))
+    simples = [(tuple(-a for a in theta), 1)] + [(eye[i], 0) for i in range(n)]
+    cols, lam = weyl_cols_from_word(cartan, word), list(lam)
+    letters = []
+
+    def negative(alpha, m):
+        level = m - _dot(lam, alpha)
+        return level < 0 or (level == 0 and not any(a > 0 for a in apply_cols(cols, alpha)))
+
+    while True:
+        i = next((i for i, (alpha, m) in enumerate(simples) if negative(alpha, m)), None)
+        if i is None:
+            break
+        if i == 0:
+            c = _dot(lam, theta) + 1
+            lam = [a - c * b for a, b in zip(lam, theta_coweight)]
+            cols = compose_cols(cols, s_theta)
+        else:
+            c = lam[i - 1]
+            lam = [a - c * b for a, b in zip(lam, cartan[i - 1])]
+            cols = compose_cols(cols, _reflection_cols(cartan, i - 1))
+        letters.append(i)
+        if len(letters) > 10_000:
+            raise RuntimeError("descent peeling did not stop")
+    if cols != eye or any(lam):
+        raise RuntimeError("descent peeling stopped off the identity")
+    return tuple(reversed(letters))

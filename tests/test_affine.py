@@ -35,13 +35,16 @@ from qseidel.rootsys import CATALOG, build_root_system, dot, vneg
 from qseidel.weyl import (
     enumerate_weyl,
     from_word,
+    longest_element,
     parabolic,
+    reduced_word,
     simple_reflection,
     w_inv,
 )
 
 from oracles import (
     INVARIANT_FACTORS,
+    affine_word_by_root_action,
     antidominant_coset_points,
     coweight_order_in_quotient,
     windowed_pi_p,
@@ -153,6 +156,23 @@ def test_affine_word_round_trip():
             for i in word:
                 y = aff_mul(y, affine_simple_ext(rs, i))
             assert y == hat
+
+
+@pytest.mark.parametrize("name", CATALOG + ("G2", "F4"))
+def test_reduced_word_affine_matches_the_root_action_descent(name):
+    # The closed-form descent against x applied to each affine simple root,
+    # over a box of coroot-lattice translations and a few finite parts.
+    rs = build_root_system(name)
+    rng = random.Random(23)
+    theta_cw = rs.coroot_to_coweight(rs.theta_coroot)
+    words = [(), reduced_word(longest_element(rs))]
+    words += [tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(1, 6)))
+              for _ in range(2)]
+    for word in words:
+        for coords in itertools.product((-1, 0, 1), repeat=rs.rank):
+            lam = rs.coroot_to_coweight(coords)
+            want = affine_word_by_root_action(rs.cartan, rs.theta, theta_cw, word, lam)
+            assert reduced_word_affine(ExtAffElt(from_word(rs, word), lam)) == want
 
 
 def test_central_group_structure():

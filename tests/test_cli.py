@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qseidel import cli, weyl
+from qseidel import affine, cli, weyl
 from qseidel.suites import SuiteResult
 
 GOLDEN_ROOTS_A2 = (
@@ -150,6 +150,43 @@ def test_affine_commands(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["pi_p"] == {"lambda": [-1, -1], "w": [1, 2]}
     assert data["residual"] == {"lambda": [0, 0], "w": []}
+
+
+def test_affine_decompose_refuses_a_word_above_the_cap_before_any_letter(monkeypatch, capsys):
+    peeled = []
+    real = affine._affine_descent
+    monkeypatch.setattr(affine, "_affine_descent", lambda x: peeled.append(x) or real(x))
+    elt = json.dumps({"w": [], "lambda": [10**9, 0]})
+    assert cli.run(["affine", "decompose", "A2", "--elt", elt]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+    assert f"cap of {affine.AFFINE_WORD_CAP} letters" in out.err
+    assert peeled == []
+    # A2, lambda = (1000, 0): the hat part has a word of 2000 letters, under the cap.
+    elt = json.dumps({"w": [], "lambda": [1000, 0]})
+    assert cli.run(["affine", "decompose", "A2", "--elt", elt, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["hat_word"]) == len(peeled) == 2000
+
+
+@pytest.mark.parametrize("bad", [
+    ["verify", "--suite", "nonexistent"],
+    ["qprod", "seidel", "-i", "1", "-j", "1", "--class", UNIT_P2],
+    ["affine", "length", "A2"],
+    ["qprod", "seidel", "-j", "1", "--class", UNIT_P2],
+    [],
+])
+def test_parser_is_built_once_and_a_usage_error_leaves_no_state(bad, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    good = ["qprod", "seidel", "-i", "1", "--class", UNIT_P2]
+    assert cli.run(good) == 0
+    first = capsys.readouterr()
+    assert cli.run(bad) == 2
+    err = capsys.readouterr().err
+    assert cli.run(bad) == 2
+    assert capsys.readouterr().err == err
+    assert cli.run(good) == 0
+    assert capsys.readouterr() == first
 
 
 def test_affine_length_in_e7_and_e8_enumerates_nothing(capsys):

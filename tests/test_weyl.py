@@ -5,6 +5,7 @@ import pytest
 
 from qseidel.rootsys import CATALOG, build_root_system, dot, is_positive_vec
 from qseidel.weyl import (
+    ParabolicSet,
     WeylElt,
     coset_reduce,
     enumerate_minreps,
@@ -279,3 +280,20 @@ def test_compatibility_constructor_rejects_bad_columns():
         WeylElt(rs, ((1, 1), (0, 1)), ((1, -1), (0, 1)))
     with pytest.raises(ValueError):
         WeylElt(rs, s1.images, simple_reflection(rs, 2).images)
+
+
+@pytest.mark.parametrize("name", ("A3", "B3", "G2"))
+def test_equal_elements_hash_equal_however_they_are_built(name):
+    rs = build_root_system(name)
+    by_perm = {w.perm: w for w in enumerate_weyl(rs)}
+    rng = random.Random(29)
+    for _ in range(60):
+        a = from_word(rs, [rng.randint(1, rs.rank) for _ in range(rng.randint(0, 8))])
+        b = from_word(rs, [rng.randint(1, rs.rank) for _ in range(rng.randint(0, 8))])
+        ab = w_mul(a, b)
+        built = [ab, from_word(rs, reduced_word(ab)), w_inv(w_inv(ab)),
+                 by_perm[ab.perm], WeylElt(rs, ab.images, ab.inv_images)]
+        assert all(x == ab and hash(x) == hash(ab) for x in built)
+        assert len({*built, ab}) == 1
+    p, q = parabolic(rs, (2, 1)), ParabolicSet(rs, (1, 2))
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
