@@ -42,7 +42,6 @@ from .weyl import (
     ParabolicSet,
     WeylElt,
     coset_reduce,
-    enumerate_parabolic_subgroup,
     identity,
     involution,
     reflection,
@@ -318,21 +317,14 @@ def reduced_word_affine(x: ExtAffElt) -> tuple[int, ...]:
 # -- parabolic factorizations -------------------------------------------------
 
 
-def _parabolic_coweight(p: ParabolicSet, coeffs) -> Vec:
-    """sum c_k alpha_k_vee over the parabolic nodes, in coweight coordinates."""
-    rs = p.rs
-    m = [0] * rs.rank
-    for k, c in zip(p.wp_nodes, coeffs):
-        if c:
-            row = rs.cartan[k - 1]
-            for t in range(rs.rank):
-                m[t] += c * row[t]
-    return tuple(m)
-
-
 def in_parabolic_aff(x: ExtAffElt, p: ParabolicSet) -> bool:
-    """Membership in (W_P)_aff = W_P semidirect Q_vee_P."""
-    if x.w not in _parabolic_set(p):
+    """Membership in (W_P)_aff = W_P semidirect Q_vee_P.
+
+    w lies in W_P exactly when every inversion of w is a root of R_P^+.
+    """
+    big = len(p.rs.pos_roots)
+    perm = x.w.perm
+    if x.w.length != sum(perm[k] >= big for k in p.rp_index):
         return False
     if not x.rs.in_coroot_lattice(x.lam):
         return False
@@ -341,63 +333,62 @@ def in_parabolic_aff(x: ExtAffElt, p: ParabolicSet) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _parabolic_set(p: ParabolicSet) -> frozenset[WeylElt]:
-    return frozenset(enumerate_parabolic_subgroup(p))
-
-
-@lru_cache(maxsize=None)
-def _candidate_systems(p: ParabolicSet) -> tuple:
-    """Per u in W_P: (u, u^-1, rows u^-1(alpha_j) over j off I_P, their root
-    indices, adj, d).
-
-    The k x k matrix <alpha_k_vee, u^-1(alpha_j)> pairs the parabolic coroots
-    with the base u^-1(Delta_P) of R_P, so it is invertible; adj / d is its
-    inverse, and each pi_P candidate solve is then one integer mat-vec.
-    """
+def _levi(p: ParabolicSet) -> tuple:
+    """alpha_j_vee for j off I_P, adj / d inverting the Levi Cartan block
+    M[j][k] = <alpha_k_vee, alpha_j>, and (k, alpha, alpha_vee, s_alpha) over
+    R_P^+; coroots in coweight coordinates."""
     rs = p.rs
-    coroot_rows = [rs.cartan[j - 1] for j in p.wp_nodes]  # alpha_j_vee as coweights
-    out = []
-    for u in enumerate_parabolic_subgroup(p):
-        u_inv = w_inv(u)
-        idx = tuple(u_inv.perm[rs.simple_index[j - 1]] for j in p.wp_nodes)
-        rows = tuple(rs.roots[k] for k in idx)
-        adj, d = int_inverse([[dot(c, r) for c in coroot_rows] for r in rows])
-        out.append((u, u_inv, rows, idx, adj, d))
-    return tuple(out)
+    rows = tuple(rs.cartan[j - 1] for j in p.wp_nodes)
+    adj, d = int_inverse([[row[j - 1] for row in rows] for j in p.wp_nodes])
+    roots = tuple((k, alpha, rs.coroot_to_coweight(rs.coroot_of(alpha)),
+                   reflection(rs, alpha))
+                  for k, alpha in zip(p.rp_index, p.rp_pos))
+    return rows, adj, d, roots
 
 
 @lru_cache(maxsize=None)
 def pi_P(x: ExtAffElt, p: ParabolicSet) -> ExtAffElt:
     """The (W^P)_aff factor of x = x1 * x2, x2 in (W_P)_aff, for x in W_aff.
 
-    Per candidate u = finite part of x2, the translation shift in Q_vee_P is
-    pinned by the simple-root constraints <u(lambda - mu), alpha_j> in {0, -1},
-    an invertible integer system; the full membership conditions are then
-    verified before returning. Existence failures raise: they would mean the
-    factorization theory is violated, not bad input.
+    x1 is the unique element of x (W_P)_aff sending every positive root of
+    (W_P)_aff positive, the minimal one (Dyer). A translation by mu0 in
+    Q_vee_P, the floor of the Levi solve of <lambda, alpha_j> over j off I_P,
+    bounds every Levi pairing by the type. Then, while x(alpha) < 0 or
+    x(delta - alpha) < 0 for some alpha in R_P^+, x becomes x s_alpha or
+    x s_{delta - alpha} = x s_alpha t_{-alpha_vee}; each step shortens x, and
+    the loop stops exactly when is_wpaff(x) holds. The residual is verified.
     """
     rs = x.rs
     if not rs.in_coroot_lattice(x.lam):
         raise ValueError("pi_P over W_aff needs a coroot-lattice translation; "
                          "use pi_P_ext for general coweights")
+    rows, adj, d, roots = _levi(p)
     lam = x.lam
-    perm = x.w.perm
+    for c, row in zip(mat_vec(adj, [lam[j - 1] for j in p.wp_nodes]), rows):
+        c //= d
+        if c:
+            lam = tuple(a - c * b for a, b in zip(lam, row))
+    w = x.w
     big = len(rs.pos_roots)
-    for u, u_inv, rows, idx, adj, d in _candidate_systems(p):
-        # rhs_j = <lambda, r_j> - target_j, target_j = 0 if x.w(r_j) > 0 else -1
-        rhs = [dot(lam, r) + (perm[k] >= big) for r, k in zip(rows, idx)]
-        sol = mat_vec(adj, rhs)
-        if any(c % d for c in sol):
-            continue
-        mu = _parabolic_coweight(p, (c // d for c in sol))
-        x1 = ExtAffElt(w_mul(x.w, u_inv), u.act_coweight(vsub(lam, mu)))
-        if not is_wpaff(x1, p):
-            continue
-        x2 = aff_mul(aff_inv(x1), x)
-        if not in_parabolic_aff(x2, p):
-            raise AssertionError("pi_P residual escaped (W_P)_aff")
-        return x1
-    raise AssertionError("no parabolic factorization found")
+    moved = True
+    while moved:
+        moved = False
+        for k, alpha, coroot, s in roots:
+            m = dot(lam, alpha)
+            down = w.perm[k] >= big
+            if m > 0 or (m == 0 and down):  # x(alpha) < 0
+                step = m
+            elif m < -1 or (m == -1 and not down):  # x(delta - alpha) < 0
+                step = m + 1
+            else:
+                continue
+            w = w_mul(w, s)
+            lam = tuple(a - step * b for a, b in zip(lam, coroot))
+            moved = True
+    x1 = ExtAffElt(w, lam)
+    if not in_parabolic_aff(aff_mul(aff_inv(x1), x), p):
+        raise AssertionError("pi_P residual escaped (W_P)_aff")
+    return x1
 
 
 def pi_P_ext(x: ExtAffElt, p: ParabolicSet) -> ExtAffElt:

@@ -44,11 +44,10 @@ from .weyl import (
 )
 
 
-def _emit(payload: dict, args, text: str) -> None:
-    if (args.format or "text") == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
+def _print_json(payload: dict) -> int:
+    """Print a command's --format json output; the exit code is 0."""
+    print(json.dumps(payload, sort_keys=True))
+    return 0
 
 
 def _parse_ext(rs, data: dict) -> ExtAffElt:
@@ -78,15 +77,16 @@ def _load_json_arg(value: str) -> dict:
 
 def _cmd_roots(args) -> int:
     rs = build_root_system(args.type)
-    payload = {
-        "type": rs.name(),
-        "rank": rs.rank,
-        "cartan": [list(row) for row in rs.cartan],
-        "positive_roots": [list(r) for r in rs.pos_roots],
-        "theta": list(rs.theta),
-        "minuscule": list(rs.minuscule_nodes),
-        "involution": list(involution(rs)),
-    }
+    if args.format == "json":
+        return _print_json({
+            "type": rs.name(),
+            "rank": rs.rank,
+            "cartan": [list(row) for row in rs.cartan],
+            "positive_roots": [list(r) for r in rs.pos_roots],
+            "theta": list(rs.theta),
+            "minuscule": list(rs.minuscule_nodes),
+            "involution": list(involution(rs)),
+        })
     lines = [f"type {rs.name()}  rank {rs.rank}"]
     lines.append("cartan:")
     for row in rs.cartan:
@@ -100,7 +100,7 @@ def _cmd_roots(args) -> int:
     lines.append("involution f: "
                  + " ".join(f"{i + 1}->{j}"
                             for i, j in enumerate(involution(rs))))
-    _emit(payload, args, "\n".join(lines))
+    print("\n".join(lines))
     return 0
 
 
@@ -110,15 +110,16 @@ def _cmd_weyl(args) -> int:
         range(1, rs.rank + 1))
     p = parabolic(rs, nodes)
     reps = enumerate_minreps(rs, p)
-    payload = {
-        "type": rs.name(),
-        "parabolic": list(nodes),
-        "count": len(reps),
-        "minreps": [list(reduced_word(w)) for w in reps],
-        "longest": list(reduced_word(longest_element(rs))),
-        "v_elements": {str(i): list(reduced_word(v_element(rs, i)))
-                       for i in rs.minuscule_nodes},
-    }
+    if args.format == "json":
+        return _print_json({
+            "type": rs.name(),
+            "parabolic": list(nodes),
+            "count": len(reps),
+            "minreps": [list(reduced_word(w)) for w in reps],
+            "longest": list(reduced_word(longest_element(rs))),
+            "v_elements": {str(i): list(reduced_word(v_element(rs, i)))
+                           for i in rs.minuscule_nodes},
+        })
     lines = [f"type {rs.name()}  I_P={list(nodes)}  |W^P| = {len(reps)}"]
     for w in reps:
         word = reduced_word(w)
@@ -129,7 +130,7 @@ def _cmd_weyl(args) -> int:
     for i in rs.minuscule_nodes:
         lines.append(f"v_{i}: s[" + ".".join(
             map(str, reduced_word(v_element(rs, i)))) + "]")
-    _emit(payload, args, "\n".join(lines))
+    print("\n".join(lines))
     return 0
 
 
@@ -138,26 +139,29 @@ def _cmd_affine(args) -> int:
     x = _parse_ext(rs, _load_json_arg(args.elt))
     if args.action == "length":
         n = aff_length(x)
-        _emit({"length": n}, args, f"length {n}")
+        if args.format == "json":
+            return _print_json({"length": n})
+        print(f"length {n}")
         return 0
     if args.action == "pi-p":
         if not args.parabolic:
             raise ValueError("pi-p needs --parabolic")
         p = parabolic(rs, tuple(args.parabolic))
         x1 = pi_P_ext(x, p)
-        x2 = aff_mul(aff_inv(x1), x)
-        payload = {"pi_p": _ext_json(x1), "residual": _ext_json(x2)}
-        text = (f"pi_P(x) = {json.dumps(_ext_json(x1), sort_keys=True)}\n"
-                f"residual = {json.dumps(_ext_json(x2), sort_keys=True)}")
-        _emit(payload, args, text)
+        j1, j2 = _ext_json(x1), _ext_json(aff_mul(aff_inv(x1), x))
+        if args.format == "json":
+            return _print_json({"pi_p": j1, "residual": j2})
+        print(f"pi_P(x) = {json.dumps(j1, sort_keys=True)}\n"
+              f"residual = {json.dumps(j2, sort_keys=True)}")
         return 0
     tau, hat = hat_decompose(x)
     word = list(reduced_word_affine(hat))
-    payload = {"central": tau.node, "hat": _ext_json(hat), "hat_word": word}
-    text = (f"central node: {tau.node}\n"
-            f"hat = {json.dumps(_ext_json(hat), sort_keys=True)}\n"
-            f"hat word: {word}")
-    _emit(payload, args, text)
+    if args.format == "json":
+        return _print_json({"central": tau.node, "hat": _ext_json(hat),
+                            "hat_word": word})
+    print(f"central node: {tau.node}\n"
+          f"hat = {json.dumps(_ext_json(hat), sort_keys=True)}\n"
+          f"hat word: {word}")
     return 0
 
 
@@ -167,7 +171,9 @@ def _cmd_qprod(args) -> int:
         out = chevalley_multiply(args.node, c, equivariant=args.equivariant)
     else:
         out = seidel_multiply(args.node, c)
-    _emit(qh_to_json(out), args, qh_text(out))
+    if args.format == "json":
+        return _print_json(qh_to_json(out))
+    print(qh_text(out))
     return 0
 
 
@@ -177,19 +183,17 @@ def _cmd_seidel_table(args) -> int:
         range(1, rs.rank + 1))
     p = parabolic(rs, nodes)
     rows = seidel_table(p)
-    payload = {"type": rs.name(), "parabolic": list(nodes), "rows": []}
+    if args.format == "json":
+        return _print_json({"type": rs.name(), "parabolic": list(nodes), "rows": [
+            {"z": z.node, "w": list(reduced_word(w)), "product": qh_to_json(prod)}
+            for z, w, prod in rows]})
     lines = [f"type {rs.name()}  I_P={list(nodes)}"]
     for z, w, prod in rows:
         word = reduced_word(w)
-        payload["rows"].append({
-            "z": z.node,
-            "w": list(word),
-            "product": qh_to_json(prod),
-        })
         zlab = f"tau_{z.node}" if z.node else "e"
         wlab = "s[" + ".".join(map(str, word)) + "]" if word else "1"
         lines.append(f"  {zlab:7s} * sigma({wlab}) = {qh_text(prod)}")
-    _emit(payload, args, "\n".join(lines))
+    print("\n".join(lines))
     return 0
 
 
@@ -229,7 +233,7 @@ def _cmd_verify(args) -> int:
     ok = all(r.ok() for r in results) and not empty
     fmt = args.format or cfg.fmt
     if fmt == "json":
-        payload = {
+        _print_json({
             "ok": ok,
             "suites": [{
                 "name": r.name,
@@ -237,8 +241,7 @@ def _cmd_verify(args) -> int:
                 "failures": r.failures,
                 "findings": r.findings,
             } for r in results],
-        }
-        print(json.dumps(payload, sort_keys=True))
+        })
     else:
         for r in results:
             status = "FAIL" if not r.ok() else "EMPTY" if r.name in empty else "ok"

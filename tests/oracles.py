@@ -195,6 +195,18 @@ def subgroup_cols(cartan, gens):
     return list(seen.items())
 
 
+def _levi_positive(group, off):
+    """Positive roots of the Levi subsystem: the positive images of its simple
+    roots (0-based nodes `off`) under its Weyl group."""
+    levi = set()
+    for g, _ in group:
+        for k in off:
+            r = g[k]
+            if all(a >= 0 for a in r):
+                levi.add(r)
+    return levi
+
+
 def windowed_pi_p(cartan, word, lam, nodes, radius):
     """Every factorization x = x1 (u t_mu) of x = w t_lam with u in W_P,
     mu = sum c_k alpha_k_vee over the nodes off `nodes`, |c_k| <= radius,
@@ -205,12 +217,7 @@ def windowed_pi_p(cartan, word, lam, nodes, radius):
     n = len(cartan)
     off = [k for k in range(n) if k + 1 not in nodes]
     group = subgroup_cols(cartan, off)
-    levi = set()
-    for g, _ in group:
-        for k in off:
-            r = g[k]
-            if all(a >= 0 for a in r):
-                levi.add(r)
+    levi = _levi_positive(group, off)
     w = weyl_cols_from_word(cartan, word)
     window = list(itertools.product(range(-radius, radius + 1), repeat=len(off)))
     hits = []
@@ -229,6 +236,42 @@ def windowed_pi_p(cartan, word, lam, nodes, radius):
                 # <u(rest), alpha_i> = <rest, u^-1(alpha_i)>
                 hits.append((v, tuple(_dot(rest, col) for col in u_inv)))
     return hits
+
+
+def pi_p_by_candidates(cartan, word, lam, nodes):
+    """pi_P of x = w t_lam by one exact linear solve per u in W_P.
+
+    For each u, mu = sum c_k alpha_k_vee over the nodes off `nodes` is pinned
+    by <u(lam - mu), alpha_j> = 0 if w u^-1(alpha_j) > 0 and -1 otherwise, for
+    the Levi simple roots alpha_j: a square system in the base u^-1(alpha_j)
+    of the Levi roots. The first u whose solution is integral and whose
+    x1 = w u^-1 t_{u(lam - mu)} meets the same condition on every positive
+    Levi root gives the answer, returned as (x1 columns, u(lam - mu)).
+    """
+    n = len(cartan)
+    off = [k for k in range(n) if k + 1 not in nodes]
+    group = subgroup_cols(cartan, off)
+    levi = _levi_positive(group, off)
+    simple = [tuple(int(t == j) for t in range(n)) for j in off]
+    w = weyl_cols_from_word(cartan, word)
+    for _, u_inv in group:
+        v = compose_cols(w, u_inv)
+
+        def target(alpha):
+            return 0 if any(a > 0 for a in apply_cols(v, alpha)) else -1
+
+        rows = [u_inv[j] for j in off]  # u^-1(alpha_j)
+        sol = rational_solve([[_dot(cartan[k], r) for k in off] for r in rows],
+                             [_dot(lam, r) - target(alpha)
+                              for r, alpha in zip(rows, simple)])
+        if any(c.denominator != 1 for c in sol):
+            continue
+        rest = [lam[t] - sum(int(c) * cartan[k][t] for c, k in zip(sol, off))
+                for t in range(n)]
+        nu = tuple(_dot(rest, col) for col in u_inv)
+        if all(_dot(nu, alpha) == target(alpha) for alpha in levi):
+            return v, nu
+    raise RuntimeError("no candidate factorization")
 
 
 def antidominant_coset_points(cartan, coroot_coords, quantum_nodes, radius):

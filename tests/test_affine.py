@@ -33,6 +33,7 @@ from qseidel.affine import (
 )
 from qseidel.rootsys import CATALOG, build_root_system, dot, vneg
 from qseidel.weyl import (
+    enumerate_parabolic_subgroup,
     enumerate_weyl,
     from_word,
     longest_element,
@@ -40,6 +41,7 @@ from qseidel.weyl import (
     reduced_word,
     simple_reflection,
     w_inv,
+    w_mul,
 )
 
 from oracles import (
@@ -47,6 +49,7 @@ from oracles import (
     affine_word_by_root_action,
     antidominant_coset_points,
     coweight_order_in_quotient,
+    pi_p_by_candidates,
     windowed_pi_p,
 )
 
@@ -308,6 +311,75 @@ def test_pi_p_matches_windowed_brute_force():
             x1 = pi_P(ExtAffElt(from_word(rs, word), lam), parabolic(rs, nodes))
             hits = windowed_pi_p(rs.cartan, word, lam, nodes, 6)
             assert hits == [(x1.w.images, x1.lam)], (name, word, lam, nodes)
+
+
+@pytest.mark.parametrize("name", CATALOG + ("G2", "F4"))
+def test_pi_p_matches_the_candidate_solve(name):
+    # general w t_lambda against the per-u candidate solve of the oracle
+    rs = build_root_system(name)
+    n = rs.rank
+    rng = random.Random(name)
+    for r in range(1, n + 1):
+        for nodes in itertools.combinations(range(1, n + 1), r):
+            p = parabolic(rs, nodes)
+            for _ in range(3):
+                word = [rng.randint(1, n) for _ in range(rng.randint(0, 6))]
+                lam = rs.coroot_to_coweight(tuple(rng.randint(-3, 3) for _ in range(n)))
+                x1 = pi_P(ExtAffElt(from_word(rs, word), lam), p)
+                want = pi_p_by_candidates(rs.cartan, word, lam, nodes)
+                assert (x1.w.images, x1.lam) == want, (name, word, lam, nodes)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_parabolic_membership_reads_the_inversions(name):
+    # w in W_P exactly when every inversion of w lies in R_P^+
+    rs = build_root_system(name)
+    weyl_all = enumerate_weyl(rs)
+    for r in range(1, rs.rank + 1):
+        for nodes in itertools.combinations(range(1, rs.rank + 1), r):
+            p = parabolic(rs, nodes)
+            wp = set(enumerate_parabolic_subgroup(p))
+            for w in weyl_all:
+                assert in_parabolic_aff(ext(w), p) == (w in wp), (name, nodes, w)
+
+
+def test_pi_p_of_a_huge_translation_takes_few_steps(monkeypatch):
+    # without the translation into the Levi alcove the descent would take
+    # about 10**6 steps here; each step is one w_mul
+    steps = []
+
+    def counting_w_mul(a, b):
+        steps.append(1)
+        return w_mul(a, b)
+
+    monkeypatch.setattr("qseidel.affine.w_mul", counting_w_mul)
+    rs = build_root_system("B3")
+    for nodes in ((1,), (2,), (3,), (1, 3)):
+        for word, c in (((), (10**6, -10**6, 3)),
+                        ((1, 2, 3, 2), (-10**6, 7, 10**6 - 1))):
+            lam = rs.coroot_to_coweight(c)
+            assert max(map(abs, lam)) >= 10**6
+            steps.clear()
+            x = ExtAffElt(from_word(rs, word), lam)
+            x1 = pi_P.__wrapped__(x, parabolic(rs, nodes))
+            assert 0 < len(steps) < 50, (nodes, word, len(steps))
+            want = pi_p_by_candidates(rs.cartan, word, lam, nodes)
+            assert (x1.w.images, x1.lam) == want, (nodes, word, c)
+
+
+def test_pi_p_on_e7_enumerates_no_parabolic_subgroup():
+    # |W_P| = |W(E6)| = 51,840 for I_P = {7}
+    rs = build_root_system("E7")
+    p = parabolic(rs, (7,))
+    before = enumerate_parabolic_subgroup.cache_info().currsize
+    for word, c in (((), (1, 2, 3, 4, 3, 2, 1)),
+                    ((7, 6, 5, 4, 2), (0, 0, 0, 0, 0, 10**6, -10**6)),
+                    ((1, 3, 4, 5, 6), (-2, 5, 1, 0, -7, 3, 2))):
+        x = ExtAffElt(from_word(rs, word), rs.coroot_to_coweight(c))
+        x1 = pi_P(x, p)
+        assert is_wpaff(x1, p)
+        assert in_parabolic_aff(aff_mul(aff_inv(x1), x), p)
+    assert enumerate_parabolic_subgroup.cache_info().currsize == before
 
 
 def test_eta_p_reads_coroot_coordinates():

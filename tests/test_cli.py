@@ -6,6 +6,7 @@ import time
 import pytest
 
 from qseidel import affine, cli, weyl
+from qseidel.rootsys import build_root_system
 from qseidel.suites import SuiteResult
 
 GOLDEN_ROOTS_A2 = (
@@ -203,6 +204,42 @@ def test_affine_pi_p_without_parabolic_errors(capsys):
     elt = '{"w": [], "lambda": [0, 0]}'
     assert cli.run(["affine", "pi-p", "A2", "--elt", elt]) == 2
     assert "parabolic" in capsys.readouterr().err
+
+
+def test_affine_pi_p_on_e7_enumerates_no_parabolic_subgroup(capsys):
+    # W_P is W(E6), 51,840 elements, for I_P = {7}
+    before = _enumeration_cache_sizes()
+    elt = {"w": [7, 6, 5, 4, 2], "lambda": [0, 0, 0, 0, 0, 0, 10**6]}
+    argv = ["affine", "pi-p", "E7", "--parabolic", "7", "--elt", json.dumps(elt)]
+    assert cli.run(argv) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("pi_P(x) = ")
+    assert cli.run(argv + ["--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert _enumeration_cache_sizes() == before
+    rs = build_root_system("E7")
+    p = weyl.parabolic(rs, (7,))
+    x1, x2 = (affine.ExtAffElt(weyl.from_word(rs, data[k]["w"]), tuple(data[k]["lambda"]))
+              for k in ("pi_p", "residual"))
+    assert affine.is_wpaff(x1, p) and affine.in_parabolic_aff(x2, p)
+    assert affine.aff_mul(x1, x2) == affine.ExtAffElt(weyl.from_word(rs, elt["w"]),
+                                                      tuple(elt["lambda"]))
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["seidel-table", "A2", "--parabolic", "1"], "qh_to_json"),
+    (["seidel-table", "A2", "--parabolic", "1", "--format", "json"], "qh_text"),
+    (["qprod", "seidel", "-i", "1", "--class", UNIT_P2], "qh_to_json"),
+    (["qprod", "seidel", "-i", "1", "--class", UNIT_P2, "--format", "json"], "qh_text"),
+])
+def test_commands_render_only_the_format_they_print(argv, unused, monkeypatch, capsys):
+    want = cli.run(argv), capsys.readouterr().out
+
+    def unused_renderer(*_):
+        raise AssertionError(f"{unused} called")
+
+    monkeypatch.setattr(cli, unused, unused_renderer)
+    assert (cli.run(argv), capsys.readouterr().out) == want
 
 
 def test_elt_from_file(tmp_path, capsys):
