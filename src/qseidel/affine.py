@@ -223,15 +223,6 @@ def central_mul(z1: CentralElt, z2: CentralElt) -> CentralElt:
     return tau
 
 
-def central_inv(z: CentralElt) -> CentralElt:
-    if z.is_identity():
-        return z
-    tau, hat = hat_decompose(aff_inv(z.to_ext()))
-    if not hat.is_identity():
-        raise AssertionError("inverse of a central element has a non-identity hat part")
-    return tau
-
-
 def central_order(z: CentralElt) -> int:
     order = 1
     cur = z
@@ -326,9 +317,10 @@ def in_parabolic_aff(x: ExtAffElt, p: ParabolicSet) -> bool:
     perm = x.w.perm
     if x.w.length != sum(perm[k] >= big for k in p.rp_index):
         return False
-    if not x.rs.in_coroot_lattice(x.lam):
+    try:
+        c = x.rs.coroot_coords(x.lam)
+    except ValueError:  # lambda is off the coroot lattice
         return False
-    c = x.rs.coroot_coords(x.lam)
     return all(c[i - 1] == 0 for i in p.nodes)
 
 
@@ -425,7 +417,8 @@ def peterson_decompose(y: ExtAffElt, p: ParabolicSet) -> tuple[WeylElt, Vec]:
         raise ValueError("peterson_decompose needs a minimal coset representative")
     if not is_wpaff(y, p):
         raise ValueError("peterson_decompose needs membership in (W^P)_aff")
-    w, u = coset_reduce(y.w, p)
+    w = coset_reduce(y.w, p)
+    u = w_mul(w_inv(w), y.w)
     c = rs.coroot_coords(u.act_coweight(y.lam))
     nu = rs.coroot_to_coweight(tuple(c[i - 1] if i in p.nodes else 0
                                      for i in range(1, rs.rank + 1)))

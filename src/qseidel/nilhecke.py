@@ -1,26 +1,26 @@
-"""The affine nil Hecke ring with its central extension, in the A_x normal form.
+"""The affine nil Hecke ring of the extended affine Weyl group, in the A_x normal form.
 
-Elements are finite sums  tau (x) f A_x  with tau central, x in the affine Weyl
-group and f an integer polynomial in the equivariant parameters; the key
-relations driving multiplication are
+Elements are finite sums  f A_x  with x in the extended affine Weyl group and f
+an integer polynomial in the equivariant parameters on the left. Writing
+x = h tau with tau central (length zero) and h in the affine Weyl group,
+A_x = A_h tau; the key relations driving multiplication are
 
 * A_i f = s_i(f) A_i + d_i(f), with d_i the divided difference (f - s_i f)/alpha_i,
   realized by the twisted Leibniz recursion so coefficients stay integral;
 * A_x A_y = A_{xy} when lengths add and 0 otherwise;
-* central elements rotate the affine Dynkin indices, conjugate the group part
-  and act on scalars through their finite Weyl part (delta maps to zero on S,
-  so translations act trivially there and the node-0 letters act through
-  s_theta with alpha_0 read as -theta).
+* tau f = tau(f) tau, with tau acting on scalars through its finite Weyl part
+  (delta maps to zero on S, so translations act trivially there and the
+  node-0 letters act through s_theta with alpha_0 read as -theta).
 
 Group elements embed through s_i = 1 - alpha_i A_i, extended over a reduced
-word of the hat part with the central part carried on the left.
+word of h with tau carried on the right.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 from .affine import (
     CentralElt,
@@ -29,20 +29,15 @@ from .affine import (
     aff_inv,
     aff_mul,
     affine_simple_ext,
-    central_inv,
-    central_mul,
-    hat_decompose,
     identity_aff,
     is_waff_minus,
     reduced_word_affine,
 )
 from .poly import SPoly, add_terms
 from .rootsys import RootSystem, Vec, dot
-from .weyl import WeylElt, identity, v_element
+from .weyl import WeylElt
 
 EXPANSION_CAP = 8
-
-NHKey = tuple[Optional[int], ExtAffElt]
 
 
 # -- scalar actions of the affine letters -------------------------------------
@@ -110,16 +105,11 @@ def weyl_act_poly(w: WeylElt, f: SPoly) -> SPoly:
     return f.subst(images)
 
 
-@lru_cache(maxsize=None)
-def _central_v(z: CentralElt) -> WeylElt:
-    return identity(z.rs) if z.node is None else v_element(z.rs, z.node)
-
-
 def central_act_poly(z: CentralElt, f: SPoly) -> SPoly:
     """Central elements act on S through their finite part (delta |-> 0)."""
     if z.node is None:
         return f
-    return weyl_act_poly(_central_v(z), f)
+    return weyl_act_poly(z.to_ext().w, f)
 
 
 # -- elements ------------------------------------------------------------------
@@ -127,10 +117,10 @@ def central_act_poly(z: CentralElt, f: SPoly) -> SPoly:
 
 @dataclass
 class NilHeckeElt:
-    """Finite map (central node, W_aff element) -> SPoly coefficient."""
+    """Finite map x -> f from the extended affine Weyl group to SPoly: sum f A_x."""
 
     rs: RootSystem
-    terms: dict[NHKey, SPoly] = field(default_factory=dict)
+    terms: dict[ExtAffElt, SPoly] = field(default_factory=dict)
 
     def __post_init__(self):
         self.terms = {k: v for k, v in self.terms.items() if v}
@@ -145,22 +135,28 @@ class NilHeckeElt:
     def __repr__(self) -> str:
         if not self.terms:
             return "NH(0)"
-        bits = []
-        for (c, x) in sorted(self.terms, key=lambda k: (k[0] or 0, aff_length(k[1]))):
-            f = self.terms[(c, x)]
-            tag = f"t{c}*" if c is not None else ""
-            bits.append(f"({f.to_text()})*{tag}A{list(reduced_word_affine(x))}")
+        bits = [f"({self.terms[x].to_text()})*A_{x!r}"
+                for x in sorted(self.terms, key=aff_length)]
         return "NH[" + " + ".join(bits) + "]"
 
 
 def nh_one(rs: RootSystem) -> NilHeckeElt:
-    return NilHeckeElt(rs, {(None, identity_aff(rs)): SPoly.one(rs.rank)})
+    return NilHeckeElt(rs, {identity_aff(rs): SPoly.one(rs.rank)})
 
 
 def nh_basis(x: ExtAffElt) -> NilHeckeElt:
-    """The basis operator A_x = tau (x) A_hat(x)."""
-    tau, hat = hat_decompose(x)
-    return NilHeckeElt(x.rs, {(tau.node, hat): SPoly.one(x.rs.rank)})
+    """The basis operator A_x."""
+    return NilHeckeElt(x.rs, {x: SPoly.one(x.rs.rank)})
+
+
+def _split(x: ExtAffElt) -> tuple[tuple[int, ...], CentralElt]:
+    """x = h tau with tau central: a reduced word of h = x tau^-1, and tau."""
+    tau = CentralElt(x.rs, x.rs.minuscule_class_node(x.lam))
+    h = x if tau.node is None else aff_mul(x, aff_inv(tau.to_ext()))
+    word = reduced_word_affine(h)
+    if len(word) > EXPANSION_CAP:
+        raise ValueError(f"nil Hecke expansion beyond length {EXPANSION_CAP}")
+    return word, tau
 
 
 def _aword_times_poly(rs: RootSystem, word: tuple[int, ...], g: SPoly,
@@ -183,15 +179,9 @@ def _aword_times_poly(rs: RootSystem, word: tuple[int, ...], g: SPoly,
     return add_terms(_aword_times_poly(rs, head, dd, length).items(), out)
 
 
-def _conj_by_central(z: CentralElt, x: ExtAffElt) -> ExtAffElt:
-    if z.node is None:
-        return x
-    ze = z.to_ext()
-    return aff_mul(aff_mul(aff_inv(ze), x), ze)
-
-
 def nh_mul(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
-    """Product in the smashed extension: (tau (x) u)(sigma (x) v) = tau sigma (x) sigma^-1(u) v."""
+    """(f A_h tau)(g A_y) = sum_z f c_z A_{z tau y} over A_h tau(g) = sum_z c_z A_z,
+    keeping a term when lengths add."""
     rs = a.rs
     if b.rs is not rs:
         raise ValueError("mixed root systems")
@@ -199,48 +189,40 @@ def nh_mul(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
     # lengths lives for this call only.
     length = cache(aff_length)
     pairs = []
-    for (c1, x1), f1 in a.terms.items():
-        tau1 = CentralElt(rs, c1)
-        for (c2, x2), f2 in b.terms.items():
-            tau2 = CentralElt(rs, c2)
-            central = central_mul(tau1, tau2).node
-            inv2 = central_inv(tau2)
-            g1 = central_act_poly(inv2, f1)
-            x1c = _conj_by_central(tau2, x1)
-            word = reduced_word_affine(x1c)
-            if len(word) > EXPANSION_CAP:
-                raise ValueError(f"nil Hecke expansion beyond length {EXPANSION_CAP}")
-            len2 = length(x2)
-            for z, c in _aword_times_poly(rs, word, f2, length).items():
-                z2 = aff_mul(z, x2)
-                if length(z2) != length(z) + len2:
-                    continue
-                pairs.append(((central, z2), g1 * c))
+    for x, f in a.terms.items():
+        word, tau = _split(x)
+        for y, g in b.terms.items():
+            if tau.node is not None:
+                # tau g A_y = tau(g) A_{tau y}, and tau y has the length of y
+                y, g = aff_mul(tau.to_ext(), y), central_act_poly(tau, g)
+            len_y = length(y)
+            for z, c in _aword_times_poly(rs, word, g, length).items():
+                zy = aff_mul(z, y)
+                if length(zy) == length(z) + len_y:
+                    pairs.append((zy, f * c))
     return NilHeckeElt(rs, add_terms(pairs))
 
 
 def embed_group(x: ExtAffElt) -> NilHeckeElt:
     """Multiplicative inclusion of the extended affine Weyl group, s_i = 1 - alpha_i A_i."""
     rs = x.rs
-    tau, hat = hat_decompose(x)
-    word = reduced_word_affine(hat)
-    if len(word) > EXPANSION_CAP:
-        raise ValueError(f"group embedding beyond length {EXPANSION_CAP}")
+    word, tau = _split(x)
     acc = nh_one(rs)
     for i in word:
         factor = NilHeckeElt(rs, {
-            (None, identity_aff(rs)): SPoly.one(rs.rank),
-            (None, affine_simple_ext(rs, i)): -scalar_root(rs, i),
+            identity_aff(rs): SPoly.one(rs.rank),
+            affine_simple_ext(rs, i): -scalar_root(rs, i),
         })
         acc = nh_mul(acc, factor)
     if tau.node is None:
         return acc
-    return NilHeckeElt(rs, {(tau.node, z): f for (_, z), f in acc.terms.items()})
+    tau_ext = tau.to_ext()
+    return NilHeckeElt(rs, {aff_mul(z, tau_ext): f for z, f in acc.terms.items()})
 
 
 def nh_mod_Jtilde(a: NilHeckeElt) -> NilHeckeElt:
     """Reduction modulo the annihilator of the fundamental class: keep minimal-coset keys."""
-    return NilHeckeElt(a.rs, {k: v for k, v in a.terms.items() if is_waff_minus(k[1])})
+    return NilHeckeElt(a.rs, {x: v for x, v in a.terms.items() if is_waff_minus(x)})
 
 
 # -- the homology module -------------------------------------------------------

@@ -87,7 +87,7 @@ def unit_class(p: ParabolicSet) -> QHClass:
 def sigma(p: ParabolicSet, w: WeylElt, q: Vec | None = None,
           coeff: SPoly | int = 1) -> QHClass:
     """The class of w, coset-reduced if needed, with optional exponent and coefficient."""
-    wp, _ = coset_reduce(w, p)
+    wp = coset_reduce(w, p)
     if q is None:
         q = (0,) * len(p.nodes)
     if isinstance(coeff, int):
@@ -129,7 +129,7 @@ def seidel_multiply(i: int, c: QHClass) -> QHClass:
     for (w, d), coeff in c.terms.items():
         diff = vsub(cw, w.inv_act_coweight(cw))  # in the coroot lattice
         e = vadd(d, eta_P(rs, diff, p))
-        w2, _ = coset_reduce(w_mul(vi, w), p)
+        w2 = coset_reduce(w_mul(vi, w), p)
         pairs.append(((w2, e), coeff))
     return QHClass(p, add_terms(pairs))
 
@@ -204,7 +204,7 @@ def _chevalley_terms(j: int, c: QHClass, equivariant: bool):
             w2 = w_mul(w, s_alpha)
             if w2.length == lw + 1 and is_minrep(w2, p):
                 yield (w2, d), coeff * mult
-            w2p, _ = coset_reduce(w2, p)
+            w2p = coset_reduce(w2, p)
             if w2p.length == lw + 1 - n_alpha:
                 yield (w2p, vadd(d, eta)), coeff * mult
         if equivariant:

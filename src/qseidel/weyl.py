@@ -362,15 +362,15 @@ def is_minrep(w: WeylElt, p: ParabolicSet) -> bool:
 
 
 @lru_cache(maxsize=None)
-def coset_reduce(w: WeylElt, p: ParabolicSet) -> tuple[WeylElt, WeylElt]:
-    """w = wP * u with wP minimal in w*W_P and u in W_P, lengths additive."""
-    rs = w.rs
+def coset_reduce(w: WeylElt, p: ParabolicSet) -> WeylElt:
+    """The minimal element wP of w*W_P; w = wP * u with u in W_P, lengths additive."""
     perm, letters = _peel(w, p.wp_nodes)
-    cur = _elt(rs, perm) if letters else w
-    u = from_word(rs, reversed(letters))
-    if cur.length + u.length != w.length:
+    if not letters:
+        return w
+    cur = _elt(w.rs, perm)
+    if cur.length + len(letters) != w.length:
         raise AssertionError("coset reduction lost length additivity")
-    return cur, u
+    return cur
 
 
 @lru_cache(maxsize=None)

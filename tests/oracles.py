@@ -293,11 +293,11 @@ def antidominant_coset_points(cartan, coroot_coords, quantum_nodes, radius):
 
 def minreps_by_reduction(weyl_all, reduce):
     """W^P by reducing every element of W: the distinct minimal factors
-    reduce(w)[0] of w = w^P u, in the order of weyl_all."""
+    reduce(w) = w^P of w = w^P u, in the order of weyl_all."""
     out = []
     seen = set()
     for w in weyl_all:
-        wp, _ = reduce(w)
+        wp = reduce(w)
         if wp not in seen:
             seen.add(wp)
             out.append(wp)

@@ -394,6 +394,14 @@ def test_verify_config_rejects_non_integers(key, value, tmp_path, capsys):
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ['["suite", "v-elements"]', '3', '"v-elements"', 'null'])
+def test_verify_config_rejects_a_non_object(text, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert cli.run(["verify", "--config", str(path)]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
 def test_verify_config_caps_expansion_at_the_engine_bound(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"suite": "nilhecke", "types": ["A1"], "expansion_cap": 9}')

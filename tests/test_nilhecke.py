@@ -44,7 +44,7 @@ def nh_zero(rs):
 
 
 def nh_scalar(rs, f):
-    return NilHeckeElt(rs, {(None, identity_aff(rs)): f})
+    return NilHeckeElt(rs, {identity_aff(rs): f})
 
 
 def nh_sub(a, b):
@@ -151,18 +151,26 @@ def test_braid_relation_a2():
 
 
 def test_basis_multiplication_matches_word_concatenation():
-    # A_x A_y = A_{xy} when lengths add, else 0
+    # A_x A_y = A_{xy} when lengths add, else 0, on the extended group: every
+    # short element also appears times each central element on either side
     rs = build_root_system("A2")
-    elems = _short_elements(rs, 3)
+    short = _short_elements(rs, 3)
+    taus = [z.to_ext() for z in central_elements(rs)]
+    elems = list({e: None for x in short for t in taus
+                  for e in (aff_mul(t, x), aff_mul(x, t))})
+    assert len(elems) > len(short)
     from qseidel.affine import aff_length
+    kept = 0
     for x in elems:
         for y in elems:
             prod = nh_mul(nh_basis(x), nh_basis(y))
             z = aff_mul(x, y)
             if aff_length(z) == aff_length(x) + aff_length(y):
                 assert prod == nh_basis(z)
+                kept += 1
             else:
                 assert prod == nh_zero(rs)
+    assert 0 < kept < len(elems) ** 2
 
 
 def test_central_twist_in_products():
@@ -181,9 +189,11 @@ def test_central_twist_in_products():
 
 
 def test_scalar_commutation_rule():
-    # A_i f = A_i(f) + s_i(f) A_i as operators
+    # A_i f = A_i(f) + s_i(f) A_i and tau f = tau(f) tau as operators
     rs = build_root_system("A2")
+    zs = central_elements(rs)
     rng = random.Random(67)
+    twisted = 0
     for _ in range(15):
         f = SPoly(2, {(rng.randint(0, 2), rng.randint(0, 2)):
                       rng.randint(-2, 2)})
@@ -193,6 +203,13 @@ def test_scalar_commutation_rule():
             rhs = nh_add(nh_scalar(rs, divdiff(rs, i, f)),
                          nh_mul(nh_scalar(rs, reflect_poly(rs, i, f)), ai))
             assert lhs == rhs
+        for z in zs:
+            tau = nh_basis(z.to_ext())
+            lhs = nh_mul(tau, nh_scalar(rs, f))
+            assert lhs == nh_mul(nh_scalar(rs, central_act_poly(z, f)), tau)
+            assert lhs == NilHeckeElt(rs, {z.to_ext(): central_act_poly(z, f)})
+            twisted += central_act_poly(z, f) != f
+    assert twisted > 0
 
 
 def test_central_act_poly_identity_for_trivial():
@@ -227,8 +244,7 @@ def test_module_action_matches_engine():
         y = rng.choice(minus)
         via_engine = nh_mod_Jtilde(nh_mul(nh_basis(x), nh_basis(y)))
         via_rule = act_on_xi(x, XiVector(rs, {y: SPoly.one(rs.rank)}))
-        engine_terms = {k[1]: v for k, v in via_engine.terms.items()}
-        assert engine_terms == via_rule.terms
+        assert via_engine.terms == via_rule.terms
         checked += 1
     assert checked == 40
 

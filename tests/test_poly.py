@@ -159,7 +159,7 @@ def test_add_terms_leaves_start_untouched():
     assert qa.terms == before
     s1 = affine_simple_ext(rs, 1)
     na = _nh_add(nh_one(rs), nh_basis(s1))
-    nb = NilHeckeElt(rs, {(None, s1): -SPoly.one(2)})
+    nb = NilHeckeElt(rs, {s1: -SPoly.one(2)})
     before = dict(na.terms)
     assert _nh_add(na, nb) == nh_one(rs)
     assert na.terms == before

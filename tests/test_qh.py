@@ -290,4 +290,4 @@ def test_seidel_vs_group_product():
             for w in enumerate_minreps(rs, p):
                 out = seidel_apply(z, sigma(p, w))
                 (key, coeff), = out.terms.items()
-                assert key[0] == coset_reduce(w_mul(vi, w), p)[0]
+                assert key[0] == coset_reduce(w_mul(vi, w), p)
