@@ -31,7 +31,7 @@ from .qh import (
     qh_to_json,
     seidel_multiply,
 )
-from .rootsys import build_root_system, strict_ints
+from .rootsys import build_root_system, strict_ints, strict_keys
 from .suites import SUITES, RunConfig, run_suites, seidel_table
 from .weyl import (
     enumerate_minreps,
@@ -51,6 +51,7 @@ def _print_json(payload: dict) -> int:
 
 
 def _parse_ext(rs, data: dict) -> ExtAffElt:
+    strict_keys(data, ("w", "lambda"), "element")
     w = from_word(rs, strict_ints(data["w"], "w"))
     lam = strict_ints(data["lambda"], "lambda")
     if len(lam) != rs.rank:

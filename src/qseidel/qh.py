@@ -32,7 +32,7 @@ from .affine import (
     peterson_decompose,
 )
 from .poly import SPoly, add_terms
-from .rootsys import RootSystem, Vec, dot, strict_ints, vadd, vsub
+from .rootsys import RootSystem, Vec, dot, strict_ints, strict_keys, vadd, vsub
 from .weyl import (
     ParabolicSet,
     WeylElt,
@@ -61,6 +61,16 @@ class QHClass:
             if len(d) != len(self.p.nodes):
                 raise ValueError("quantum exponent has wrong arity")
         self.terms = {k: v for k, v in self.terms.items() if v}
+
+    @classmethod
+    def _of(cls, p: ParabolicSet, terms: dict) -> "QHClass":
+        """Wrap `terms` as they are: a zero-free dict keyed by minimal
+        representatives with one exponent per quantum node, such as add_terms
+        returns over keys an operator produced. Nothing is checked."""
+        c = object.__new__(cls)
+        c.p = p
+        c.terms = terms
+        return c
 
     @property
     def rs(self) -> RootSystem:
@@ -117,21 +127,28 @@ def q_shift(a: QHClass, d: Vec) -> QHClass:
 # -- Seidel operators ----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _seidel_term(i: int, w: WeylElt, p: ParabolicSet) -> QKey:
+    """Where seidel_multiply(i, -) sends sigma(w): the Weyl part (v_i w)^P and
+    the q-shift eta_P(varpi_i_vee - w^-1(varpi_i_vee)). Memoised per (i, w, P),
+    so an operator is worked out once per element of W^P it reaches."""
+    rs = p.rs
+    cw = rs.fund_coweight(i)
+    diff = vsub(cw, w.inv_act_coweight(cw))  # in the coroot lattice
+    return coset_reduce(w_mul(v_element(rs, i), w), p), eta_P(rs, diff, p)
+
+
 def seidel_multiply(i: int, c: QHClass) -> QHClass:
     """Exact multiplication by the class of v_i for a minuscule node i."""
     p = c.p
     rs = p.rs
     if i not in rs.minuscule_nodes:
         raise ValueError(f"node {i} is not minuscule in {rs.name()}")
-    vi = v_element(rs, i)
-    cw = rs.fund_coweight(i)
     pairs = []
     for (w, d), coeff in c.terms.items():
-        diff = vsub(cw, w.inv_act_coweight(cw))  # in the coroot lattice
-        e = vadd(d, eta_P(rs, diff, p))
-        w2 = coset_reduce(w_mul(vi, w), p)
-        pairs.append(((w2, e), coeff))
-    return QHClass(p, add_terms(pairs))
+        w2, e = _seidel_term(i, w, p)
+        pairs.append(((w2, vadd(d, e)), coeff))
+    return QHClass._of(p, add_terms(pairs))
 
 
 def seidel_element(z: CentralElt, p: ParabolicSet) -> QHClass:
@@ -283,6 +300,7 @@ def qh_from_json(data: dict) -> QHClass:
     from .rootsys import build_root_system
     from .weyl import from_word, parabolic
 
+    strict_keys(data, ("type", "parabolic", "terms"), "class")
     if not isinstance(data["type"], str):
         raise ValueError(f"type must be a string, got {data['type']!r}")
     rs = build_root_system(data["type"])
@@ -292,6 +310,7 @@ def qh_from_json(data: dict) -> QHClass:
         raise ValueError("terms must be a list of objects")
     pairs = []
     for t in raw_terms:
+        strict_keys(t, ("w", "q", "coeff"), "term")
         w = from_word(rs, strict_ints(t["w"], "w"))
         if not is_minrep(w, p):
             raise ValueError("term Weyl part is not a minimal coset representative")

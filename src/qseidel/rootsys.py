@@ -75,6 +75,13 @@ def strict_ints(values, what: str) -> Vec:
     return tuple(strict_int(v, what) for v in values)
 
 
+def strict_keys(data: dict, allowed, what: str) -> None:
+    """ValueError for the first key of a JSON object outside `allowed`."""
+    for k in data:
+        if k not in allowed:
+            raise ValueError(f"unknown {what} key {k!r}")
+
+
 def is_positive_vec(u: Vec) -> bool:
     """Sign of a root vector: roots have all coordinates >= 0 or all <= 0."""
     return max(u, default=0) > 0

@@ -50,6 +50,7 @@ from .nilhecke import (
 from .poly import SPoly
 from .qh import (
     QHClass,
+    _seidel_term,
     chevalley_multiply,
     psi_P,
     q_shift,
@@ -72,6 +73,7 @@ from .rootsys import (
     is_positive_vec,
     strict_int,
     strict_ints,
+    strict_keys,
     vadd,
     vsub,
 )
@@ -126,6 +128,12 @@ class RunConfig:
     expansion_cap: int = EXPANSION_CAP
     seed: int = 0
 
+    def __post_init__(self):
+        # Only the suites that build a parabolic set would see a repeated
+        # node; the others would run as if the list were well formed.
+        if self.parabolic is not None and len(set(self.parabolic)) != len(self.parabolic):
+            raise ValueError(f"parabolic nodes must be distinct, got {list(self.parabolic)}")
+
     @staticmethod
     def from_json(data: dict) -> "RunConfig":
         if not isinstance(data, dict):
@@ -143,10 +151,9 @@ class RunConfig:
             "seed": int,
         }
         fields = {"format": "fmt"}
+        strict_keys(data, keys, "config")
         updates = {}
         for k, v in data.items():
-            if k not in keys:
-                raise ValueError(f"unknown config key {k!r}")
             conv = keys[k]
             updates[fields.get(k, k)] = strict_int(v, k) if conv is int else conv(v)
         # nh_mul and embed_group expand words only up to EXPANSION_CAP; below
@@ -213,11 +220,17 @@ def _antidominant_box(rank: int, radius: int):
 
 
 def seidel_table(p: ParabolicSet) -> list[tuple[CentralElt, WeylElt, QHClass]]:
+    """(z, w, seidel_apply(z, sigma(p, w))) for every central z and w in W^P,
+    each product read as one term off the memoised Seidel operator."""
     rs = p.rs
+    f = involution(rs)
+    zero = (0,) * len(p.nodes)
+    one = SPoly.one(rs.rank)
     rows = []
     for z in central_elements(rs):
         for w in enumerate_minreps(rs, p):
-            rows.append((z, w, seidel_apply(z, sigma(p, w))))
+            key = (w, zero) if z.is_identity() else _seidel_term(f[z.node - 1], w, p)
+            rows.append((z, w, QHClass._of(p, {key: one})))
     return rows
 
 

@@ -319,7 +319,8 @@ class ParabolicSet:
 
     def __post_init__(self):
         if list(self.nodes) != sorted(set(self.nodes)):
-            raise ValueError("parabolic nodes must be sorted and distinct")
+            raise ValueError(
+                f"parabolic nodes must be sorted and distinct, got {list(self.nodes)}")
         if any(not 1 <= i <= self.rs.rank for i in self.nodes):
             raise ValueError("parabolic node out of range")
         # The dataclass hash, taken once: parabolic sets key the element caches.
@@ -353,7 +354,9 @@ class ParabolicSet:
 
 
 def parabolic(rs: RootSystem, nodes) -> ParabolicSet:
-    return ParabolicSet(rs, tuple(sorted(set(nodes))))
+    """The parabolic set with quantum nodes `nodes`, in any order (a repeated
+    node is refused, not merged)."""
+    return ParabolicSet(rs, tuple(sorted(nodes)))
 
 
 def is_minrep(w: WeylElt, p: ParabolicSet) -> bool:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qseidel import affine, cli, weyl
+from qseidel import affine, cli, qh, weyl
 from qseidel.rootsys import build_root_system
 from qseidel.suites import SuiteResult
 
@@ -66,6 +66,34 @@ def test_seidel_table_json(capsys):
     assert last["z"] == 2
     assert last["product"]["terms"] == [
         {"w": [1], "q": [1], "coeff": {"0,0": 1}}]
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_repeated_seidel_table_reads_the_memo_and_prints_the_same_bytes(fmt, capsys):
+    argv = ["seidel-table", "D4", "--parabolic", "1"] + fmt
+    assert cli.run(argv) == 0
+    first = capsys.readouterr().out
+    before = qh._seidel_term.cache_info()
+    assert cli.run(argv) == 0
+    after = qh._seidel_term.cache_info()
+    assert capsys.readouterr().out == first
+    # |W^P| = 8 rows for each of the three central elements besides e
+    assert (after.hits - before.hits, after.misses - before.misses) == (24, 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["seidel-table", "A2", "--parabolic", "1", "1"],
+    ["weyl", "A2", "--parabolic", "2", "1", "2"],
+    ["affine", "pi-p", "A2", "--elt", '{"w": [], "lambda": [0, 0]}', "--parabolic", "1", "1"],
+    ["qprod", "seidel", "-i", "1", "--class", UNIT_P2.replace('"parabolic":[1]', '"parabolic":[1,1]')],
+    ["verify", "--suite", "commutation", "--types", "A2", "--parabolic", "1", "1"],
+    ["verify", "--suite", "v-elements", "--types", "A2", "--parabolic", "1", "1"],
+])
+def test_repeated_parabolic_nodes_are_a_usage_error(argv, capsys):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "distinct" in captured.err
 
 
 def test_weyl_counts(capsys):
@@ -357,6 +385,16 @@ def test_affine_rejects_non_integers(elt, capsys):
         assert "must be" in captured.err
 
 
+def test_affine_refuses_an_unknown_element_key(capsys):
+    for action in ("length", "pi-p", "decompose"):
+        argv = ["affine", action, "A2", "--elt", '{"w": [], "lambda": [0, 0], "x": 1}',
+                "--parabolic", "1"]
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown element key 'x'" in captured.err
+
+
 @pytest.mark.parametrize("field, value", [
     ("w", "[1.0]"), ("w", '"1"'), ("q", "[0.5]"), ("q", "[true]"),
     ("coeff", '{"0,0": 1.7}'), ("coeff", '{"0,0": true}'),
@@ -385,7 +423,7 @@ def test_qprod_q_needs_one_exponent_per_node(capsys):
     ("expansion_cap", False), ("parabolic", [1.0]), ("parabolic", "1"),
     ("types", "A2"), ("types", ["A2", 3]), ("format", "xml"),
     ("format", ["json"]), ("suite", "no-such-suite"), ("suite", ["all"]),
-    ("types", []), ("parabolic", []),
+    ("types", []), ("parabolic", []), ("parabolic", [1, 1]),
 ])
 def test_verify_config_rejects_non_integers(key, value, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -473,10 +511,15 @@ def test_verify_all_passes_when_one_suite_does_not_apply(capsys):
     '{"type": "A2", "parabolic": [1], "terms": [5]}',
     '{"type": "A2", "parabolic": [1], "terms": {"w": []}}',
     '{"type": "A2", "parabolic": [1], "terms": [{"w": [], "q": [0], "coeff": [1]}]}',
+    '{"type": "A2", "parabolic": [1], "terms": [{"w": [1], "q": [0]}], "extra": 1}',
+    '{"type": "A2", "parabolic": [1], "terms": [{"w": [1], "q": [0], "x": 1}]}',
+    '{"type": "A2", "parabolic": [1], "terms": [{"w": [1, 2], "q": [0]}]}',
 ])
 def test_qprod_malformed_class_is_usage_error(cls, capsys):
     assert cli.run(["qprod", "seidel", "-i", "1", "--class", cls]) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_elt_file_must_hold_an_object(tmp_path, capsys):

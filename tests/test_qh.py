@@ -12,6 +12,7 @@ from qseidel.affine import (
 from qseidel.poly import SPoly
 from qseidel.qh import (
     QHClass,
+    _seidel_term,
     chevalley_multiply,
     psi_P,
     q_shift,
@@ -28,8 +29,9 @@ from qseidel.qh import (
     sigma,
     unit_class,
 )
-from qseidel.rootsys import CATALOG, build_root_system
+from qseidel.rootsys import CATALOG, build_root_system, vsub
 from qseidel.weyl import (
+    coset_reduce,
     enumerate_minreps,
     from_word,
     involution,
@@ -45,6 +47,26 @@ from oracles import brute_orbit_size
 def _p2():
     rs = build_root_system("A2")
     return rs, parabolic(rs, (1,))
+
+
+def _catalog_parabolics():
+    """Every parabolic set I_P of every catalog type."""
+    for name in CATALOG:
+        rs = build_root_system(name)
+        nodes = range(1, rs.rank + 1)
+        for r in nodes:
+            for sub in itertools.combinations(nodes, r):
+                yield parabolic(rs, sub)
+
+
+def _eta_by_fractions(i, w, p):
+    """eta_P(varpi_i_vee - w^-1(varpi_i_vee)) through the rational coordinate
+    view and w^-1 built as an element, neither of which the operator uses."""
+    rs = p.rs
+    cw = rs.fund_coweight(i)
+    coords = rs.coweight_to_coroot(vsub(cw, w_inv(w).act_coweight(cw)))
+    assert all(c.denominator == 1 for c in coords)
+    return tuple(int(coords[j - 1]) for j in p.nodes)
 
 
 def test_unit_and_sigma():
@@ -98,6 +120,8 @@ def test_seidel_elements_p2():
 
 
 def test_seidel_multiply_validates_node():
+    # a node that is not minuscule is refused before the memo is consulted
+    before = _seidel_term.cache_info()
     rs, p = _p2()
     with pytest.raises(ValueError):
         seidel_multiply(3, unit_class(p))
@@ -106,6 +130,61 @@ def test_seidel_multiply_validates_node():
     with pytest.raises(ValueError):
         # node 2 of B3 is not minuscule
         seidel_multiply(2, unit_class(pb))
+    for name in ("G2", "F4"):  # no minuscule node at all
+        rs = build_root_system(name)
+        assert rs.minuscule_nodes == ()
+        c = unit_class(parabolic(rs, (1,)))
+        for i in range(1, rs.rank + 1):
+            with pytest.raises(ValueError):
+                seidel_multiply(i, c)
+    assert _seidel_term.cache_info() == before
+
+
+def test_seidel_term_memo_matches_its_formula():
+    # the memo hands back what the unwrapped formula computes, for every
+    # minuscule node and every w in W^P; over the catalog eta also matches
+    # the rational coordinate view
+    checked = 0
+    for p in _catalog_parabolics():
+        for i in p.rs.minuscule_nodes:
+            for w in enumerate_minreps(p.rs, p):
+                term = _seidel_term(i, w, p)
+                assert term == _seidel_term.__wrapped__(i, w, p)
+                assert term[1] == _eta_by_fractions(i, w, p)
+                checked += 1
+    assert checked > 0
+    for name, nodes, size in (("E6", (1, 2, 6), 2160), ("E7", (7,), 56)):
+        rs = build_root_system(name)
+        p = parabolic(rs, nodes)
+        reps = enumerate_minreps(rs, p)
+        assert len(reps) == size
+        for i in rs.minuscule_nodes:
+            for w in reps:
+                assert _seidel_term(i, w, p) == _seidel_term.__wrapped__(i, w, p)
+
+
+def test_seidel_multiply_results_share_no_terms():
+    # a caller that edits one result leaves the next identical call untouched
+    rs, p = _p2()
+    c = qh_add(sigma(p, from_word(rs, (1,))), q_shift(unit_class(p), (2,)))
+    first = seidel_multiply(1, c)
+    want = dict(first.terms)
+    first.terms.clear()
+    first.terms[(from_word(rs, (1,)), (7,))] = SPoly.one(rs.rank)
+    again = seidel_multiply(1, c)
+    assert again.terms == want
+    assert again.terms is not first.terms
+
+
+def test_public_constructors_still_check_minimal_representatives():
+    rs, p = _p2()
+    w = from_word(rs, (1, 2))  # s_2 lies in W_P, so w is not minimal
+    with pytest.raises(ValueError):
+        QHClass(p, {(w, (0,)): SPoly.one(rs.rank)})
+    with pytest.raises(ValueError):
+        qh_from_json({"type": "A2", "parabolic": [1],
+                      "terms": [{"w": [1, 2], "q": [0]}]})
+    assert sigma(p, w) == sigma(p, from_word(rs, (1,)))
 
 
 def test_seidel_orbits_small():
@@ -269,6 +348,16 @@ def test_json_round_trip():
     assert qh_from_json(data) == c
 
 
+@pytest.mark.parametrize("data", [
+    {"type": "A2", "parabolic": [1], "terms": [], "extra": 1},
+    {"type": "A2", "parabolic": [1], "terms": [{"w": [1], "q": [0], "x": 1}]},
+    {"type": "A2", "parabolic": [1, 1], "terms": []},
+])
+def test_json_refuses_unknown_keys_and_repeated_nodes(data):
+    with pytest.raises(ValueError):
+        qh_from_json(data)
+
+
 def test_text_rendering():
     rs, p = _p2()
     assert qh_text(unit_class(p)) == "1"
@@ -278,16 +367,19 @@ def test_text_rendering():
 
 
 def test_seidel_vs_group_product():
-    # the Weyl part of S_z sigma(w) is the reduced v_{f(node)} w
-    for name in ("A2", "A3"):
-        rs = build_root_system(name)
-        p = parabolic(rs, tuple(range(1, rs.rank + 1)))
-        from qseidel.weyl import coset_reduce
+    # S_z sigma(w) = q^eta sigma((v_i w)^P), i = f(node): the Weyl part is the
+    # reduced group product and eta the quantum-node coroot coordinates of
+    # varpi_i_vee - w^-1(varpi_i_vee), over every I_P of the catalog
+    for p in _catalog_parabolics():
+        rs = p.rs
         for z in central_elements(rs):
             if z.node is None:
                 continue
-            vi = v_element(rs, involution(rs)[z.node - 1])
+            i = involution(rs)[z.node - 1]
+            vi = v_element(rs, i)
             for w in enumerate_minreps(rs, p):
                 out = seidel_apply(z, sigma(p, w))
-                (key, coeff), = out.terms.items()
-                assert key[0] == coset_reduce(w_mul(vi, w), p)
+                ((w2, d), coeff), = out.terms.items()
+                assert w2 == coset_reduce(w_mul(vi, w), p)
+                assert d == _eta_by_fractions(i, w, p)
+                assert coeff == SPoly.one(rs.rank)

@@ -2,7 +2,8 @@ import pytest
 
 from qseidel import suites
 from qseidel.affine import ExtAffElt, central_elements
-from qseidel.rootsys import build_root_system
+from qseidel.qh import seidel_apply, sigma
+from qseidel.rootsys import CATALOG, build_root_system
 from qseidel.suites import (
     SUITES,
     RunConfig,
@@ -58,6 +59,33 @@ def test_seidel_table_shape():
         enumerate_minreps(rs, p))
     full = parabolic(rs, (1, 2))
     assert len(seidel_table(full)) == 3 * 6
+
+
+def test_seidel_table_matches_the_operator_on_every_catalog_parabolic():
+    for name in CATALOG:
+        rs = build_root_system(name)
+        for p in suites._scoped_parabolics(rs, RunConfig()):  # every I_P
+            assert seidel_table(p) == [
+                (z, w, seidel_apply(z, sigma(p, w)))
+                for z in central_elements(rs) for w in enumerate_minreps(rs, p)]
+
+
+def test_seidel_table_rows_share_no_terms():
+    rs = build_root_system("A2")
+    p = parabolic(rs, (1,))
+    first = seidel_table(p)
+    want = [dict(prod.terms) for _, _, prod in first]
+    for _, _, prod in first:
+        prod.terms.clear()
+    assert [prod.terms for _, _, prod in seidel_table(p)] == want
+
+
+def test_runconfig_refuses_repeated_parabolic_nodes():
+    with pytest.raises(ValueError, match="distinct"):
+        RunConfig(parabolic=(1, 1))
+    with pytest.raises(ValueError, match="distinct"):
+        RunConfig.from_json({"parabolic": [2, 1, 2]})
+    assert RunConfig(parabolic=(2, 1)).parabolic == (2, 1)
 
 
 def test_single_suite_scoping():

@@ -299,3 +299,5 @@ def test_equal_elements_hash_equal_however_they_are_built(name):
         assert len({*built, ab}) == 1
     p, q = parabolic(rs, (2, 1)), ParabolicSet(rs, (1, 2))
     assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    with pytest.raises(ValueError, match="distinct"):
+        parabolic(rs, (1, 2, 1))
