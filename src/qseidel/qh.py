@@ -84,6 +84,8 @@ class QHClass:
         return not self.terms
 
     def sorted_keys(self) -> list[QKey]:
+        if len(self.terms) < 2:
+            return list(self.terms)
         return sorted(self.terms, key=lambda k: (k[1], reduced_word(k[0])))
 
     def __repr__(self) -> str:
@@ -200,33 +202,49 @@ def _chevalley_data(p: ParabolicSet):
     return tuple(data)
 
 
+@lru_cache(maxsize=None)
+def _chevalley_row(j: int, w: WeylElt, p: ParabolicSet):
+    """The terms (w', q-shift, multiplicity) of D_j sigma(w), non-equivariant:
+    w s_alpha with a zero shift when it lies in W^P one step up, and
+    (w s_alpha)^P with shift eta_P(alpha_vee) when its length drops by
+    n_alpha - 1. Memoised per (j, w, P), so an operator is worked out once per
+    element of W^P it reaches. The Weyl part is the object coset_reduce
+    returns in both branches, shared with its cache."""
+    zero = (0,) * len(p.nodes)
+    lw = w.length
+    row = []
+    for s_alpha, cv, n_alpha, eta in _chevalley_data(p):
+        mult = cv[j - 1]  # <w_j, alpha_vee>
+        if not mult:
+            continue
+        w2 = w_mul(w, s_alpha)
+        w2p = coset_reduce(w2, p)
+        if w2.length == lw + 1 and is_minrep(w2, p):
+            row.append((w2p, zero, mult))
+        if w2p.length == lw + 1 - n_alpha:
+            row.append((w2p, eta, mult))
+    return tuple(row)
+
+
 def chevalley_multiply(j: int, c: QHClass, equivariant: bool = False) -> QHClass:
     """Multiplication by sigma(s_j) for a quantum node j, by the two-part root sum."""
     p = c.p
     if j not in p.nodes:
         raise ValueError(f"node {j} is not a quantum node of {p!r}")
-    return QHClass(p, add_terms(_chevalley_terms(j, c, equivariant)))
+    return QHClass._of(p, add_terms(_chevalley_terms(j, c, equivariant)))
 
 
 def _chevalley_terms(j: int, c: QHClass, equivariant: bool):
     """The (key, coefficient) terms of chevalley_multiply, repeats not yet summed."""
     p = c.p
-    rs = p.rs
+    if equivariant:
+        wj = tuple(int(t == j - 1) for t in range(p.rs.rank))
+        wj_poly = SPoly.weight(wj)
     for (w, d), coeff in c.terms.items():
-        lw = w.length
-        for s_alpha, cv, n_alpha, eta in _chevalley_data(p):
-            mult = cv[j - 1]  # <w_j, alpha_vee>
-            if not mult:
-                continue
-            w2 = w_mul(w, s_alpha)
-            if w2.length == lw + 1 and is_minrep(w2, p):
-                yield (w2, d), coeff * mult
-            w2p = coset_reduce(w2, p)
-            if w2p.length == lw + 1 - n_alpha:
-                yield (w2p, vadd(d, eta)), coeff * mult
+        for w2, e, m in _chevalley_row(j, w, p):
+            yield (w2, vadd(d, e)), coeff * m
         if equivariant:
-            wj = tuple(int(t == j - 1) for t in range(rs.rank))
-            diag = SPoly.weight(wj) - SPoly.weight(w.act_weight(wj))
+            diag = wj_poly - SPoly.weight(w.act_weight(wj))
             if diag:
                 yield (w, d), coeff * diag
 
@@ -249,7 +267,7 @@ def psi_P(y: ExtAffElt, mu: Vec, p: ParabolicSet) -> QHClass:
         raise ValueError("psi_P needs y in W_aff^- intersect (W^P)_aff")
     w, nu = peterson_decompose(y, p)
     d = eta_P(rs, vsub(nu, tuple(mu)), p)
-    return QHClass(p, {(w, d): SPoly.one(rs.rank)})
+    return QHClass._of(p, {(w, d): SPoly.one(rs.rank)})
 
 
 # -- rendering -----------------------------------------------------------------
@@ -268,11 +286,12 @@ def q_text(p: ParabolicSet, d: Vec) -> str:
 def qh_text(c: QHClass) -> str:
     if not c.terms:
         return "0"
+    one = {(0,) * c.rs.rank: 1}
     bits = []
     for w, d in c.sorted_keys():
         coeff = c.terms[(w, d)]
         parts = []
-        if coeff != SPoly.one(c.rs.rank):
+        if coeff.terms != one:
             t = coeff.to_text()
             parts.append(f"({t})" if (len(coeff.terms) > 1 or coeff.degree() > 0) else t)
         qt = q_text(c.p, d)

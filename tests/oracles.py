@@ -346,3 +346,60 @@ def affine_word_by_root_action(cartan, theta, theta_coweight, word, lam):
     if cols != eye or any(lam):
         raise RuntimeError("descent peeling stopped off the identity")
     return tuple(reversed(letters))
+
+
+# -- the quantum Chevalley formula, root by root -------------------------------
+
+
+def chevalley_by_roots(j, c, equivariant=False):
+    """Terms of D_j c by the Fulton-Woodward sum, recomputed per input term.
+
+    For each term (w, d) and each positive root alpha outside the parabolic
+    with m = <varpi_j, alpha_vee> nonzero: m sigma(w s_alpha) q^d when
+    w s_alpha lies in W^P one step above w, and m sigma((w s_alpha)^P)
+    q^{d + eta_P(alpha_vee)} when (w s_alpha)^P is n_alpha - 1 steps below it,
+    n_alpha = <2 rho - 2 rho_P, alpha_vee>, the sum of the positive roots outside
+    the parabolic paired with alpha_vee. The equivariant operator adds
+    (varpi_j - w(varpi_j)) sigma(w) q^d. Uses the Weyl group's element
+    arithmetic and reflections, but no operator table or memo of the package:
+    the per-root data is rebuilt on every call and coset reductions bypass
+    their cache.
+    """
+    from qseidel.poly import SPoly
+    from qseidel.weyl import coset_reduce, is_minrep, reflection, w_mul
+
+    p = c.p
+    rs = p.rs
+    inside = set(p.rp_pos)
+    outside = [a for a in rs.pos_roots if a not in inside]
+    wj = tuple(int(t == j - 1) for t in range(rs.rank))
+    out = {}
+
+    def put(key, v):
+        prev = out.pop(key, None)
+        if prev is not None:
+            v = prev + v
+        if v:
+            out[key] = v
+
+    rho_out = tuple(map(sum, zip(*outside)))  # 2 rho - 2 rho_P, root coordinates
+    roots = []  # (s_alpha, m, n_alpha, eta_P(alpha_vee)) with m nonzero
+    for alpha in outside:
+        cv = rs.coroot_of(alpha)
+        if cv[j - 1]:
+            roots.append((reflection(rs, alpha), cv[j - 1],
+                          _dot(rs.coroot_to_coweight(cv), rho_out),
+                          tuple(cv[i - 1] for i in p.nodes)))
+    for (w, d), coeff in c.terms.items():
+        for s_alpha, mult, n_alpha, eta in roots:
+            w2 = w_mul(w, s_alpha)
+            if w2.length == w.length + 1 and is_minrep(w2, p):
+                put((w2, d), coeff * mult)
+            w2p = coset_reduce.__wrapped__(w2, p)
+            if w2p.length == w.length + 1 - n_alpha:
+                put((w2p, tuple(a + b for a, b in zip(d, eta))), coeff * mult)
+        if equivariant:
+            diag = SPoly.weight(wj) - SPoly.weight(w.act_weight(wj))
+            if diag:
+                put((w, d), coeff * diag)
+    return out

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -157,6 +158,22 @@ def test_qprod_chevalley(capsys):
     cls = UNIT_P2.replace('"w":[]', '"w":[1]')
     assert cli.run(["qprod", "chevalley", "-j", "1", "--class", cls]) == 0
     assert capsys.readouterr().out == "s[2.1]\n"
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_repeated_qprod_chevalley_reads_the_memo_and_prints_the_same_bytes(fmt, capsys):
+    cls = json.dumps({"type": "B3", "parabolic": [1, 3], "terms": [
+        {"w": [1], "q": [0, 1], "coeff": {"1,0,0": 2}},
+        {"w": [3, 2, 1], "q": [0, 0]}]})
+    argv = ["qprod", "chevalley", "-j", "3", "--equivariant", "--class", cls] + fmt
+    assert cli.run(argv) == 0
+    first = capsys.readouterr().out
+    before = qh._chevalley_row.cache_info()
+    assert cli.run(argv) == 0
+    after = qh._chevalley_row.cache_info()
+    assert capsys.readouterr().out == first
+    # one row per input term, each already in the memo
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
 
 
 def test_qprod_wrong_flag_is_usage_error(capsys):
@@ -360,10 +377,15 @@ def test_no_floats_in_output(capsys):
 
 
 def test_module_entry_point():
+    # pytest's pythonpath setting reaches this process only, so the child is
+    # pointed at the checkout's src/ through PYTHONPATH
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "qseidel.cli", "roots", "A1", "--format",
          "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["type"] == "A1"
 

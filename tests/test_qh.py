@@ -12,6 +12,7 @@ from qseidel.affine import (
 from qseidel.poly import SPoly
 from qseidel.qh import (
     QHClass,
+    _chevalley_row,
     _seidel_term,
     chevalley_multiply,
     psi_P,
@@ -41,7 +42,7 @@ from qseidel.weyl import (
     w_mul,
 )
 
-from oracles import brute_orbit_size
+from oracles import brute_orbit_size, chevalley_by_roots
 
 
 def _p2():
@@ -292,6 +293,61 @@ def test_chevalley_equivariant_diagonal():
     assert diff == expect
 
 
+def _chevalley_inputs(p):
+    """sigma(w) for each w in W^P, then one class mixing a nonzero q-shift, a
+    non-constant coefficient and a repeated Weyl part."""
+    rs = p.rs
+    reps = enumerate_minreps(rs, p)
+    for w in reps:
+        yield sigma(p, w)
+    shift = tuple(range(1, len(p.nodes) + 1))
+    poly = SPoly.weight(range(1, rs.rank + 1)) + SPoly.const(rs.rank, -2)
+    yield qh_add(qh_add(sigma(p, reps[-1], q=shift, coeff=poly),
+                        sigma(p, reps[len(reps) // 2], coeff=3)),
+                 sigma(p, reps[-1], coeff=poly * poly))
+
+
+def test_chevalley_multiply_matches_the_root_loop():
+    # the memoised rows give what the per-root sum gives, for every catalog
+    # I_P, every quantum node j and every w in W^P, plain and equivariant
+    checked = 0
+    for p in _catalog_parabolics():
+        for j in p.nodes:
+            for c in _chevalley_inputs(p):
+                for eq in (False, True):
+                    assert chevalley_multiply(j, c, eq).terms \
+                        == chevalley_by_roots(j, c, eq)
+                    checked += 1
+            for w in enumerate_minreps(p.rs, p):
+                assert _chevalley_row(j, w, p) == _chevalley_row.__wrapped__(j, w, p)
+    assert checked > 0
+
+
+def test_chevalley_multiply_results_share_no_terms():
+    # a caller that edits one result leaves the next identical call untouched
+    rs, p = _p2()
+    c = qh_add(sigma(p, from_word(rs, (1,))), q_shift(unit_class(p), (2,)))
+    for eq in (False, True):
+        first = chevalley_multiply(1, c, eq)
+        want = dict(first.terms)
+        first.terms.clear()
+        first.terms[(from_word(rs, (1,)), (7,))] = SPoly.one(rs.rank)
+        again = chevalley_multiply(1, c, eq)
+        assert again.terms == want
+        assert again.terms is not first.terms
+
+
+def test_chevalley_multiply_validates_node():
+    # a node that is not quantum is refused before the memo is consulted
+    before = _chevalley_row.cache_info()
+    rs, p = _p2()
+    for j in (0, 2, 3):
+        for eq in (False, True):
+            with pytest.raises(ValueError):
+                chevalley_multiply(j, sigma(p, from_word(rs, (1,))), eq)
+    assert _chevalley_row.cache_info() == before
+
+
 def test_psi_frozen_a1():
     rs = build_root_system("A1")
     b1 = parabolic(rs, (1,))
@@ -364,6 +420,10 @@ def test_text_rendering():
     h = sigma(p, from_word(rs, (1,)))
     assert qh_text(q_shift(h, (1,))) == "q1*s[1]"
     assert qh_text(qh_scale(h, 2)) == "2*s[1]"
+    assert qh_text(qh_scale(h, -1)) == "-1*s[1]"
+    assert qh_text(qh_add(q_shift(unit_class(p), (1,)), h)) == "s[1] + q1*1"
+    assert qh_text(qh_scale(h, SPoly.weight((1, 0)))) == "(w1)*s[1]"
+    assert qh_text(qh_scale(h, SPoly.weight((1, -1)) + 1)) == "(1 - w2 + w1)*s[1]"
 
 
 def test_seidel_vs_group_product():
