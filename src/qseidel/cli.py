@@ -167,6 +167,8 @@ def _cmd_affine(args) -> int:
 
 
 def _cmd_qprod(args) -> int:
+    if args.action == "seidel" and args.equivariant:
+        raise ValueError("qprod seidel has no equivariant form")
     c = qh_from_json(_load_json_arg(args.cls))
     if args.action == "chevalley":
         out = chevalley_multiply(args.node, c, equivariant=args.equivariant)

@@ -7,20 +7,21 @@ A_x = A_h tau; the key relations driving multiplication are
 
 * A_i f = s_i(f) A_i + d_i(f), with d_i the divided difference (f - s_i f)/alpha_i,
   realized by the twisted Leibniz recursion so coefficients stay integral;
-* A_x A_y = A_{xy} when lengths add and 0 otherwise;
+* A_i A_y = A_{s_i y} when the length goes up and 0 otherwise;
 * tau f = tau(f) tau, with tau acting on scalars through its finite Weyl part
   (delta maps to zero on S, so translations act trivially there and the
   node-0 letters act through s_theta with alpha_0 read as -theta).
 
-Group elements embed through s_i = 1 - alpha_i A_i, extended over a reduced
-word of h with tau carried on the right.
+Every product is built one letter at a time: f A_h tau times an element
+twists the element by tau and then applies A_i for each letter of a reduced
+word of h, right to left. Group elements embed through s_i = 1 - alpha_i A_i,
+applied the same way to tau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
-from typing import Callable
+from functools import lru_cache
 
 from .affine import (
     CentralElt,
@@ -63,15 +64,28 @@ def _coroot_pairings(rs: RootSystem, i: int) -> Vec:
 
 
 @lru_cache(maxsize=None)
-def _reflect_images(rs: RootSystem, i: int) -> tuple[SPoly, ...]:
-    pair = _coroot_pairings(rs, i)
-    root = scalar_root(rs, i)
-    return tuple(SPoly.var(rs.rank, k + 1) - root * pair[k] for k in range(rs.rank))
+def _weight_images(w: WeylElt) -> tuple[SPoly, ...]:
+    """w(varpi_k) for k = 1..n as linear polynomials."""
+    n = w.rs.rank
+    return tuple(SPoly.weight(w.act_weight(tuple(int(t == k) for t in range(n))))
+                 for k in range(n))
+
+
+def weyl_act_poly(w: WeylElt, f: SPoly) -> SPoly:
+    """A finite Weyl element acting on S by its weight-lattice matrix."""
+    return f.subst(list(_weight_images(w)))
 
 
 def reflect_poly(rs: RootSystem, i: int, f: SPoly) -> SPoly:
-    """s_i acting on S, i in 0..n."""
-    return f.subst(list(_reflect_images(rs, i)))
+    """s_i acting on S, i in 0..n (s_0 acts as s_theta)."""
+    return weyl_act_poly(affine_simple_ext(rs, i).w, f)
+
+
+def central_act_poly(z: CentralElt, f: SPoly) -> SPoly:
+    """Central elements act on S through their finite part (delta |-> 0)."""
+    if z.node is None:
+        return f
+    return weyl_act_poly(z.to_ext().w, f)
 
 
 def divdiff(rs: RootSystem, i: int, f: SPoly) -> SPoly:
@@ -81,7 +95,7 @@ def divdiff(rs: RootSystem, i: int, f: SPoly) -> SPoly:
     assembled without any polynomial division and integrality is structural.
     """
     pair = _coroot_pairings(rs, i)
-    images = _reflect_images(rs, i)
+    images = _weight_images(affine_simple_ext(rs, i).w)
     n = rs.rank
 
     def rec(expts: tuple[int, ...]) -> SPoly:
@@ -95,21 +109,6 @@ def divdiff(rs: RootSystem, i: int, f: SPoly) -> SPoly:
 
     return SPoly(n, add_terms(term for expts, c in f.terms.items()
                               for term in (rec(expts) * c).terms.items()))
-
-
-def weyl_act_poly(w: WeylElt, f: SPoly) -> SPoly:
-    """A finite Weyl element acting on S by its weight-lattice matrix."""
-    n = w.rs.rank
-    images = [SPoly.weight(w.act_weight(tuple(int(t == k) for t in range(n))))
-              for k in range(n)]
-    return f.subst(images)
-
-
-def central_act_poly(z: CentralElt, f: SPoly) -> SPoly:
-    """Central elements act on S through their finite part (delta |-> 0)."""
-    if z.node is None:
-        return f
-    return weyl_act_poly(z.to_ext().w, f)
 
 
 # -- elements ------------------------------------------------------------------
@@ -159,47 +158,35 @@ def _split(x: ExtAffElt) -> tuple[tuple[int, ...], CentralElt]:
     return word, tau
 
 
-def _aword_times_poly(rs: RootSystem, word: tuple[int, ...], g: SPoly,
-                      length: Callable[[ExtAffElt], int]) -> dict[ExtAffElt, SPoly]:
-    """A_{word} * g in normal form: map from W_aff elements to left coefficients."""
-    if not g:
-        return {}
-    if not word:
-        return {identity_aff(rs): g}
-    head, last = word[:-1], word[-1]
-    out: dict[ExtAffElt, SPoly] = {}
-    s_last = affine_simple_ext(rs, last)
-    for z, c in _aword_times_poly(rs, head, reflect_poly(rs, last, g), length).items():
-        z2 = aff_mul(z, s_last)
-        if length(z2) == length(z) + 1:
-            out[z2] = c  # z -> z*s_last is injective, so no key repeats
-    dd = divdiff(rs, last, g)
-    if not dd:
-        return out
-    return add_terms(_aword_times_poly(rs, head, dd, length).items(), out)
+def _letter_times(rs: RootSystem, i: int,
+                  terms: dict[ExtAffElt, SPoly]) -> dict[ExtAffElt, SPoly]:
+    """A_i * sum g A_y = sum s_i(g) A_{s_i y} (where the length goes up) + d_i(g) A_y."""
+    s_i = affine_simple_ext(rs, i)
+    pairs = []
+    for y, g in terms.items():
+        z = aff_mul(s_i, y)
+        if aff_length(z) > aff_length(y):
+            pairs.append((z, reflect_poly(rs, i, g)))
+        pairs.append((y, divdiff(rs, i, g)))
+    return add_terms(pairs)
 
 
 def nh_mul(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
-    """(f A_h tau)(g A_y) = sum_z f c_z A_{z tau y} over A_h tau(g) = sum_z c_z A_z,
-    keeping a term when lengths add."""
+    """(f A_h tau) b = f A_h (tau b): twist b by tau, then apply the letters of h."""
     rs = a.rs
     if b.rs is not rs:
         raise ValueError("mixed root systems")
-    # One product meets the same few elements many times; this memo of their
-    # lengths lives for this call only.
-    length = cache(aff_length)
     pairs = []
     for x, f in a.terms.items():
         word, tau = _split(x)
-        for y, g in b.terms.items():
-            if tau.node is not None:
-                # tau g A_y = tau(g) A_{tau y}, and tau y has the length of y
-                y, g = aff_mul(tau.to_ext(), y), central_act_poly(tau, g)
-            len_y = length(y)
-            for z, c in _aword_times_poly(rs, word, g, length).items():
-                zy = aff_mul(z, y)
-                if length(zy) == length(z) + len_y:
-                    pairs.append((zy, f * c))
+        terms = b.terms
+        if tau.node is not None:
+            # tau g A_y = tau(g) A_{tau y}, and y -> tau y is injective
+            t = tau.to_ext()
+            terms = {aff_mul(t, y): central_act_poly(tau, g) for y, g in terms.items()}
+        for i in reversed(word):
+            terms = _letter_times(rs, i, terms)
+        pairs.extend((z, f * c) for z, c in terms.items())
     return NilHeckeElt(rs, add_terms(pairs))
 
 
@@ -207,17 +194,12 @@ def embed_group(x: ExtAffElt) -> NilHeckeElt:
     """Multiplicative inclusion of the extended affine Weyl group, s_i = 1 - alpha_i A_i."""
     rs = x.rs
     word, tau = _split(x)
-    acc = nh_one(rs)
-    for i in word:
-        factor = NilHeckeElt(rs, {
-            identity_aff(rs): SPoly.one(rs.rank),
-            affine_simple_ext(rs, i): -scalar_root(rs, i),
-        })
-        acc = nh_mul(acc, factor)
-    if tau.node is None:
-        return acc
-    tau_ext = tau.to_ext()
-    return NilHeckeElt(rs, {aff_mul(z, tau_ext): f for z, f in acc.terms.items()})
+    terms = {tau.to_ext(): SPoly.one(rs.rank)}
+    for i in reversed(word):
+        minus_root = -scalar_root(rs, i)
+        terms = add_terms(((y, minus_root * g) for y, g in
+                           _letter_times(rs, i, terms).items()), terms)
+    return NilHeckeElt(rs, terms)
 
 
 def nh_mod_Jtilde(a: NilHeckeElt) -> NilHeckeElt:

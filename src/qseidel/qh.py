@@ -242,7 +242,9 @@ def _chevalley_terms(j: int, c: QHClass, equivariant: bool):
         wj_poly = SPoly.weight(wj)
     for (w, d), coeff in c.terms.items():
         for w2, e, m in _chevalley_row(j, w, p):
-            yield (w2, vadd(d, e)), coeff * m
+            # results share coefficients, as in seidel_multiply: nothing
+            # changes an SPoly in place
+            yield (w2, vadd(d, e)), coeff if m == 1 else coeff * m
         if equivariant:
             diag = wj_poly - SPoly.weight(w.act_weight(wj))
             if diag:

@@ -133,6 +133,11 @@ class RunConfig:
         # node; the others would run as if the list were well formed.
         if self.parabolic is not None and len(set(self.parabolic)) != len(self.parabolic):
             raise ValueError(f"parabolic nodes must be distinct, got {list(self.parabolic)}")
+        # Either would run an empty scope and report "made no checks".
+        if self.radius < 0:
+            raise ValueError(f"radius must be non-negative, got {self.radius}")
+        if self.max_rank < 1:
+            raise ValueError(f"max_rank must be at least 1, got {self.max_rank}")
 
     @staticmethod
     def from_json(data: dict) -> "RunConfig":

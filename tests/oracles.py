@@ -403,3 +403,124 @@ def chevalley_by_roots(j, c, equivariant=False):
             if diag:
                 put((w, d), coeff * diag)
     return out
+
+
+# -- the nil Hecke product by the two-branch recursion -------------------------
+
+
+def reflection_weight_images(cartan, theta, i):
+    """s_i(w_k) = w_k - <w_k, alpha_i_vee> alpha_i for k = 1..n, i in 0..n.
+
+    Weights are in fundamental-weight coordinates, so alpha_i has coordinates
+    cartan[k][i-1]; alpha_0 reads as -theta and alpha_0_vee as -theta_vee.
+    <w_k, theta_vee> = 2 theta_k l_k / (theta, theta), with the half squared
+    lengths l_k propagated along the diagram by l_j cartan[j][k] =
+    l_k cartan[k][j].
+    """
+    n = len(cartan)
+    if i:
+        root = [cartan[k][i - 1] for k in range(n)]
+        pair = [int(k == i - 1) for k in range(n)]
+    else:
+        half = [None] * n
+        half[0] = Fraction(1)
+        todo = [0]
+        while todo:
+            j = todo.pop()
+            for k in range(n):
+                if cartan[j][k] and half[k] is None:
+                    half[k] = half[j] * cartan[j][k] / cartan[k][j]
+                    todo.append(k)
+        norm = sum(theta[j] * theta[k] * half[j] * cartan[j][k]
+                   for j in range(n) for k in range(n))
+        pair = [-2 * theta[k] * half[k] / norm for k in range(n)]
+        if any(c.denominator != 1 for c in pair):
+            raise RuntimeError("<w_k, theta_vee> is not an integer")
+        root = [-_dot(cartan[k], theta) for k in range(n)]
+    return tuple(tuple(int(t == k) - int(pair[k]) * root[t] for t in range(n))
+                 for k in range(n))
+
+
+def _put(out, key, v):
+    prev = out.pop(key, None)
+    if prev is not None:
+        v = prev + v
+    if v:
+        out[key] = v
+
+
+def _aword_times_poly(rs, word, g):
+    """A_word g as {z: c_z} with A_word g = sum c_z A_z, by peeling the last
+    letter: A_i g = s_i(g) A_i + d_i(g)."""
+    from qseidel.affine import aff_length, aff_mul, affine_simple_ext, identity_aff
+    from qseidel.nilhecke import divdiff
+    from qseidel.poly import SPoly
+
+    if not g:
+        return {}
+    if not word:
+        return {identity_aff(rs): g}
+    head, last = word[:-1], word[-1]
+    images = [SPoly.weight(v)
+              for v in reflection_weight_images(rs.cartan, rs.theta, last)]
+    s_last = affine_simple_ext(rs, last)
+    out = {}
+    for z, c in _aword_times_poly(rs, head, g.subst(images)).items():
+        z2 = aff_mul(z, s_last)
+        if aff_length(z2) == aff_length(z) + 1:
+            _put(out, z2, c)
+    for z, c in _aword_times_poly(rs, head, divdiff(rs, last, g)).items():
+        _put(out, z, c)
+    return out
+
+
+def nh_mul_by_recursion(a, b):
+    """(f A_h tau)(g A_y) = sum_z f c_z A_{z tau y} over A_h tau(g) = sum_z c_z A_z,
+    keeping a term when lengths add; every pair of terms is expanded on its
+    own. tau acts on g through the weight images of its finite part. Uses the
+    affine group arithmetic and divided differences of the package, but none
+    of its products or scalar actions."""
+    from qseidel.affine import (
+        CentralElt, aff_inv, aff_length, aff_mul, reduced_word_affine)
+    from qseidel.nilhecke import NilHeckeElt
+    from qseidel.poly import SPoly
+
+    rs = a.rs
+    n = rs.rank
+    out = {}
+    for x, f in a.terms.items():
+        t = CentralElt(rs, rs.minuscule_class_node(x.lam)).to_ext()
+        word = reduced_word_affine(aff_mul(x, aff_inv(t)))
+        twist = [SPoly.weight(t.w.act_weight(tuple(int(s == k) for s in range(n))))
+                 for k in range(n)]
+        for y, g in b.terms.items():
+            ty = aff_mul(t, y)
+            for z, c in _aword_times_poly(rs, word, g.subst(twist)).items():
+                zy = aff_mul(z, ty)
+                if aff_length(zy) == aff_length(z) + aff_length(ty):
+                    _put(out, zy, f * c)
+    return NilHeckeElt(rs, out)
+
+
+def embed_by_products(x):
+    """The group embedding as a product of factors s_i = 1 - alpha_i A_i over a
+    reduced word of the hat part, times A_tau, multiplied out by
+    nh_mul_by_recursion."""
+    from qseidel.affine import (
+        CentralElt, aff_inv, aff_mul, affine_simple_ext, identity_aff,
+        reduced_word_affine)
+    from qseidel.nilhecke import NilHeckeElt
+    from qseidel.poly import SPoly
+
+    rs = x.rs
+    n = rs.rank
+    one = SPoly.one(n)
+    t = CentralElt(rs, rs.minuscule_class_node(x.lam)).to_ext()
+    acc = NilHeckeElt(rs, {identity_aff(rs): one})
+    for i in reduced_word_affine(aff_mul(x, aff_inv(t))):
+        root = ([-_dot(rs.cartan[k], rs.theta) for k in range(n)] if i == 0
+                else [rs.cartan[k][i - 1] for k in range(n)])
+        factor = NilHeckeElt(rs, {identity_aff(rs): one,
+                                  affine_simple_ext(rs, i): -SPoly.weight(root)})
+        acc = nh_mul_by_recursion(acc, factor)
+    return nh_mul_by_recursion(acc, NilHeckeElt(rs, {t: one}))

@@ -181,6 +181,16 @@ def test_qprod_wrong_flag_is_usage_error(capsys):
     assert "needs -i" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_qprod_seidel_refuses_equivariant(fmt, capsys):
+    # the equivariant Seidel operator is not defined yet; the flag is not ignored
+    assert cli.run(["qprod", "seidel", "-i", "1", "--class", UNIT_P2,
+                    "--equivariant"] + fmt) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no equivariant form" in captured.err
+
+
 def test_affine_commands(capsys):
     elt = '{"w": [1, 2], "lambda": [-1, -1]}'
     assert cli.run(["affine", "length", "A2", "--elt", elt,
@@ -488,12 +498,34 @@ def test_verify_config_has_no_weyl_cap(tmp_path, capsys):
     assert "weyl_cap" in capsys.readouterr().err
 
 
-def test_verify_empty_radius_is_not_a_pass(capsys):
-    assert cli.run(["verify", "--suite", "hat", "--radius", "-1"]) == 1
+def test_verify_empty_scope_is_not_a_pass(capsys):
+    # the rank cap leaves hat nothing to check
+    assert cli.run(["verify", "--suite", "hat", "--types", "A4",
+                    "--max-rank", "3"]) == 1
     captured = capsys.readouterr()
     assert "hat: EMPTY checks=0" in captured.out
     assert "verify: FAIL" in captured.out
     assert "hat made no checks" in captured.err
+
+
+@pytest.mark.parametrize("key, flag, value", [
+    ("radius", "--radius", -1), ("max_rank", "--max-rank", -1),
+    ("max_rank", "--max-rank", 0),
+])
+def test_verify_refuses_a_negative_radius_or_a_rank_cap_below_one(
+        key, flag, value, tmp_path, capsys):
+    # either would run an empty scope; it is a usage error, by flag or config
+    assert cli.run(["verify", "--suite", "hat", "--types", "A1",
+                    flag, str(value)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{key} must be" in captured.err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"suite": "hat", "types": ["A1"], key: value}))
+    assert cli.run(["verify", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{key} must be" in captured.err
 
 
 def test_verify_names_types_a_rank_cap_skipped(capsys):

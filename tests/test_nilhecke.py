@@ -24,8 +24,10 @@ from qseidel.nilhecke import (
     XiVector,
 )
 from qseidel.poly import SPoly, add_terms
-from qseidel.rootsys import build_root_system
+from qseidel.rootsys import CATALOG, build_root_system
 from qseidel.weyl import from_word
+
+from oracles import embed_by_products, nh_mul_by_recursion, reflection_weight_images
 
 
 def from_word_affine(rs, word):
@@ -130,6 +132,29 @@ def test_weyl_act_poly_factors_through_words():
     f = SPoly.var(2, 1) * SPoly.var(2, 2) + SPoly.var(2, 1)
     by_word = reflect_poly(rs, 1, reflect_poly(rs, 2, f))
     assert weyl_act_poly(w, f) == by_word
+
+
+def test_reflect_poly_matches_the_reflection_formula():
+    # s_i(w_k) = w_k - <w_k, alpha_i_vee> alpha_i with both terms read off the
+    # Cartan matrix and theta, and alpha_i d_i(f) = f - s_i(f), for every
+    # letter 0..n; s_0 acts as s_theta
+    rng = random.Random(73)
+    for name in CATALOG + ("G2", "F4"):
+        rs = build_root_system(name)
+        n = rs.rank
+        for i in range(n + 1):
+            images = [SPoly.weight(v)
+                      for v in reflection_weight_images(rs.cartan, rs.theta, i)]
+            for k in range(n):
+                assert reflect_poly(rs, i, SPoly.var(n, k + 1)) == images[k]
+            root = SPoly.weight(
+                [-sum(a * b for a, b in zip(rs.cartan[k], rs.theta)) if i == 0
+                 else rs.cartan[k][i - 1] for k in range(n)])
+            for _ in range(3):
+                f = SPoly(n, {tuple(rng.randint(0, 2) for _ in range(n)):
+                              rng.randint(-3, 3) for _ in range(3)})
+                assert reflect_poly(rs, i, f) == f.subst(images)
+                assert root * divdiff(rs, i, f) == f - f.subst(images)
 
 
 def test_embedded_reflections_square_to_one():
@@ -257,3 +282,40 @@ def test_nh_linear_structure():
     assert nh_add(a, nh_zero(rs)) == a
     assert nh_mul(nh_one(rs), a) == a
     assert nh_mul(a, nh_one(rs)) == a
+
+
+def _random_ext(rng, rs, zs):
+    """A word of up to three random letters, with a central factor on the
+    left, on the right or on neither side."""
+    x = identity_aff(rs)
+    for _ in range(rng.randint(0, 3)):
+        x = aff_mul(x, affine_simple_ext(rs, rng.randint(0, rs.rank)))
+    side = rng.randrange(3)
+    if side and len(zs) > 1:
+        t = rng.choice(zs[1:]).to_ext()
+        x = aff_mul(t, x) if side == 1 else aff_mul(x, t)
+    return x
+
+
+def test_products_match_the_recursion():
+    # nh_mul and embed_group against the term-by-term two-branch recursion,
+    # on basis elements with polynomial coefficients and on embeddings
+    twisted = 0
+    for name in ("A1", "A2", "B2", "G2", "A3"):
+        rs = build_root_system(name)
+        n = rs.rank
+        zs = central_elements(rs)
+        rng = random.Random(79)
+        for _ in range(25):
+            x, y = _random_ext(rng, rs, zs), _random_ext(rng, rs, zs)
+            ex, ey = embed_group(x), embed_group(y)
+            assert ex == embed_by_products(x)
+            assert ey == embed_by_products(y)
+            f = SPoly(n, {tuple(rng.randint(0, 1) for _ in range(n)):
+                          rng.randint(-2, 2) for _ in range(2)})
+            mixed = NilHeckeElt(rs, add_terms([(x, f), (y, SPoly.var(n, n))]))
+            for a, b in ((ex, ey), (ey, ex), (mixed, ey), (ex, mixed),
+                         (nh_basis(x), mixed)):
+                assert nh_mul(a, b) == nh_mul_by_recursion(a, b)
+            twisted += any(rs.minuscule_class_node(e.lam) is not None for e in (x, y))
+    assert twisted > 0
