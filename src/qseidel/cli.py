@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from functools import cache
 
 from .affine import (
@@ -30,9 +29,11 @@ from .qh import (
     qh_text,
     qh_to_json,
     seidel_multiply,
+    seidel_table,
+    word_text,
 )
 from .rootsys import build_root_system, strict_ints, strict_keys
-from .suites import SUITES, RunConfig, run_suites, seidel_table
+from .suites import SUITES, RunConfig, run_suites
 from .weyl import (
     enumerate_minreps,
     from_word,
@@ -122,15 +123,10 @@ def _cmd_weyl(args) -> int:
                            for i in rs.minuscule_nodes},
         })
     lines = [f"type {rs.name()}  I_P={list(nodes)}  |W^P| = {len(reps)}"]
-    for w in reps:
-        word = reduced_word(w)
-        lines.append("  s[" + ".".join(map(str, word)) + "]" if word
-                     else "  1")
-    lines.append("longest: s[" + ".".join(
-        map(str, reduced_word(longest_element(rs)))) + "]")
-    for i in rs.minuscule_nodes:
-        lines.append(f"v_{i}: s[" + ".".join(
-            map(str, reduced_word(v_element(rs, i)))) + "]")
+    lines.extend("  " + word_text(w) for w in reps)
+    lines.append("longest: " + word_text(longest_element(rs)))
+    lines.extend(f"v_{i}: " + word_text(v_element(rs, i))
+                 for i in rs.minuscule_nodes)
     print("\n".join(lines))
     return 0
 
@@ -192,34 +188,24 @@ def _cmd_seidel_table(args) -> int:
             for z, w, prod in rows]})
     lines = [f"type {rs.name()}  I_P={list(nodes)}"]
     for z, w, prod in rows:
-        word = reduced_word(w)
         zlab = f"tau_{z.node}" if z.node else "e"
-        wlab = "s[" + ".".join(map(str, word)) + "]" if word else "1"
-        lines.append(f"  {zlab:7s} * sigma({wlab}) = {qh_text(prod)}")
+        lines.append(f"  {zlab:7s} * sigma({word_text(w)}) = {qh_text(prod)}")
     print("\n".join(lines))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    cfg = RunConfig()
+    data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = RunConfig.from_json(json.load(fh))
-    updates = {}
-    if args.suite:
-        updates["suite"] = args.suite
-    if args.types:
-        updates["types"] = tuple(args.types)
-    if args.parabolic:
-        updates["parabolic"] = tuple(args.parabolic)
-    if args.radius is not None:
-        updates["radius"] = args.radius
-    if args.max_rank is not None:
-        updates["max_rank"] = args.max_rank
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if updates:
-        cfg = replace(cfg, **updates)
+            data = json.load(fh)
+        # read on its own first: a bad value in the file is refused even
+        # where a flag overrides it
+        RunConfig.from_json(data)
+    flags = {"suite": args.suite, "types": args.types, "parabolic": args.parabolic,
+             "radius": args.radius, "max_rank": args.max_rank, "seed": args.seed,
+             "format": args.format}
+    cfg = RunConfig.from_json({**data, **{k: v for k, v in flags.items() if v is not None}})
     results = run_suites(cfg)
     # A suite named on its own that made no check verified nothing, and so
     # did a run of all suites without a single check; under "all", one suite
@@ -234,8 +220,7 @@ def _cmd_verify(args) -> int:
     for name in empty:
         print(f"error: {name} made no checks", file=sys.stderr)
     ok = all(r.ok() for r in results) and not empty
-    fmt = args.format or cfg.fmt
-    if fmt == "json":
+    if cfg.fmt == "json":
         _print_json({
             "ok": ok,
             "suites": [{

@@ -176,6 +176,7 @@ def nh_mul(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
     rs = a.rs
     if b.rs is not rs:
         raise ValueError("mixed root systems")
+    one = SPoly.one(rs.rank)
     pairs = []
     for x, f in a.terms.items():
         word, tau = _split(x)
@@ -186,7 +187,10 @@ def nh_mul(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
             terms = {aff_mul(t, y): central_act_poly(tau, g) for y, g in terms.items()}
         for i in reversed(word):
             terms = _letter_times(rs, i, terms)
-        pairs.extend((z, f * c) for z, c in terms.items())
+        # coefficients are shared, never changed in place; a basis operand
+        # has the constant 1 on the left, which needs no product
+        pairs.extend(terms.items() if f == one else
+                     ((z, f * c) for z, c in terms.items()))
     return NilHeckeElt(rs, add_terms(pairs))
 
 
@@ -210,38 +214,21 @@ def nh_mod_Jtilde(a: NilHeckeElt) -> NilHeckeElt:
 # -- the homology module -------------------------------------------------------
 
 
-@dataclass
-class XiVector:
-    """S-combination of Schubert basis elements indexed by W~_aff^-."""
+def act_on_xi(x: ExtAffElt, v: NilHeckeElt) -> NilHeckeElt:
+    """A_x acting basis-by-basis on a xi-vector: xi_y |-> xi_{xy} when lengths
+    add and xy stays minimal.
 
-    rs: RootSystem
-    terms: dict[ExtAffElt, SPoly] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for x in self.terms:
-            if not is_waff_minus(x):
-                raise ValueError("xi basis keys must be minimal coset representatives")
-        self.terms = {k: v for k, v in self.terms.items() if v}
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, XiVector) and self.rs is other.rs
-                and self.terms == other.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-def act_on_xi(x: ExtAffElt, v: XiVector) -> XiVector:
-    """A_x acting basis-by-basis: xi_y |-> xi_{xy} when lengths add and xy stays minimal.
-
-    Extended S-linearly; the central twist falls on the operator scalar, which
-    is 1 for a pure group basis element, so coefficients ride along unchanged.
+    A xi-vector is a nil Hecke element keyed in W~_aff^-, as nh_mod_Jtilde
+    returns. Extended S-linearly; the central twist falls on the operator
+    scalar, which is 1 for a pure group basis element, so coefficients ride
+    along unchanged.
     """
-    rs = x.rs
+    if not all(map(is_waff_minus, v.terms)):
+        raise ValueError("xi basis keys must be minimal coset representatives")
     lx = aff_length(x)
     out: dict[ExtAffElt, SPoly] = {}
     for y, c in v.terms.items():
         xy = aff_mul(x, y)
         if aff_length(xy) == lx + aff_length(y) and is_waff_minus(xy):
             out[xy] = c  # y -> xy is injective, so no key repeats
-    return XiVector(rs, out)
+    return NilHeckeElt(x.rs, out)

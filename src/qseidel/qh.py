@@ -25,6 +25,7 @@ from functools import lru_cache
 from .affine import (
     CentralElt,
     ExtAffElt,
+    central_elements,
     eta_P,
     is_antidominant,
     is_waff_minus,
@@ -37,6 +38,7 @@ from .weyl import (
     ParabolicSet,
     WeylElt,
     coset_reduce,
+    enumerate_minreps,
     identity,
     involution,
     is_minrep,
@@ -151,6 +153,21 @@ def seidel_multiply(i: int, c: QHClass) -> QHClass:
         w2, e = _seidel_term(i, w, p)
         pairs.append(((w2, vadd(d, e)), coeff))
     return QHClass._of(p, add_terms(pairs))
+
+
+def seidel_table(p: ParabolicSet) -> list[tuple[CentralElt, WeylElt, QHClass]]:
+    """(z, w, seidel_apply(z, sigma(p, w))) for every central z and w in W^P,
+    each product read as one term off the memoised Seidel operator."""
+    rs = p.rs
+    f = involution(rs)
+    zero = (0,) * len(p.nodes)
+    one = SPoly.one(rs.rank)
+    rows = []
+    for z in central_elements(rs):
+        for w in enumerate_minreps(rs, p):
+            key = (w, zero) if z.is_identity() else _seidel_term(f[z.node - 1], w, p)
+            rows.append((z, w, QHClass._of(p, {key: one})))
+    return rows
 
 
 def seidel_element(z: CentralElt, p: ParabolicSet) -> QHClass:
@@ -275,6 +292,12 @@ def psi_P(y: ExtAffElt, mu: Vec, p: ParabolicSet) -> QHClass:
 # -- rendering -----------------------------------------------------------------
 
 
+def word_text(w: WeylElt) -> str:
+    """A reduced word of w as s[i.j...], or 1 for the identity."""
+    word = reduced_word(w)
+    return "s[" + ".".join(map(str, word)) + "]" if word else "1"
+
+
 def q_text(p: ParabolicSet, d: Vec) -> str:
     bits = []
     for node, e in zip(p.nodes, d):
@@ -299,8 +322,7 @@ def qh_text(c: QHClass) -> str:
         qt = q_text(c.p, d)
         if qt:
             parts.append(qt)
-        word = reduced_word(w)
-        parts.append("s[" + ".".join(map(str, word)) + "]" if word else "1")
+        parts.append(word_text(w))
         bits.append("*".join(parts))
     return " + ".join(bits)
 

@@ -347,6 +347,24 @@ def test_verify_config_file(tmp_path, capsys):
     assert data["ok"] is True
 
 
+def test_verify_flags_override_the_config_file(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"suite": "psi", "types": ["A1"], "format": "json"}')
+    assert cli.run(["verify", "--config", str(path), "--suite", "v-elements",
+                    "--format", "text"]) == 0
+    assert capsys.readouterr().out == (
+        "v-elements: ok checks=2 failures=0 findings=0\nverify: ok\n")
+
+
+def test_verify_refuses_a_bad_file_value_that_a_flag_overrides(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"suite": "hat", "types": ["A1"], "radius": -1}')
+    assert cli.run(["verify", "--config", str(path), "--radius", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "radius must be non-negative" in captured.err
+
+
 def test_verify_config_unknown_key(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"suiet": "psi"}')

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module (stdlib ast only)."""
+"""Every name a package module imports is used in that module, and none is
+another module's private name (stdlib ast only)."""
 
 import ast
 from pathlib import Path
@@ -34,9 +35,23 @@ def unused_imports(source: str) -> list[str]:
             if name not in read]
 
 
+def private_imports(source: str) -> list[str]:
+    """Underscore-prefixed names imported from a package module, relatively or
+    as qseidel.<module>."""
+    return [f"line {node.lineno}: {alias.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "qseidel")
+            for alias in node.names if alias.name.startswith("_")]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_imported(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_the_check_sees_an_unused_import():
@@ -48,3 +63,12 @@ def test_the_check_sees_an_unused_import():
               "__all__ = ['Kept']\n"
               "from .weyl import Kept\n")
     assert unused_imports(source) == ["line 3: Optional", "line 4: inv"]
+
+
+def test_the_check_sees_a_private_import():
+    source = ("from __future__ import annotations\n"
+              "from functools import _lru_cache_wrapper\n"
+              "from .qh import _seidel_term, seidel_table\n"
+              "from qseidel.weyl import _apply as apply\n"
+              "from .rootsys import dot\n")
+    assert private_imports(source) == ["line 3: _seidel_term", "line 4: _apply"]

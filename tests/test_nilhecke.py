@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from qseidel.affine import (
     aff_mul,
     affine_simple_ext,
@@ -21,7 +23,6 @@ from qseidel.nilhecke import (
     scalar_root,
     weyl_act_poly,
     NilHeckeElt,
-    XiVector,
 )
 from qseidel.poly import SPoly, add_terms
 from qseidel.rootsys import CATALOG, build_root_system
@@ -54,7 +55,7 @@ def nh_sub(a, b):
 
 
 def xi_unit(rs):
-    return XiVector(rs, {identity_aff(rs): SPoly.one(rs.rank)})
+    return nh_basis(identity_aff(rs))
 
 
 def _aff_words(rs, max_len):
@@ -256,6 +257,18 @@ def test_xi_unit_action():
     assert v2.terms == direct.terms
 
 
+def test_xi_action_refuses_a_key_outside_the_minimal_representatives():
+    rs = build_root_system("A1")
+    s0 = affine_simple_ext(rs, 0)
+    s1 = affine_simple_ext(rs, 1)  # in W, so not minimal in its coset
+    assert not is_waff_minus(s1)
+    mixed = NilHeckeElt(rs, {identity_aff(rs): SPoly.one(1), s1: SPoly.var(1, 1)})
+    for v in (nh_basis(s1), mixed):
+        with pytest.raises(ValueError, match="minimal coset representatives"):
+            act_on_xi(s0, v)
+    assert act_on_xi(s0, xi_unit(rs)) == nh_basis(s0)
+
+
 def test_module_action_matches_engine():
     # A_x . xi_y via the coefficient rule equals the engine product mod the
     # translation ideal
@@ -268,8 +281,8 @@ def test_module_action_matches_engine():
         x = rng.choice(elems)
         y = rng.choice(minus)
         via_engine = nh_mod_Jtilde(nh_mul(nh_basis(x), nh_basis(y)))
-        via_rule = act_on_xi(x, XiVector(rs, {y: SPoly.one(rs.rank)}))
-        assert via_engine.terms == via_rule.terms
+        via_rule = act_on_xi(x, nh_basis(y))
+        assert via_engine == via_rule
         checked += 1
     assert checked == 40
 

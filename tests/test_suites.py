@@ -2,14 +2,13 @@ import pytest
 
 from qseidel import suites
 from qseidel.affine import ExtAffElt, central_elements
-from qseidel.qh import seidel_apply, sigma
+from qseidel.qh import seidel_apply, seidel_table, sigma
 from qseidel.rootsys import CATALOG, build_root_system
 from qseidel.suites import (
     SUITES,
     RunConfig,
     SuiteResult,
     run_suites,
-    seidel_table,
 )
 from qseidel.weyl import enumerate_minreps, identity, parabolic
 
@@ -86,6 +85,36 @@ def test_runconfig_refuses_repeated_parabolic_nodes():
     with pytest.raises(ValueError, match="distinct"):
         RunConfig.from_json({"parabolic": [2, 1, 2]})
     assert RunConfig(parabolic=(2, 1)).parabolic == (2, 1)
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"expansion_cap": -1}, "expansion_cap must be non-negative"),
+    ({"expansion_cap": 9}, "expansion_cap must be at most 8"),
+    ({"types": ()}, "types must be a non-empty list"),
+    ({"parabolic": ()}, "parabolic must be null or a non-empty list"),
+    ({"suite": "no-such-suite"}, "suite must be one of"),
+    ({"fmt": "xml"}, "format must be one of"),
+])
+def test_runconfig_checks_its_bounds_however_it_is_built(kw, match):
+    # a config built from Python meets the bounds that --config and the
+    # flags meet; at expansion_cap=-1 the nilhecke suite would never finish
+    with pytest.raises(ValueError, match=match):
+        RunConfig(**kw)
+    with pytest.raises(ValueError, match=match):
+        run_suites(RunConfig(**{"suite": "nilhecke", **kw}))
+
+
+def test_run_suites_makes_each_result_and_passes_it_in(monkeypatch):
+    seen = []
+
+    def fake(cfg, res):
+        seen.append(res)
+        res.check(True, "")
+
+    monkeypatch.setitem(suites.SUITES, "v-elements", fake)
+    (res,) = run_suites(RunConfig(suite="v-elements"))
+    assert len(seen) == 1 and seen[0] is res
+    assert (res.name, res.checks) == ("v-elements", 1)
 
 
 def test_single_suite_scoping():
