@@ -14,8 +14,11 @@ A_x = A_h tau; the key relations driving multiplication are
 
 Every product is built one letter at a time: f A_h tau times an element
 twists the element by tau and then applies A_i for each letter of a reduced
-word of h, right to left. Group elements embed through s_i = 1 - alpha_i A_i,
-applied the same way to tau.
+word of h, right to left. A letter acts on coefficients through rows memoised
+per (i, monomial), the images s_i(w^e) and d_i(w^e), and whether it raises the
+length of a key y is read off the single affine root y^-1(alpha_i). Group
+elements embed through s_i = 1 - alpha_i A_i, applied the same way to tau; the
+embedding is memoised per element.
 """
 
 from __future__ import annotations
@@ -76,9 +79,41 @@ def weyl_act_poly(w: WeylElt, f: SPoly) -> SPoly:
     return f.subst(list(_weight_images(w)))
 
 
+@lru_cache(maxsize=None)
+def _letter_rows(rs: RootSystem, i: int, e: tuple[int, ...]) -> tuple[dict, dict]:
+    """The term dicts of s_i(w^e) and d_i(w^e) for one monomial w^e, i in 0..n.
+
+    s_i acts by its weight images (s_0 as s_theta). d_i is the divided
+    difference (f - s_i f)/alpha_i, by the twisted Leibniz recursion
+    d_i(w_k g) = <w_k, alpha_i_vee> g + s_i(w_k) d_i(g), so the quotient is
+    assembled without any polynomial division and integrality is structural;
+    the tail d_i(g) is itself a row. Memoised per (i, monomial): the dicts are
+    shared, so they are only read, never changed or kept in a result.
+    """
+    n = rs.rank
+    s_i = affine_simple_ext(rs, i).w
+    # len(e), not n: subst refuses a key of another length
+    image = weyl_act_poly(s_i, SPoly._of(len(e), {e: 1})).terms
+    k = next((t for t in range(n) if e[t]), None)
+    if k is None:
+        return image, {}
+    rest = tuple(x - int(t == k) for t, x in enumerate(e))
+    head = SPoly(n, {rest: _coroot_pairings(rs, i)[k]})
+    tail = _letter_rows(rs, i, rest)[1]
+    diff = head + _weight_images(s_i)[k] * SPoly._of(n, tail) if tail else head
+    return image, diff.terms
+
+
+def _by_rows(rs: RootSystem, i: int, f: SPoly, side: int) -> SPoly:
+    """The linear extension of one side of the letter rows to f."""
+    return SPoly._of(rs.rank, add_terms(
+        (m, c * d) for e, c in f.terms.items()
+        for m, d in _letter_rows(rs, i, e)[side].items()))
+
+
 def reflect_poly(rs: RootSystem, i: int, f: SPoly) -> SPoly:
     """s_i acting on S, i in 0..n (s_0 acts as s_theta)."""
-    return weyl_act_poly(affine_simple_ext(rs, i).w, f)
+    return _by_rows(rs, i, f, 0)
 
 
 def central_act_poly(z: CentralElt, f: SPoly) -> SPoly:
@@ -89,26 +124,8 @@ def central_act_poly(z: CentralElt, f: SPoly) -> SPoly:
 
 
 def divdiff(rs: RootSystem, i: int, f: SPoly) -> SPoly:
-    """Divided difference (f - s_i f)/alpha_i via the twisted Leibniz recursion.
-
-    d_i(w_k g) = <w_k, alpha_i_vee> g + s_i(w_k) d_i(g), so the quotient is
-    assembled without any polynomial division and integrality is structural.
-    """
-    pair = _coroot_pairings(rs, i)
-    images = _weight_images(affine_simple_ext(rs, i).w)
-    n = rs.rank
-
-    def rec(expts: tuple[int, ...]) -> SPoly:
-        k = next((t for t in range(n) if expts[t]), None)
-        if k is None:
-            return SPoly.zero(n)
-        rest = tuple(e - int(t == k) for t, e in enumerate(expts))
-        head = SPoly(n, {rest: pair[k]})
-        tail = rec(rest)
-        return head + images[k] * tail if tail else head
-
-    return SPoly(n, add_terms(term for expts, c in f.terms.items()
-                              for term in (rec(expts) * c).terms.items()))
+    """Divided difference (f - s_i f)/alpha_i, read off the memoised rows."""
+    return _by_rows(rs, i, f, 1)
 
 
 # -- elements ------------------------------------------------------------------
@@ -116,7 +133,11 @@ def divdiff(rs: RootSystem, i: int, f: SPoly) -> SPoly:
 
 @dataclass
 class NilHeckeElt:
-    """Finite map x -> f from the extended affine Weyl group to SPoly: sum f A_x."""
+    """Finite map x -> f from the extended affine Weyl group to SPoly: sum f A_x.
+
+    An element is never changed in place: embed_group hands one shared result
+    to every caller of the same group element, and products share coefficients.
+    """
 
     rs: RootSystem
     terms: dict[ExtAffElt, SPoly] = field(default_factory=dict)
@@ -158,15 +179,28 @@ def _split(x: ExtAffElt) -> tuple[tuple[int, ...], CentralElt]:
     return word, tau
 
 
+def _ascends(rs: RootSystem, i: int, y: ExtAffElt) -> bool:
+    """Whether l(s_i y) > l(y), i.e. y^-1(alpha_i) > 0.
+
+    For y = w t_lambda and alpha_i = gamma + c delta, y^-1(alpha_i) =
+    beta + (c + <lambda, beta>) delta with beta = w^-1(gamma), so the sign is
+    read off lambda and one entry of w's root permutation: the left-hand twin
+    of affine._affine_descent.
+    """
+    alpha = rs.affine_simple(i)
+    k = y.w.perm.index(rs.root_index[alpha.finite])  # beta = roots[k]
+    level = alpha.level + dot(y.lam, rs.roots[k])
+    return level > 0 or (level == 0 and k < len(rs.pos_roots))
+
+
 def _letter_times(rs: RootSystem, i: int,
                   terms: dict[ExtAffElt, SPoly]) -> dict[ExtAffElt, SPoly]:
     """A_i * sum g A_y = sum s_i(g) A_{s_i y} (where the length goes up) + d_i(g) A_y."""
     s_i = affine_simple_ext(rs, i)
     pairs = []
     for y, g in terms.items():
-        z = aff_mul(s_i, y)
-        if aff_length(z) > aff_length(y):
-            pairs.append((z, reflect_poly(rs, i, g)))
+        if _ascends(rs, i, y):
+            pairs.append((aff_mul(s_i, y), reflect_poly(rs, i, g)))
         pairs.append((y, divdiff(rs, i, g)))
     return add_terms(pairs)
 
@@ -194,8 +228,12 @@ def nh_mul(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
     return NilHeckeElt(rs, add_terms(pairs))
 
 
+@lru_cache(maxsize=None)
 def embed_group(x: ExtAffElt) -> NilHeckeElt:
-    """Multiplicative inclusion of the extended affine Weyl group, s_i = 1 - alpha_i A_i."""
+    """Multiplicative inclusion of the extended affine Weyl group, s_i = 1 - alpha_i A_i.
+
+    Memoised per element, so every caller of one x shares one result.
+    """
     rs = x.rs
     word, tau = _split(x)
     terms = {tau.to_ext(): SPoly.one(rs.rank)}

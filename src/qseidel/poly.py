@@ -130,8 +130,10 @@ class SPoly:
     def __pow__(self, e: int) -> "SPoly":
         if e < 0:
             raise ValueError("negative power")
-        out = SPoly.one(self.nvars)
-        for _ in range(e):
+        if e == 0:
+            return SPoly.one(self.nvars)
+        out = self
+        for _ in range(e - 1):
             out = out * self
         return out
 
@@ -147,11 +149,14 @@ class SPoly:
         n_out = images[0].nvars if images else self.nvars
         pairs = []
         for k, v in self.terms.items():
-            term = SPoly.const(n_out, v)
-            for idx, e in enumerate(k):
-                if e:
-                    term = term * images[idx] ** e
-            pairs.extend(term.terms.items())
+            factors = [images[idx] ** e for idx, e in enumerate(k) if e]
+            if not factors:
+                pairs.append(((0,) * n_out, v))
+                continue
+            term = factors[0]
+            for f in factors[1:]:
+                term = term * f
+            pairs.extend((m, c * v) for m, c in term.terms.items())
         return SPoly._of(n_out, add_terms(pairs))
 
     # -- rendering ---------------------------------------------------------

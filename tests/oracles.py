@@ -408,8 +408,8 @@ def chevalley_by_roots(j, c, equivariant=False):
 # -- the nil Hecke product by the two-branch recursion -------------------------
 
 
-def reflection_weight_images(cartan, theta, i):
-    """s_i(w_k) = w_k - <w_k, alpha_i_vee> alpha_i for k = 1..n, i in 0..n.
+def reflection_data(cartan, theta, i):
+    """alpha_i and <w_k, alpha_i_vee> for k = 1..n, i in 0..n.
 
     Weights are in fundamental-weight coordinates, so alpha_i has coordinates
     cartan[k][i-1]; alpha_0 reads as -theta and alpha_0_vee as -theta_vee.
@@ -437,8 +437,35 @@ def reflection_weight_images(cartan, theta, i):
         if any(c.denominator != 1 for c in pair):
             raise RuntimeError("<w_k, theta_vee> is not an integer")
         root = [-_dot(cartan[k], theta) for k in range(n)]
-    return tuple(tuple(int(t == k) - int(pair[k]) * root[t] for t in range(n))
+    return root, [int(c) for c in pair]
+
+
+def reflection_weight_images(cartan, theta, i):
+    """s_i(w_k) = w_k - <w_k, alpha_i_vee> alpha_i for k = 1..n, i in 0..n."""
+    root, pair = reflection_data(cartan, theta, i)
+    n = len(cartan)
+    return tuple(tuple(int(t == k) - pair[k] * root[t] for t in range(n))
                  for k in range(n))
+
+
+def exact_quotient(terms, root):
+    """terms / sum_k root[k] w_k for a dict {exponents: int}, by long division
+    in lex order; raises ArithmeticError when the quotient is not an integer
+    polynomial."""
+    t = next(k for k, a in enumerate(root) if a)  # the lex-leading variable
+    rem = dict(terms)
+    quot = {}
+    while rem:
+        m = max(rem)  # the lex-leading monomial of the remainder
+        q, r = divmod(rem[m], root[t])
+        if r or not m[t]:
+            raise ArithmeticError("the linear form does not divide the polynomial")
+        qm = tuple(e - int(k == t) for k, e in enumerate(m))
+        quot[qm] = q
+        for k, a in enumerate(root):
+            if a:
+                _put(rem, tuple(e + int(s == k) for s, e in enumerate(qm)), -q * a)
+    return quot
 
 
 def _put(out, key, v):
@@ -451,9 +478,9 @@ def _put(out, key, v):
 
 def _aword_times_poly(rs, word, g):
     """A_word g as {z: c_z} with A_word g = sum c_z A_z, by peeling the last
-    letter: A_i g = s_i(g) A_i + d_i(g)."""
+    letter: A_i g = s_i(g) A_i + d_i(g), where d_i(g) is g - s_i(g) divided
+    exactly by alpha_i."""
     from qseidel.affine import aff_length, aff_mul, affine_simple_ext, identity_aff
-    from qseidel.nilhecke import divdiff
     from qseidel.poly import SPoly
 
     if not g:
@@ -463,13 +490,16 @@ def _aword_times_poly(rs, word, g):
     head, last = word[:-1], word[-1]
     images = [SPoly.weight(v)
               for v in reflection_weight_images(rs.cartan, rs.theta, last)]
+    reflected = g.subst(images)
+    root, _ = reflection_data(rs.cartan, rs.theta, last)
+    quotient = SPoly(rs.rank, exact_quotient((g - reflected).terms, root))
     s_last = affine_simple_ext(rs, last)
     out = {}
-    for z, c in _aword_times_poly(rs, head, g.subst(images)).items():
+    for z, c in _aword_times_poly(rs, head, reflected).items():
         z2 = aff_mul(z, s_last)
         if aff_length(z2) == aff_length(z) + 1:
             _put(out, z2, c)
-    for z, c in _aword_times_poly(rs, head, divdiff(rs, last, g)).items():
+    for z, c in _aword_times_poly(rs, head, quotient).items():
         _put(out, z, c)
     return out
 
@@ -478,8 +508,8 @@ def nh_mul_by_recursion(a, b):
     """(f A_h tau)(g A_y) = sum_z f c_z A_{z tau y} over A_h tau(g) = sum_z c_z A_z,
     keeping a term when lengths add; every pair of terms is expanded on its
     own. tau acts on g through the weight images of its finite part. Uses the
-    affine group arithmetic and divided differences of the package, but none
-    of its products or scalar actions."""
+    affine group arithmetic and polynomial arithmetic of the package, but none
+    of its nil Hecke products, scalar actions or divided differences."""
     from qseidel.affine import (
         CentralElt, aff_inv, aff_length, aff_mul, reduced_word_affine)
     from qseidel.nilhecke import NilHeckeElt

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qseidel.affine import (
+    aff_length,
     aff_mul,
     affine_simple_ext,
     central_dynkin_action,
@@ -11,6 +12,7 @@ from qseidel.affine import (
     is_waff_minus,
 )
 from qseidel.nilhecke import (
+    _ascends,
     act_on_xi,
     central_act_poly,
     divdiff,
@@ -26,9 +28,16 @@ from qseidel.nilhecke import (
 )
 from qseidel.poly import SPoly, add_terms
 from qseidel.rootsys import CATALOG, build_root_system
+from qseidel.suites import RunConfig, run_suites
 from qseidel.weyl import from_word
 
-from oracles import embed_by_products, nh_mul_by_recursion, reflection_weight_images
+from oracles import (
+    embed_by_products,
+    exact_quotient,
+    nh_mul_by_recursion,
+    reflection_data,
+    reflection_weight_images,
+)
 
 
 def from_word_affine(rs, word):
@@ -156,6 +165,24 @@ def test_reflect_poly_matches_the_reflection_formula():
                               rng.randint(-3, 3) for _ in range(3)})
                 assert reflect_poly(rs, i, f) == f.subst(images)
                 assert root * divdiff(rs, i, f) == f - f.subst(images)
+
+
+def test_the_oracle_quotient_is_exact_or_refused():
+    # the recursion oracle's d_i: alpha f / alpha = f, and a remainder raises,
+    # whether it is a monomial outside the ideal or a fractional coefficient
+    rs = build_root_system("B2")
+    rng = random.Random(89)
+    for i in range(rs.rank + 1):
+        root, _ = reflection_data(rs.cartan, rs.theta, i)
+        alpha = SPoly.weight(root)
+        for _ in range(5):
+            f = SPoly(2, {(rng.randint(0, 2), rng.randint(0, 2)):
+                          rng.randint(-3, 3) for _ in range(3)})
+            assert exact_quotient((alpha * f).terms, root) == f.terms
+    with pytest.raises(ArithmeticError):
+        exact_quotient({(1, 0): 1, (0, 1): 1}, [1, -1])
+    with pytest.raises(ArithmeticError):
+        exact_quotient({(1, 0): 1}, [2, 0])
 
 
 def test_embedded_reflections_square_to_one():
@@ -297,11 +324,11 @@ def test_nh_linear_structure():
     assert nh_mul(a, nh_one(rs)) == a
 
 
-def _random_ext(rng, rs, zs):
-    """A word of up to three random letters, with a central factor on the
+def _random_ext(rng, rs, zs, max_len=3):
+    """A word of up to max_len random letters, with a central factor on the
     left, on the right or on neither side."""
     x = identity_aff(rs)
-    for _ in range(rng.randint(0, 3)):
+    for _ in range(rng.randint(0, max_len)):
         x = aff_mul(x, affine_simple_ext(rs, rng.randint(0, rs.rank)))
     side = rng.randrange(3)
     if side and len(zs) > 1:
@@ -332,3 +359,36 @@ def test_products_match_the_recursion():
                 assert nh_mul(a, b) == nh_mul_by_recursion(a, b)
             twisted += any(rs.minuscule_class_node(e.lam) is not None for e in (x, y))
     assert twisted > 0
+
+
+def test_one_root_ascent_matches_the_length_comparison():
+    # l(s_i y) > l(y) read off the one affine root y^-1(alpha_i), against the
+    # two lengths, for every letter 0..n on words of up to 8 letters
+    rng = random.Random(83)
+    node0 = set()
+    for name in CATALOG + ("G2", "F4"):
+        rs = build_root_system(name)
+        zs = central_elements(rs)
+        for _ in range(40):
+            y = _random_ext(rng, rs, zs, max_len=8)
+            for i in range(rs.rank + 1):
+                up = aff_length(aff_mul(affine_simple_ext(rs, i), y)) > aff_length(y)
+                assert _ascends(rs, i, y) == up
+                if i == 0:
+                    node0.add(up)
+    assert node0 == {False, True}
+
+
+def test_warm_memos_change_no_result():
+    # the second round reads embeddings and letter rows the first one cached,
+    # so a shared result changed in place would show as a failure or a count
+    counts = {}
+    for _ in range(2):
+        for seed in range(4):
+            (res,) = run_suites(RunConfig(suite="nilhecke", seed=seed))
+            assert res.failures == []
+            assert counts.setdefault(seed, res.checks) == res.checks
+    assert counts[0] == 540
+    assert embed_group.cache_info().hits > 0
+    for _ in range(2):
+        test_reflect_poly_matches_the_reflection_formula()
