@@ -38,7 +38,7 @@ from .affine import (
     reduced_word_affine,
 )
 from .poly import SPoly, add_terms
-from .rootsys import RootSystem, Vec, dot
+from .rootsys import RootSystem, dot, mat_vec
 from .weyl import WeylElt
 
 EXPANSION_CAP = 8
@@ -50,20 +50,7 @@ EXPANSION_CAP = 8
 @lru_cache(maxsize=None)
 def scalar_root(rs: RootSystem, i: int) -> SPoly:
     """alpha_i as a weight-lattice polynomial; the node 0 letter reads as -theta."""
-    n = rs.rank
-    if i == 0:
-        coords = tuple(-dot(rs.cartan[k], rs.theta) for k in range(n))
-    else:
-        coords = tuple(rs.cartan[k][i - 1] for k in range(n))
-    return SPoly.weight(coords)
-
-
-@lru_cache(maxsize=None)
-def _coroot_pairings(rs: RootSystem, i: int) -> Vec:
-    """<w_k, alpha_i_vee> for k = 1..n (alpha_0_vee reads as -theta_vee)."""
-    if i == 0:
-        return tuple(-c for c in rs.theta_coroot)
-    return tuple(int(k == i - 1) for k in range(rs.rank))
+    return SPoly.weight(mat_vec(rs.cartan, rs.affine_simple(i).finite))
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +85,7 @@ def _letter_rows(rs: RootSystem, i: int, e: tuple[int, ...]) -> tuple[dict, dict
     if k is None:
         return image, {}
     rest = tuple(x - int(t == k) for t, x in enumerate(e))
-    head = SPoly(n, {rest: _coroot_pairings(rs, i)[k]})
+    head = SPoly(n, {rest: rs.coroot_of(rs.affine_simple(i).finite)[k]})
     tail = _letter_rows(rs, i, rest)[1]
     diff = head + _weight_images(s_i)[k] * SPoly._of(n, tail) if tail else head
     return image, diff.terms

@@ -168,9 +168,6 @@ class AffineRoot:
     def is_positive(self) -> bool:
         return self.level > 0 or (self.level == 0 and is_positive_vec(self.finite))
 
-    def __neg__(self) -> "AffineRoot":
-        return AffineRoot(vneg(self.finite), -self.level)
-
 
 class RootSystem:
     """Immutable container for one simple type; build via build_root_system()."""
@@ -181,9 +178,10 @@ class RootSystem:
         self.letter = letter
         self.rank = rank
         self.cartan = cartan_matrix(letter, rank)
-        # (Cartan^T)^-1 = adj / denom maps coweight to coroot coordinates.
-        self._adj, self._denom = int_inverse(
-            tuple(tuple(self.cartan[j][i] for j in range(rank)) for i in range(rank)))
+        # Cartan^T maps coroot to coweight coordinates, and its inverse
+        # adj / denom maps them back.
+        self._cartan_t: tuple[Vec, ...] = tuple(zip(*self.cartan))
+        self._adj, self._denom = int_inverse(self._cartan_t)
         self._generate_roots()
         self._find_theta()
         self._find_minuscule()
@@ -207,7 +205,7 @@ class RootSystem:
                     k = dot(self.cartan[i], r)
                     r2 = tuple(x - k * int(j == i) for j, x in enumerate(r))
                     # s_i(c) = c - <c_as_coroot, alpha_i> e_i
-                    k2 = dot(tuple(self.cartan[j][i] for j in range(n)), c)
+                    k2 = dot(self._cartan_t[i], c)
                     c2 = tuple(x - k2 * int(j == i) for j, x in enumerate(c))
                     if r2 not in known:
                         known[r2] = c2
@@ -267,8 +265,7 @@ class RootSystem:
 
     def coroot_to_coweight(self, c: Vec) -> Vec:
         """Coroot coordinates -> fundamental-coweight coordinates (transpose Cartan)."""
-        n = self.rank
-        return tuple(sum(c[j] * self.cartan[j][i] for j in range(n)) for i in range(n))
+        return mat_vec(self._cartan_t, c)
 
     def _scaled_coroot(self, m: Vec) -> Vec:
         """d * (coroot coordinates of m), an integer vector."""

@@ -10,7 +10,7 @@ elements of E7 and E8 cost no more than those of D4.
 * inverse:   the inverse permutation;
 * length:    the number of positive indices k < N with perm[k] >= N;
 * descents:  s_j is a right descent of w iff perm[simple_index[j-1]] >= N;
-* on roots:  an index lookup.
+* on roots:  an index lookup; act_root takes roots only.
 
 The images of the simple roots under w and under w^-1 (the columns of the
 root-lattice matrices) are read off perm; they carry the other actions:
@@ -57,35 +57,31 @@ class _lazy:
         return value
 
 
-def _apply(mat: tuple[Vec, ...], vec: Vec) -> Vec:
-    """The root-lattice matrix with columns `mat` applied to any vector."""
-    n = len(vec)
-    out = [0] * n
-    for j, c in enumerate(vec):
-        if c:
-            col = mat[j]
-            for k in range(n):
-                if col[k]:
-                    out[k] += c * col[k]
-    return tuple(out)
-
-
 class WeylElt:
     """An element of W by its root permutation `perm` (see the module docstring).
 
-    WeylElt(rs, images, inv_images) builds the element from the images of the
-    simple roots under it and under its inverse; w_mul, w_inv, from_word and
-    the reflections build elements directly from permutations. Elements are
-    never mutated: they key caches, and == and hash use (rs, perm); the hash
-    is taken once, when the element is made.
+    w_mul, w_inv, from_word and the reflections build elements directly from
+    permutations (`_elt`). WeylElt(rs, images, inv_images) is kept for callers
+    that hold the images of the simple roots under w and under w^-1 (the
+    perfbench micro timing is the one left outside the tests): it refuses
+    images that do not permute the roots, a root permutation outside W (a
+    diagram automorphism) and inv_images that are not those of the inverse.
+    Elements are never mutated: they key caches, and == and hash use
+    (rs, perm); the hash is taken once, when the element is made.
     """
 
     def __init__(self, rs: RootSystem, images, inv_images):
-        perm = tuple(rs.root_index.get(_apply(images, r)) for r in rs.roots)
-        if None in perm or len(set(perm)) != len(perm):
+        # w(root k) for k < N through the image matrix; root k + N is -root k
+        rows = tuple(zip(*images))
+        big = len(rs.pos_roots)
+        pos = [rs.root_index.get(mat_vec(rows, r), -1) for r in rs.pos_roots]
+        perm = tuple(pos) + tuple((k + big) % (2 * big) for k in pos)
+        if -1 in pos or len(set(perm)) != len(perm):
             raise ValueError("images do not permute the roots")
         self.rs = rs
         self.perm = perm
+        if _peel(self, range(1, rs.rank + 1))[0] != identity(rs).perm:
+            raise ValueError("images permute the roots but are not in W")
         self._hash = hash((rs, perm))
         if self.inv_images != tuple(map(tuple, inv_images)):
             raise ValueError("inv_images are not the images of the inverse")
@@ -102,11 +98,12 @@ class WeylElt:
         roots, perm = self.rs.roots, self.perm
         return tuple(roots[perm.index(k)] for k in self.rs.simple_index)
 
-    def act_root(self, vec: Vec) -> Vec:
+    def act_root(self, root: Vec) -> Vec:
+        """w(root), an index lookup; ValueError when `root` is not a root."""
         rs = self.rs
-        k = rs.root_index.get(vec)
+        k = rs.root_index.get(root)
         if k is None:
-            return _apply(self.images, vec)
+            raise ValueError(f"not a root: {root}")
         return rs.roots[self.perm[k]]
 
     def act_coweight(self, m: Vec) -> Vec:

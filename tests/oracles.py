@@ -362,8 +362,8 @@ def chevalley_by_roots(j, c, equivariant=False):
     the parabolic paired with alpha_vee. The equivariant operator adds
     (varpi_j - w(varpi_j)) sigma(w) q^d. Uses the Weyl group's element
     arithmetic and reflections, but no operator table or memo of the package:
-    the per-root data is rebuilt on every call and coset reductions bypass
-    their cache.
+    the per-root data is rebuilt on every call, n_alpha is paired through the
+    Cartan matrix, and coset reductions bypass their cache.
     """
     from qseidel.poly import SPoly
     from qseidel.weyl import coset_reduce, is_minrep, reflection, w_mul
@@ -383,12 +383,15 @@ def chevalley_by_roots(j, c, equivariant=False):
             out[key] = v
 
     rho_out = tuple(map(sum, zip(*outside)))  # 2 rho - 2 rho_P, root coordinates
+    n = rs.rank
     roots = []  # (s_alpha, m, n_alpha, eta_P(alpha_vee)) with m nonzero
     for alpha in outside:
         cv = rs.coroot_of(alpha)
         if cv[j - 1]:
-            roots.append((reflection(rs, alpha), cv[j - 1],
-                          _dot(rs.coroot_to_coweight(cv), rho_out),
+            # <beta, alpha_vee> = sum_{s,t} c_s A[s][t] b_t, A[s][t] = <alpha_t, alpha_s_vee>
+            n_alpha = sum(cv[s] * rs.cartan[s][t] * rho_out[t]
+                          for s in range(n) for t in range(n))
+            roots.append((reflection(rs, alpha), cv[j - 1], n_alpha,
                           tuple(cv[i - 1] for i in p.nodes)))
     for (w, d), coeff in c.terms.items():
         for s_alpha, mult, n_alpha, eta in roots:

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and none is
-another module's private name (stdlib ast only)."""
+"""Every name a package module imports is used in that module, none is
+another module's private name, only rootsys imports fractions, and no module
+builds a Weyl element from simple-root images (stdlib ast only)."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,22 @@ def private_imports(source: str) -> list[str]:
             for alias in node.names if alias.name.startswith("_")]
 
 
+def fractions_imports(source: str) -> list[str]:
+    """Absolute imports of the fractions module or of names from it."""
+    return [f"line {node.lineno}: fractions" for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Import)
+                and any(alias.name.split(".")[0] == "fractions" for alias in node.names))
+            or (isinstance(node, ast.ImportFrom) and not node.level
+                and (node.module or "").split(".")[0] == "fractions")]
+
+
+def weylelt_calls(source: str) -> list[str]:
+    """Calls WeylElt(...) or <module>.WeylElt(...)."""
+    return [f"line {node.lineno}: WeylElt" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and "WeylElt" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -52,6 +69,20 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_names_imported(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_only_rootsys_imports_fractions():
+    # The package is integer-only; rootsys keeps one rational view,
+    # coweight_to_coroot, for the benchmark's micro timing.
+    importers = {p.name for p in SRC.glob("*.py")
+                 if fractions_imports(p.read_text(encoding="utf-8"))}
+    assert importers <= {"rootsys.py"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_weyl_element_built_from_images(path):
+    # elements are built from root permutations through weyl._elt
+    assert weylelt_calls(path.read_text(encoding="utf-8")) == []
 
 
 def test_the_check_sees_an_unused_import():
@@ -72,3 +103,22 @@ def test_the_check_sees_a_private_import():
               "from qseidel.weyl import _apply as apply\n"
               "from .rootsys import dot\n")
     assert private_imports(source) == ["line 3: _seidel_term", "line 4: _apply"]
+
+
+def test_the_check_sees_a_fractions_import():
+    source = ("import os, fractions as fr\n"
+              "from fractions import Fraction\n"
+              "from .fractions import half\n"
+              "from decimal import Decimal\n"
+              "import fractions.sub\n")
+    assert fractions_imports(source) == ["line 1: fractions", "line 2: fractions",
+                                         "line 5: fractions"]
+
+
+def test_the_check_sees_a_weyl_element_built_from_images():
+    source = ("w = WeylElt(rs, cols, inv_cols)\n"
+              "v = weyl.WeylElt(rs, cols, inv_cols)\n"
+              "ok = isinstance(w, WeylElt)\n"
+              "u = object.__new__(WeylElt)\n"
+              "t = WeylEltFactory(rs)\n")
+    assert weylelt_calls(source) == ["line 1: WeylElt", "line 2: WeylElt"]

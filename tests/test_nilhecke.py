@@ -114,6 +114,26 @@ def test_divdiff_basics():
     assert divdiff(rs, 1, x1 * x1) == 2 * x1 - scalar_root(rs, 1)
 
 
+def test_letters_on_linear_polynomials_from_the_cartan_matrix():
+    # d_i(w_k) = <w_k, alpha_i_vee>: delta_ik for i >= 1 and -theta_vee_k for
+    # i = 0; alpha_i has weight coordinates A[k][i], and -sum_t A[k][t] theta_t
+    # for i = 0
+    for name in CATALOG + ("G2", "F4"):
+        rs = build_root_system(name)
+        n, a = rs.rank, rs.cartan
+        for i in range(n + 1):
+            for k in range(1, n + 1):
+                pairing = -rs.theta_coroot[k - 1] if i == 0 else int(k == i)
+                assert divdiff(rs, i, SPoly.var(n, k)) == SPoly.const(n, pairing)
+            coords = []
+            for k in range(n):
+                if i == 0:
+                    coords.append(-sum(a[k][t] * rs.theta[t] for t in range(n)))
+                else:
+                    coords.append(a[k][i - 1])
+            assert scalar_root(rs, i) == SPoly.weight(coords)
+
+
 def test_divdiff_squares_to_zero():
     for name in ("A2", "B2"):
         rs = build_root_system(name)

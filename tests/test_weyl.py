@@ -282,6 +282,24 @@ def test_compatibility_constructor_rejects_bad_columns():
         WeylElt(rs, ((1, 1), (0, 1)), ((1, -1), (0, 1)))
     with pytest.raises(ValueError):
         WeylElt(rs, s1.images, simple_reflection(rs, 2).images)
+    # diagram automorphisms permute the roots, with matching inverse images,
+    # but lie outside W: the swap of the two nodes of A2, and of nodes 1 and 3 of D4
+    swap = ((0, 1), (1, 0))
+    with pytest.raises(ValueError, match="not in W"):
+        WeylElt(rs, swap, swap)
+    d4 = build_root_system("D4")
+    swap = tuple(d4.simple_root(i) for i in (3, 2, 1, 4))
+    with pytest.raises(ValueError, match="not in W"):
+        WeylElt(d4, swap, swap)
+
+
+def test_act_root_refuses_a_vector_that_is_not_a_root():
+    for name in CATALOG + ("G2", "F4"):
+        rs = build_root_system(name)
+        for w in (identity(rs), longest_element(rs)):
+            for vec in (tuple(2 * x for x in rs.simple_root(1)), (0,) * rs.rank):
+                with pytest.raises(ValueError, match="not a root"):
+                    w.act_root(vec)
 
 
 @pytest.mark.parametrize("name", ("A3", "B3", "G2"))
