@@ -389,9 +389,9 @@ def pi_P_ext(x: ExtAffElt, p: ParabolicSet) -> ExtAffElt:
     return aff_mul(tau.to_ext(), pi_P(hat, p))
 
 
-def eta_P(rs: RootSystem, m: Vec, p: ParabolicSet) -> Vec:
+def eta_P(m: Vec, p: ParabolicSet) -> Vec:
     """Coroot coordinates of a coroot-lattice coweight, restricted to the quantum nodes."""
-    c = rs.coroot_coords(m)
+    c = p.rs.coroot_coords(m)
     return tuple(c[i - 1] for i in p.nodes)
 
 

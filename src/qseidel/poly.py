@@ -175,13 +175,13 @@ class SPoly:
             terms[k] = strict_int(v, "coefficient")
         return SPoly(nvars, terms)
 
-    def to_text(self, prefix: str = "w") -> str:
+    def to_text(self) -> str:
         if not self.terms:
             return "0"
         chunks = []
         for k in sorted(self.terms, key=lambda t: (sum(t), t)):
             c = self.terms[k]
-            factors = [f"{prefix}{i + 1}" + (f"^{e}" if e > 1 else "")
+            factors = [f"w{i + 1}" + (f"^{e}" if e > 1 else "")
                        for i, e in enumerate(k) if e]
             if not factors:
                 body = str(abs(c))

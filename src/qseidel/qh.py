@@ -139,7 +139,7 @@ def _seidel_term(i: int, w: WeylElt, p: ParabolicSet) -> QKey:
     rs = p.rs
     cw = rs.fund_coweight(i)
     diff = vsub(cw, w.inv_act_coweight(cw))  # in the coroot lattice
-    return coset_reduce(w_mul(v_element(rs, i), w), p), eta_P(rs, diff, p)
+    return coset_reduce(w_mul(v_element(rs, i), w), p), eta_P(diff, p)
 
 
 def seidel_multiply(i: int, c: QHClass) -> QHClass:
@@ -285,7 +285,7 @@ def psi_P(y: ExtAffElt, mu: Vec, p: ParabolicSet) -> QHClass:
     if not (is_waff_minus(y) and is_wpaff(y, p)):
         raise ValueError("psi_P needs y in W_aff^- intersect (W^P)_aff")
     w, nu = peterson_decompose(y, p)
-    d = eta_P(rs, vsub(nu, tuple(mu)), p)
+    d = eta_P(vsub(nu, tuple(mu)), p)
     return QHClass._of(p, {(w, d): SPoly.one(rs.rank)})
 
 

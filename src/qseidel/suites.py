@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .affine import (
     CentralElt,
@@ -92,16 +92,6 @@ from .weyl import (
 )
 
 
-def _type_names(v) -> tuple[str, ...]:
-    if not isinstance(v, list) or not all(isinstance(t, str) for t in v):
-        raise ValueError(f"types must be a non-empty list of type names, got {v!r}")
-    return tuple(v)
-
-
-def _parabolic_nodes(v) -> tuple[int, ...] | None:
-    return None if v is None else strict_ints(v, "parabolic")  # None: every set
-
-
 @dataclass(frozen=True)
 class RunConfig:
     types: tuple[str, ...] = CATALOG
@@ -110,63 +100,43 @@ class RunConfig:
     radius: int = 2
     fmt: str = "text"
     max_rank: int = 4
-    expansion_cap: int = EXPANSION_CAP
     seed: int = 0
 
     def __post_init__(self):
-        """Every bound on a field, however the config was built."""
+        """Every type and bound on a field, however the config was built: an
+        integer field takes an int only (no bool, float or str)."""
         for key, value, choices in (("suite", self.suite, (*SUITES, "all")),
                                     ("format", self.fmt, ("text", "json"))):
             if value not in choices:
                 raise ValueError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
-        if not self.types:
-            raise ValueError("types must be a non-empty list of type names, got []")
+        if (not isinstance(self.types, tuple) or not self.types
+                or not all(isinstance(t, str) for t in self.types)):
+            raise ValueError(f"types must be a non-empty list of type names, got {self.types!r}")
         if self.parabolic is not None:
-            if not self.parabolic:  # would silently run the degenerate P = G
+            if not strict_ints(self.parabolic, "parabolic"):  # would run the degenerate P = G
                 raise ValueError("parabolic must be null or a non-empty list of nodes, got []")
             # Only the suites that build a parabolic set would see a repeated
             # node; the others would run as if the list were well formed.
             if len(set(self.parabolic)) != len(self.parabolic):
                 raise ValueError(f"parabolic nodes must be distinct, got {list(self.parabolic)}")
+        for key in ("radius", "max_rank", "seed"):
+            strict_int(getattr(self, key), key)
         # Either would run an empty scope and report "made no checks".
         if self.radius < 0:
             raise ValueError(f"radius must be non-negative, got {self.radius}")
         if self.max_rank < 1:
             raise ValueError(f"max_rank must be at least 1, got {self.max_rank}")
-        # nh_mul and embed_group expand words only up to EXPANSION_CAP; below
-        # 0 suite_nilhecke would skip every random pair and never finish
-        if self.expansion_cap < 0:
-            raise ValueError("expansion_cap must be non-negative")
-        if self.expansion_cap > EXPANSION_CAP:
-            raise ValueError(f"expansion_cap must be at most {EXPANSION_CAP}")
 
     @staticmethod
     def from_json(data: dict) -> "RunConfig":
-        """Map the JSON keys to fields, reading integers and lists strictly."""
+        """Map the JSON keys to fields (`format` is fmt) and lists to tuples;
+        __post_init__ checks every value."""
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        # int marks an integer key, read strictly (no bool, float or str);
-        # None a value passed on as it is, for __post_init__ to check
-        keys = {
-            "types": _type_names,
-            "parabolic": _parabolic_nodes,
-            "suite": None,
-            "radius": int,
-            "format": None,
-            "max_rank": int,
-            "expansion_cap": int,
-            "seed": int,
-        }
+        keys = {"format" if f.name == "fmt" else f.name: f.name for f in fields(RunConfig)}
         strict_keys(data, keys, "config")
-        fields = {}
-        for k, v in data.items():
-            conv = keys[k]
-            if conv is int:
-                v = strict_int(v, k)
-            elif conv is not None:
-                v = conv(v)
-            fields["fmt" if k == "format" else k] = v
-        return RunConfig(**fields)
+        return RunConfig(**{keys[k]: tuple(v) if isinstance(v, list) else v
+                            for k, v in data.items()})
 
 
 @dataclass
@@ -366,8 +336,7 @@ def suite_orbit(cfg: RunConfig, res: SuiteResult) -> None:
                     j1 = involution(rs)[z1.node - 1]
                     j2 = involution(rs)[z2.node - 1]
                     cw = rs.fund_coweight(j1)
-                    predicted = eta_P(
-                        rs, vsub(cw, w_inv(v_element(rs, j2)).act_coweight(cw)), p)
+                    predicted = eta_P(vsub(cw, w_inv(v_element(rs, j2)).act_coweight(cw)), p)
                     res.check(exponent == predicted,
                               f"{rs.name()} I_P={p.nodes} z1={z1.node} "
                               f"z2={z2.node}: exponent {exponent} != predicted "
@@ -593,7 +562,7 @@ def suite_nilhecke(cfg: RunConfig, res: SuiteResult) -> None:
             x = aff_mul(zs[rng.randrange(len(zs))].to_ext(), x)
         if rng.random() < 0.5:
             y = aff_mul(zs[rng.randrange(len(zs))].to_ext(), y)
-        if aff_length(x) + aff_length(y) > cfg.expansion_cap:
+        if aff_length(x) + aff_length(y) > EXPANSION_CAP:
             continue
         pairs += 1
         res.check(nh_mul(embed_group(x), embed_group(y))
@@ -609,7 +578,7 @@ def suite_nilhecke(cfg: RunConfig, res: SuiteResult) -> None:
         for x in elems:
             ax = nh_basis(x)
             for y in minus:
-                if aff_length(x) + aff_length(y) > cfg.expansion_cap:
+                if aff_length(x) + aff_length(y) > EXPANSION_CAP:
                     continue
                 via_engine = nh_mod_Jtilde(nh_mul(ax, nh_basis(y)))
                 via_rule = act_on_xi(x, nh_basis(y))

@@ -277,26 +277,19 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElt, ...]:
 
 
 @lru_cache(maxsize=None)
-def longest_element(rs: RootSystem, nodes: tuple[int, ...] | None = None) -> WeylElt:
-    """Longest element of the standard parabolic subgroup generated by `nodes`.
-
-    nodes=None means the full group; the element is found by greedy descent on
-    the sum of the fundamental coweights of the chosen nodes, which is regular
-    for the subgroup, so no enumeration is needed.
+def longest_element(rs: RootSystem) -> WeylElt:
+    """The longest element w0, by right multiplication with s_j while some s_j
+    is a right ascent (perm[simple_index[j-1]] < N): each step adds one to the
+    length, and w0 is the only element with no right ascent.
     """
-    if nodes is None:
-        nodes = tuple(range(1, rs.rank + 1))
-    m = list(tuple(int(k + 1 in nodes) for k in range(rs.rank)))
-    w = identity(rs)
+    big = len(rs.pos_roots)
+    right = _right_simple(rs)
+    perm = identity(rs).perm
     while True:
-        i = next((i for i in nodes if m[i - 1] > 0), None)
-        if i is None:
-            break
-        c = m[i - 1]
-        for j in range(rs.rank):
-            m[j] -= c * rs.cartan[i - 1][j]
-        w = w_mul(simple_reflection(rs, i), w)
-    return w
+        j = next((j for j, k in enumerate(rs.simple_index) if perm[k] < big), None)
+        if j is None:
+            return _elt(rs, perm)
+        perm = right[j](perm)
 
 
 @lru_cache(maxsize=None)
@@ -387,7 +380,8 @@ def enumerate_minreps(rs: RootSystem, p: ParabolicSet) -> tuple[WeylElt, ...]:
 
 @lru_cache(maxsize=None)
 def v_element(rs: RootSystem, i: int) -> WeylElt:
-    """v_i = w0 * w0^{P_i} for a minuscule node i.
+    """v_i = w0 * w0^{P_i} for a minuscule node i, read as the coset reduction
+    of w0 modulo W_{P_i}: w0 = v_i * w0^{P_i} with lengths adding.
 
     Sends varpi_i_vee where w0 sends it, and is the minimal coset representative
     of its class modulo the stabilizer of varpi_i_vee, hence the unique
@@ -396,11 +390,11 @@ def v_element(rs: RootSystem, i: int) -> WeylElt:
     if i not in rs.minuscule_nodes:
         raise ValueError(f"node {i} is not minuscule in {rs.name()}")
     w0 = longest_element(rs)
-    w0p = longest_element(rs, tuple(j for j in range(1, rs.rank + 1) if j != i))
-    v = w_mul(w0, w0p)
+    p = parabolic(rs, (i,))
+    v = coset_reduce(w0, p)
     cw = rs.fund_coweight(i)
     if v.act_coweight(cw) != w0.act_coweight(cw):
         raise AssertionError("v element does not track w0 on the fundamental coweight")
-    if not is_minrep(v, parabolic(rs, (i,))):
+    if not is_minrep(v, p):
         raise AssertionError("v element is not a minimal coset representative")
     return v

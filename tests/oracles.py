@@ -5,6 +5,7 @@ brute-force enumeration) without calling into the package's own machinery,
 so agreement is evidence rather than tautology.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -174,6 +175,27 @@ def weyl_cols_from_word(cartan, word):
     for i in word:
         cols = compose_cols(cols, _reflection_cols(cartan, i - 1))
     return cols
+
+
+def longest_word_by_descent(cartan, nodes):
+    """A reduced word of the longest element of the subgroup generated by
+    s_i, i in `nodes` (1-based).
+
+    Greedy descent from the sum of the fundamental coweights of `nodes`, which
+    is regular for that subgroup: while some node i pairs to c > 0 with the
+    coweight, apply s_i (subtract c times alpha_i_vee, row i of the Cartan
+    matrix) and put s_i in front of the word. It stops in the antidominant
+    chamber, one letter per positive root of the subgroup.
+    """
+    m = [int(k + 1 in nodes) for k in range(len(cartan))]
+    word = []
+    while True:
+        i = next((i for i in nodes if m[i - 1] > 0), None)
+        if i is None:
+            return tuple(word)
+        c = m[i - 1]
+        m = [a - c * b for a, b in zip(m, cartan[i - 1])]
+        word.insert(0, i)
 
 
 def subgroup_cols(cartan, gens):
@@ -351,6 +373,21 @@ def affine_word_by_root_action(cartan, theta, theta_coweight, word, lam):
 # -- the quantum Chevalley formula, root by root -------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _root_reflection(rs, alpha):
+    """s_alpha as a Weyl element, its root permutation built from the Cartan
+    matrix alone: s_alpha(beta) = beta - <beta, alpha_vee> alpha, with
+    <beta, alpha_vee> = sum_{s,t} c_s A[s][t] b_t for alpha_vee = sum_s c_s alpha_s_vee
+    and A[s][t] = <alpha_t, alpha_s_vee>."""
+    from qseidel.weyl import _elt
+
+    n, cv = rs.rank, rs.coroot_of(alpha)
+    row = [sum(cv[s] * rs.cartan[s][t] for s in range(n)) for t in range(n)]
+    return _elt(rs, tuple(
+        rs.root_index[tuple(b - _dot(row, beta) * a for a, b in zip(alpha, beta))]
+        for beta in rs.roots))
+
+
 def chevalley_by_roots(j, c, equivariant=False):
     """Terms of D_j c by the Fulton-Woodward sum, recomputed per input term.
 
@@ -361,12 +398,13 @@ def chevalley_by_roots(j, c, equivariant=False):
     n_alpha = <2 rho - 2 rho_P, alpha_vee>, the sum of the positive roots outside
     the parabolic paired with alpha_vee. The equivariant operator adds
     (varpi_j - w(varpi_j)) sigma(w) q^d. Uses the Weyl group's element
-    arithmetic and reflections, but no operator table or memo of the package:
-    the per-root data is rebuilt on every call, n_alpha is paired through the
-    Cartan matrix, and coset reductions bypass their cache.
+    arithmetic, but no reflection, operator table or memo of the package: s_alpha
+    comes from _root_reflection, the rest of the per-root data is rebuilt on
+    every call, n_alpha is paired through the Cartan matrix, and coset
+    reductions bypass their cache.
     """
     from qseidel.poly import SPoly
-    from qseidel.weyl import coset_reduce, is_minrep, reflection, w_mul
+    from qseidel.weyl import coset_reduce, is_minrep, w_mul
 
     p = c.p
     rs = p.rs
@@ -391,7 +429,7 @@ def chevalley_by_roots(j, c, equivariant=False):
             # <beta, alpha_vee> = sum_{s,t} c_s A[s][t] b_t, A[s][t] = <alpha_t, alpha_s_vee>
             n_alpha = sum(cv[s] * rs.cartan[s][t] * rho_out[t]
                           for s in range(n) for t in range(n))
-            roots.append((reflection(rs, alpha), cv[j - 1], n_alpha,
+            roots.append((_root_reflection(rs, alpha), cv[j - 1], n_alpha,
                           tuple(cv[i - 1] for i in p.nodes)))
     for (w, d), coeff in c.terms.items():
         for s_alpha, mult, n_alpha, eta in roots:

@@ -394,9 +394,9 @@ def test_eta_p_reads_coroot_coordinates():
     rs = build_root_system("A2")
     p = parabolic(rs, (1,))
     theta_cw = rs.coroot_to_coweight(rs.coroot_of(rs.theta))
-    assert eta_P(rs, theta_cw, p) == (1,)
+    assert eta_P(theta_cw, p) == (1,)
     full = parabolic(rs, (1, 2))
-    assert eta_P(rs, theta_cw, full) == (1, 1)
+    assert eta_P(theta_cw, full) == (1, 1)
 
 
 def test_peterson_decompose_round_trip():
@@ -421,7 +421,7 @@ def test_peterson_decompose_round_trip():
                 assert is_antidominant(nu)
                 assert aff_mul(ext(u), pi_P_ext(translation(rs, nu), p)) == y
                 # the recovered eta class agrees with the one we built from
-                assert eta_P(rs, nu, p) == eta_P(rs, lam, p)
+                assert eta_P(nu, p) == eta_P(lam, p)
             assert seen > 0
 
 

@@ -470,7 +470,7 @@ def test_qprod_q_needs_one_exponent_per_node(capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("radius", 1.0), ("radius", True), ("seed", "3"), ("max_rank", 2.5),
-    ("expansion_cap", False), ("parabolic", [1.0]), ("parabolic", "1"),
+    ("seed", False), ("parabolic", [1.0]), ("parabolic", "1"),
     ("types", "A2"), ("types", ["A2", 3]), ("format", "xml"),
     ("format", ["json"]), ("suite", "no-such-suite"), ("suite", ["all"]),
     ("types", []), ("parabolic", []), ("parabolic", [1, 1]),
@@ -490,16 +490,15 @@ def test_verify_config_rejects_a_non_object(text, tmp_path, capsys):
     assert "config must be a JSON object" in capsys.readouterr().err
 
 
-def test_verify_config_caps_expansion_at_the_engine_bound(tmp_path, capsys):
+def test_verify_config_refuses_expansion_cap(tmp_path, capsys):
+    # the nil Hecke suite always expands up to nilhecke.EXPANSION_CAP; a
+    # lower cap would only verify less
     path = tmp_path / "cfg.json"
-    path.write_text('{"suite": "nilhecke", "types": ["A1"], "expansion_cap": 9}')
+    path.write_text('{"suite": "nilhecke", "types": ["A1"], "expansion_cap": 8}')
     assert cli.run(["verify", "--config", str(path)]) == 2
-    assert "expansion_cap must be at most 8" in capsys.readouterr().err
-    path.write_text('{"suite": "nilhecke", "types": ["A1"], "expansion_cap": -1}')
-    assert cli.run(["verify", "--config", str(path)]) == 2
-    assert "expansion_cap must be non-negative" in capsys.readouterr().err
-    path.write_text('{"suite": "nilhecke", "types": ["A1"], "expansion_cap": 4}')
-    assert cli.run(["verify", "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown config key 'expansion_cap'" in captured.err
 
 
 def test_verify_orbit_on_a_type_of_rank_above_the_catalog(capsys):

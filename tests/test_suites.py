@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from qseidel import suites
@@ -28,6 +32,23 @@ def test_runconfig_from_json():
     assert cfg.suite == "psi"
     assert cfg.types == ("A1",)
     assert cfg.radius == 1
+
+
+def test_config_keys_match_the_fields_and_the_readme():
+    # --config, RunConfig and the README name the same settings one to one
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    keys = ["format" if n == "fmt" else n for n in names]
+    default = RunConfig()
+    for key, name in zip(keys, names):
+        value = getattr(default, name)
+        as_json = list(value) if isinstance(value, tuple) else value
+        assert RunConfig.from_json({key: as_json}) == default
+    with pytest.raises(ValueError, match="unknown config key 'fmt'"):
+        RunConfig.from_json({"fmt": "text"})
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("`verify` accepts"):].split("\n\n")[0]
+    listed = re.search(r"Its keys are ([^.]*)\.", paragraph)
+    assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(keys)
 
 
 def test_runconfig_rejects_unknown_keys():
@@ -88,16 +109,24 @@ def test_runconfig_refuses_repeated_parabolic_nodes():
 
 
 @pytest.mark.parametrize("kw, match", [
-    ({"expansion_cap": -1}, "expansion_cap must be non-negative"),
-    ({"expansion_cap": 9}, "expansion_cap must be at most 8"),
+    ({"seed": 2.5}, "seed must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
     ({"types": ()}, "types must be a non-empty list"),
     ({"parabolic": ()}, "parabolic must be null or a non-empty list"),
     ({"suite": "no-such-suite"}, "suite must be one of"),
     ({"fmt": "xml"}, "format must be one of"),
+    ({"types": "A2"}, "types must be a non-empty list"),
+    ({"types": ("A2", 3)}, "types must be a non-empty list"),
+    ({"parabolic": (1.0,)}, "parabolic must be an integer"),
+    ({"parabolic": "1"}, "parabolic must be a list of integers"),
+    ({"max_rank": 2.5}, "max_rank must be an integer"),
+    ({"radius": True}, "radius must be an integer"),
+    ({"radius": 1.5}, "radius must be an integer"),
 ])
 def test_runconfig_checks_its_bounds_however_it_is_built(kw, match):
     # a config built from Python meets the bounds that --config and the
-    # flags meet; at expansion_cap=-1 the nilhecke suite would never finish
+    # flags meet; radius=True would run as radius 1 and radius=1.5 would
+    # fail inside range() in the middle of a run
     with pytest.raises(ValueError, match=match):
         RunConfig(**kw)
     with pytest.raises(ValueError, match=match):

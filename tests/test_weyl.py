@@ -30,6 +30,7 @@ from oracles import (
     apply_cols,
     brute_min_coset_rep,
     compose_cols,
+    longest_word_by_descent,
     minreps_by_reduction,
     subgroup_cols,
     weyl_cols_from_word,
@@ -133,6 +134,30 @@ def test_longest_element():
         assert w_mul(w0, w0).is_identity()
         for r in rs.pos_roots:
             assert not is_positive_vec(w0.act_root(r))
+
+
+EVERY_TYPE_TO_RANK_8 = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                        + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+                        + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", EVERY_TYPE_TO_RANK_8)
+def test_longest_element_matches_the_coweight_descent(name):
+    rs = build_root_system(name)
+    nodes = tuple(range(1, rs.rank + 1))
+    w0 = longest_element(rs)
+    assert w0 == from_word(rs, longest_word_by_descent(rs.cartan, nodes))
+    assert w0.length == len(rs.pos_roots)
+
+
+@pytest.mark.parametrize("name", EVERY_TYPE_TO_RANK_8)
+def test_v_elements_are_w0_times_the_parabolic_w0(name):
+    rs = build_root_system(name)
+    w0 = longest_element(rs)
+    for i in rs.minuscule_nodes:
+        rest = tuple(j for j in range(1, rs.rank + 1) if j != i)
+        w0p = from_word(rs, longest_word_by_descent(rs.cartan, rest))
+        assert v_element(rs, i) == w_mul(w0, w0p)
 
 
 def test_longest_element_conjugation_is_involution():
