@@ -9,10 +9,14 @@ Conventions, fixed once and used everywhere:
 * lambda is stored in fundamental-coweight coordinates, so membership in the
   coroot lattice is an integer mat-vec with the adjugate of the transposed
   Cartan matrix and a divisibility test by its denominator;
-* length: number of positive real affine roots sent negative, computed by the
-  closed formula sum_{alpha > 0} |chi(w(alpha) < 0) + <lambda, alpha>|, which
-  also covers translations by general coweights (the hat part has the same
-  length, asserted in tests);
+* the sign rule: for x = w t_lambda and alpha > 0, e_alpha(x) = <lambda,
+  alpha> + [w(alpha) < 0]; x(alpha + n delta) < 0 exactly when n < e, and
+  x(-alpha + n delta) < 0 exactly when n <= -e. Every sign the module reads
+  is read off e (at a simple root, <lambda, alpha_i> = lambda_i), while
+  aff_act_root and inversion_count_oracle evaluate the action as the check;
+* length: sum_{alpha > 0} |e_alpha(x)|, the number of positive real affine
+  roots sent negative, which also covers translations by general coweights
+  (the hat part has the same length, asserted in tests);
 * s_0 = s_theta t_{-theta_vee}, and affine reduced words use letters 0..n.
 
 Central elements are the length-zero elements v_i t_{-varpi_i_vee} attached to
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 from .rootsys import (
     AffineRoot,
@@ -107,7 +111,7 @@ def aff_act_root(x: ExtAffElt, beta: AffineRoot) -> AffineRoot:
 def aff_length(x: ExtAffElt) -> int:
     rs = x.rs
     big = len(rs.pos_roots)
-    # alpha = roots[k] for k < N; chi(w(alpha) < 0) is perm[k] >= N
+    # sum of |e_alpha(x)|: alpha = roots[k] for k < N, [w(alpha) < 0] is perm[k] >= N
     return sum(abs((k >= big) + c)
                for k, c in zip(x.w.perm, mat_vec(rs.pos_roots, x.lam)))
 
@@ -133,28 +137,31 @@ def inversion_count_oracle(x: ExtAffElt) -> int:
     return count
 
 
-def is_waff_minus(x: ExtAffElt) -> bool:
-    """Minimal length in its right W-coset: x(alpha_i) affine-positive for all i."""
-    rs = x.rs
-    big = len(rs.pos_roots)
+def _simple_descent(x: ExtAffElt) -> Optional[int]:
+    """The first i >= 1 with e = lambda_i + [w(alpha_i) < 0] > 0 (x(alpha_i) < 0), or None."""
+    big = len(x.rs.pos_roots)
     perm = x.w.perm
-    for c, k in zip(x.lam, rs.simple_index):
-        if c > 0:
-            return False
-        if c == 0 and perm[k] >= big:
-            return False
-    return True
+    for i, (c, k) in enumerate(zip(x.lam, x.rs.simple_index), 1):
+        if c + (perm[k] >= big) > 0:
+            return i
+    return None
+
+
+def is_waff_minus(x: ExtAffElt) -> bool:
+    """Minimal length in its right W-coset: e <= 0 at every alpha_i."""
+    return _simple_descent(x) is None
+
+
+def _levi_signs(w: WeylElt, lam: Vec, p: ParabolicSet) -> Iterator[int]:
+    """e_alpha(w t_lam) for alpha over R_P^+, in the order of p.rp_pos, one at a time."""
+    big = len(p.rs.pos_roots)
+    for k, alpha in zip(p.rp_index, p.rp_pos):
+        yield dot(lam, alpha) + (w.perm[k] >= big)
 
 
 def is_wpaff(x: ExtAffElt, p: ParabolicSet) -> bool:
-    """<lambda, alpha> = 0 where w(alpha) > 0 and -1 where w(alpha) < 0, over R_P^+."""
-    big = len(p.rs.pos_roots)
-    perm = x.w.perm
-    lam = x.lam
-    for k, alpha in zip(p.rp_index, p.rp_pos):
-        if dot(lam, alpha) != (-1 if perm[k] >= big else 0):
-            return False
-    return True
+    """x sends every positive root of (W_P)_aff positive: e = 0 over R_P^+."""
+    return not any(_levi_signs(x.w, x.lam, p))
 
 
 # -- central elements --------------------------------------------------------
@@ -256,22 +263,20 @@ def affine_simple_ext(rs: RootSystem, i: int) -> ExtAffElt:
 
 
 def _affine_descent(x: ExtAffElt) -> Optional[int]:
-    """The smallest i in 0..n with x(alpha_i) negative, or None.
-
-    By the action on affine roots, x(alpha_0) = -w(theta) + (1 + <lambda,
-    theta>) delta and x(alpha_i) = w(alpha_i) - lambda_i delta for i >= 1, so
-    each sign is read off lambda and one entry of w's root permutation.
-    """
+    """The smallest i in 0..n with x(alpha_i) < 0 (i = 0: e_theta < 0), or None."""
     rs = x.rs
-    big = len(rs.pos_roots)
-    perm = x.w.perm
-    level = 1 + dot(x.lam, rs.theta)
-    if level < 0 or (level == 0 and perm[rs.root_index[rs.theta]] < big):
-        return 0
-    for i, (c, k) in enumerate(zip(x.lam, rs.simple_index), 1):
-        if c > 0 or (c == 0 and perm[k] >= big):
-            return i
-    return None
+    e = dot(x.lam, rs.theta) + (x.w.perm[rs.root_index[rs.theta]] >= len(rs.pos_roots))
+    return 0 if e < 0 else _simple_descent(x)
+
+
+def left_ascent(y: ExtAffElt, i: int) -> bool:
+    """Whether l(s_i y) > l(y), i.e. y^-1(alpha_i) > 0: the left-hand twin of
+    _affine_descent. For gamma = alpha_i (theta if i = 0) and beta = w^-1(gamma),
+    e = e_gamma(y^-1) = [beta < 0] - <lambda, beta>, read without forming y^-1."""
+    rs = y.rs
+    k = y.w.perm.index(rs.root_index[rs.theta if i == 0 else rs.simple_root(i)])
+    e = (k >= len(rs.pos_roots)) - dot(y.lam, rs.roots[k])  # beta = roots[k]
+    return e >= 0 if i == 0 else e <= 0
 
 
 def reduced_word_affine(x: ExtAffElt) -> tuple[int, ...]:
@@ -327,14 +332,13 @@ def in_parabolic_aff(x: ExtAffElt, p: ParabolicSet) -> bool:
 @lru_cache(maxsize=None)
 def _levi(p: ParabolicSet) -> tuple:
     """alpha_j_vee for j off I_P, adj / d inverting the Levi Cartan block
-    M[j][k] = <alpha_k_vee, alpha_j>, and (k, alpha, alpha_vee, s_alpha) over
-    R_P^+; coroots in coweight coordinates."""
+    M[j][k] = <alpha_k_vee, alpha_j>, and (alpha, alpha_vee, s_alpha) over
+    R_P^+ in the order of p.rp_pos; coroots in coweight coordinates."""
     rs = p.rs
     rows = tuple(rs.cartan[j - 1] for j in p.wp_nodes)
     adj, d = int_inverse([[row[j - 1] for row in rows] for j in p.wp_nodes])
-    roots = tuple((k, alpha, rs.coroot_to_coweight(rs.coroot_of(alpha)),
-                   reflection(rs, alpha))
-                  for k, alpha in zip(p.rp_index, p.rp_pos))
+    roots = tuple((alpha, rs.coroot_to_coweight(rs.coroot_of(alpha)), reflection(rs, alpha))
+                  for alpha in p.rp_pos)
     return rows, adj, d, roots
 
 
@@ -345,10 +349,13 @@ def pi_P(x: ExtAffElt, p: ParabolicSet) -> ExtAffElt:
     x1 is the unique element of x (W_P)_aff sending every positive root of
     (W_P)_aff positive, the minimal one (Dyer). A translation by mu0 in
     Q_vee_P, the floor of the Levi solve of <lambda, alpha_j> over j off I_P,
-    bounds every Levi pairing by the type. Then, while x(alpha) < 0 or
-    x(delta - alpha) < 0 for some alpha in R_P^+, x becomes x s_alpha or
-    x s_{delta - alpha} = x s_alpha t_{-alpha_vee}; each step shortens x, and
-    the loop stops exactly when is_wpaff(x) holds. The residual is verified.
+    bounds every Levi pairing by the type. Then, while e = e_alpha(x) != 0
+    for some alpha in R_P^+, x becomes x s_alpha if e > 0 (x(alpha) < 0) or
+    x s_{delta - alpha} = x s_alpha t_{-alpha_vee} if e < 0 (x(delta - alpha)
+    < 0); the loop stops exactly when is_wpaff(x) holds. Each step lowers the
+    number sum |e| over R_P^+ of positive roots of (W_P)_aff that x inverts,
+    so that number bounds the steps, and a step past it is an AssertionError.
+    The residual is verified.
     """
     rs = x.rs
     if not rs.in_coroot_lattice(x.lam):
@@ -361,22 +368,18 @@ def pi_P(x: ExtAffElt, p: ParabolicSet) -> ExtAffElt:
         if c:
             lam = tuple(a - c * b for a, b in zip(lam, row))
     w = x.w
-    big = len(rs.pos_roots)
-    moved = True
-    while moved:
-        moved = False
-        for k, alpha, coroot, s in roots:
-            m = dot(lam, alpha)
-            down = w.perm[k] >= big
-            if m > 0 or (m == 0 and down):  # x(alpha) < 0
-                step = m
-            elif m < -1 or (m == -1 and not down):  # x(delta - alpha) < 0
-                step = m + 1
-            else:
-                continue
-            w = w_mul(w, s)
-            lam = tuple(a - step * b for a, b in zip(lam, coroot))
-            moved = True
+    budget = sum(map(abs, _levi_signs(w, lam, p)))
+    for steps in range(budget + 1):
+        for e, (alpha, coroot, s) in zip(_levi_signs(w, lam, p), roots):
+            if e:
+                break
+        else:  # e = 0 over R_P^+: x is in (W^P)_aff
+            break
+        if steps == budget:
+            raise AssertionError(f"pi_P descent passed its budget of {budget} steps")
+        c = dot(lam, alpha) + (e < 0)
+        w = w_mul(w, s)
+        lam = tuple(a - c * b for a, b in zip(lam, coroot))
     x1 = ExtAffElt(w, lam)
     if not in_parabolic_aff(aff_mul(aff_inv(x1), x), p):
         raise AssertionError("pi_P residual escaped (W_P)_aff")

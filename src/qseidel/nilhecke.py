@@ -15,8 +15,8 @@ A_x = A_h tau; the key relations driving multiplication are
 Every product is built one letter at a time: f A_h tau times an element
 twists the element by tau and then applies A_i for each letter of a reduced
 word of h, right to left. A letter acts on coefficients through rows memoised
-per (i, monomial), the images s_i(w^e) and d_i(w^e), and whether it raises the
-length of a key y is read off the single affine root y^-1(alpha_i). Group
+per (i, monomial), the images s_i(w^e) and d_i(w^e). Whether it raises the
+length of a key y is read in affine (left_ascent, by its sign rule). Group
 elements embed through s_i = 1 - alpha_i A_i, applied the same way to tau; the
 embedding is memoised per element.
 """
@@ -35,10 +35,11 @@ from .affine import (
     affine_simple_ext,
     identity_aff,
     is_waff_minus,
+    left_ascent,
     reduced_word_affine,
 )
 from .poly import SPoly, add_terms
-from .rootsys import RootSystem, dot, mat_vec
+from .rootsys import RootSystem, mat_vec
 from .weyl import WeylElt
 
 EXPANSION_CAP = 8
@@ -160,24 +161,9 @@ def _split(x: ExtAffElt) -> tuple[tuple[int, ...], CentralElt]:
     """x = h tau with tau central: a reduced word of h = x tau^-1, and tau."""
     tau = CentralElt(x.rs, x.rs.minuscule_class_node(x.lam))
     h = x if tau.node is None else aff_mul(x, aff_inv(tau.to_ext()))
-    word = reduced_word_affine(h)
-    if len(word) > EXPANSION_CAP:
+    if aff_length(h) > EXPANSION_CAP:  # refused before any letter is peeled
         raise ValueError(f"nil Hecke expansion beyond length {EXPANSION_CAP}")
-    return word, tau
-
-
-def _ascends(rs: RootSystem, i: int, y: ExtAffElt) -> bool:
-    """Whether l(s_i y) > l(y), i.e. y^-1(alpha_i) > 0.
-
-    For y = w t_lambda and alpha_i = gamma + c delta, y^-1(alpha_i) =
-    beta + (c + <lambda, beta>) delta with beta = w^-1(gamma), so the sign is
-    read off lambda and one entry of w's root permutation: the left-hand twin
-    of affine._affine_descent.
-    """
-    alpha = rs.affine_simple(i)
-    k = y.w.perm.index(rs.root_index[alpha.finite])  # beta = roots[k]
-    level = alpha.level + dot(y.lam, rs.roots[k])
-    return level > 0 or (level == 0 and k < len(rs.pos_roots))
+    return reduced_word_affine(h), tau
 
 
 def _letter_times(rs: RootSystem, i: int,
@@ -186,7 +172,7 @@ def _letter_times(rs: RootSystem, i: int,
     s_i = affine_simple_ext(rs, i)
     pairs = []
     for y, g in terms.items():
-        if _ascends(rs, i, y):
+        if left_ascent(y, i):
             pairs.append((aff_mul(s_i, y), reflect_poly(rs, i, g)))
         pairs.append((y, divdiff(rs, i, g)))
     return add_terms(pairs)

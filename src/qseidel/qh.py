@@ -33,15 +33,26 @@ from .affine import (
     peterson_decompose,
 )
 from .poly import SPoly, add_terms
-from .rootsys import RootSystem, Vec, dot, strict_ints, strict_keys, vadd, vsub
+from .rootsys import (
+    RootSystem,
+    Vec,
+    build_root_system,
+    dot,
+    strict_ints,
+    strict_keys,
+    vadd,
+    vsub,
+)
 from .weyl import (
     ParabolicSet,
     WeylElt,
     coset_reduce,
     enumerate_minreps,
+    from_word,
     identity,
     involution,
     is_minrep,
+    parabolic,
     reduced_word,
     reflection,
     v_element,
@@ -340,9 +351,6 @@ def qh_to_json(c: QHClass) -> dict:
 
 
 def qh_from_json(data: dict) -> QHClass:
-    from .rootsys import build_root_system
-    from .weyl import from_word, parabolic
-
     strict_keys(data, ("type", "parabolic", "terms"), "class")
     if not isinstance(data["type"], str):
         raise ValueError(f"type must be a string, got {data['type']!r}")

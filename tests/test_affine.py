@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from qseidel import affine
 from qseidel.affine import (
+    _affine_descent,
     CentralElt,
     ExtAffElt,
     aff_act_root,
@@ -24,17 +26,19 @@ from qseidel.affine import (
     is_antidominant,
     is_waff_minus,
     is_wpaff,
+    left_ascent,
     peterson_decompose,
     pi_P,
     pi_P_ext,
     reduced_word_affine,
     translation,
 )
-from qseidel.rootsys import CATALOG, build_root_system, dot, vneg
+from qseidel.rootsys import CATALOG, AffineRoot, build_root_system, dot, vneg
 from qseidel.weyl import (
     enumerate_parabolic_subgroup,
     enumerate_weyl,
     from_word,
+    identity,
     longest_element,
     parabolic,
     reduced_word,
@@ -284,6 +288,54 @@ def test_wpaff_membership_examples():
     assert not is_wpaff(ext(simple_reflection(rs, 2)), p)
 
 
+@pytest.mark.parametrize("name", CATALOG + ("G2", "F4"))
+def test_every_sign_reader_matches_the_root_action(name):
+    # each reader of the sign rule against aff_act_root(...).is_positive() on
+    # extended elements. x(beta + n delta) = x(beta) + n delta, so a positive
+    # root of (W_P)_aff stays positive under x once alpha and delta - alpha do.
+    # Members of W_aff^- come from a peel by the root action and members of
+    # (W^P)_aff from pi_P_ext, so both answers occur for each predicate.
+    rs = build_root_system(name)
+    n = rs.rank
+    rng = random.Random(name)
+    simple = [rs.affine_simple(i) for i in range(n + 1)]
+    ps = [parabolic(rs, s) for r in range(1, n + 1)
+          for s in itertools.combinations(range(1, n + 1), r)]
+    levi = {p: [a for a in rs.pos_roots if not any(a[i - 1] for i in p.nodes)] for p in ps}
+
+    def sends_negative(x, beta):
+        return not aff_act_root(x, beta).is_positive()
+
+    def descents(x):
+        return [i for i in range(n + 1) if sends_negative(x, simple[i])]
+
+    seen = set()
+    for _ in range(20):
+        x = ExtAffElt(from_word(rs, [rng.randint(1, n) for _ in range(rng.randint(0, 8))]),
+                      tuple(rng.randint(-3, 3) for _ in range(n)))
+        minus = x
+        while finite := [i for i in descents(minus) if i]:
+            minus = aff_mul(minus, affine_simple_ext(rs, finite[0]))
+        for y in (x, minus, pi_P_ext(x, rng.choice(ps))):
+            down = descents(y)
+            assert _affine_descent(y) == (down[0] if down else None), y
+            assert is_waff_minus(y) == (down in ([], [0])), y
+            seen.add(("W_aff^-", is_waff_minus(y)))
+            inv = aff_inv(y)
+            for i in range(n + 1):
+                assert left_ascent(y, i) != sends_negative(inv, simple[i]), (y, i)
+            hat = hat_decompose(y)[1]
+            assert aff_length(y) == aff_length(hat) == inversion_count_oracle(hat), y
+            for p in ps:
+                want = not any(sends_negative(y, AffineRoot(a, 0))
+                               or sends_negative(y, AffineRoot(vneg(a), 1)) for a in levi[p])
+                assert is_wpaff(y, p) == want, (y, p.nodes)
+                seen.add(("(W^P)_aff", want))
+    both = {(k, b) for k in ("W_aff^-", "(W^P)_aff") for b in (False, True)}
+    # the only I_P of A1 is {1}, which has no Levi roots
+    assert seen == both - ({("(W^P)_aff", False)} if n == 1 else set())
+
+
 def test_pi_p_properties():
     rng = random.Random(29)
     for name in ("A2", "B2", "A3"):
@@ -373,6 +425,24 @@ def test_pi_p_of_a_huge_translation_takes_few_steps(monkeypatch):
             assert 0 < len(steps) < 50, (nodes, word, len(steps))
             want = pi_p_by_candidates(rs.cartan, word, lam, nodes)
             assert (x1.w.images, x1.lam) == want, (nodes, word, c)
+
+
+def test_a_descent_step_that_does_not_shorten_fails_fast(monkeypatch):
+    # with every s_alpha of the Levi roots the identity, a step no longer
+    # lowers sum |e| over R_P^+, and without the budget the descent would
+    # never end; the budget turns that into an AssertionError
+    monkeypatch.setattr(affine, "reflection", lambda rs, alpha: identity(rs))
+    affine._levi.cache_clear()
+    try:
+        for name, word, c, nodes in (("A2", (1,), (1, 0), (2,)),
+                                     ("B3", (1, 2, 3), (2, -1, 1), (1,)),
+                                     ("D4", (2, 1, 3), (0, 1, -2, 1), (2,))):
+            rs = build_root_system(name)
+            x = ExtAffElt(from_word(rs, word), rs.coroot_to_coweight(c))
+            with pytest.raises(AssertionError, match="budget"):
+                pi_P.__wrapped__(x, parabolic(rs, nodes))
+    finally:
+        affine._levi.cache_clear()
 
 
 def test_pi_p_on_e7_enumerates_no_parabolic_subgroup():

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, none is
-another module's private name, only rootsys imports fractions, and no module
-builds a Weyl element from simple-root images (stdlib ast only)."""
+another module's private name, only rootsys imports fractions, no module
+builds a Weyl element from simple-root images, and only rootsys and affine
+read the level of an affine root (stdlib ast only)."""
 
 import ast
 from pathlib import Path
@@ -61,6 +62,12 @@ def weylelt_calls(source: str) -> list[str]:
             and "WeylElt" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
+def level_reads(source: str) -> list[str]:
+    """Attribute reads <expr>.level, as of AffineRoot.level."""
+    return [f"line {node.lineno}: level" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "level"]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -83,6 +90,14 @@ def test_only_rootsys_imports_fractions():
 def test_no_weyl_element_built_from_images(path):
     # elements are built from root permutations through weyl._elt
     assert weylelt_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_only_rootsys_and_affine_read_affine_root_levels():
+    # affine decides every affine-root sign through its sign rule; other
+    # modules ask affine rather than reading a level themselves
+    readers = {p.name for p in SRC.glob("*.py")
+               if level_reads(p.read_text(encoding="utf-8"))}
+    assert readers <= {"rootsys.py", "affine.py"}
 
 
 def test_the_check_sees_an_unused_import():
@@ -122,3 +137,12 @@ def test_the_check_sees_a_weyl_element_built_from_images():
               "u = object.__new__(WeylElt)\n"
               "t = WeylEltFactory(rs)\n")
     assert weylelt_calls(source) == ["line 1: WeylElt", "line 2: WeylElt"]
+
+
+def test_the_check_sees_a_level_read():
+    source = ("level = alpha.level + dot(lam, beta)\n"
+              "from . import level\n"
+              "ok = rs.affine_simple(i).level > 0\n"
+              "n = getattr(root, 'level')\n"
+              "AffineRoot(gamma, level=0)\n")
+    assert level_reads(source) == ["line 1: level", "line 3: level"]

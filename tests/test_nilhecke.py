@@ -10,9 +10,12 @@ from qseidel.affine import (
     central_elements,
     identity_aff,
     is_waff_minus,
+    left_ascent,
+    reduced_word_affine,
+    translation,
 )
 from qseidel.nilhecke import (
-    _ascends,
+    EXPANSION_CAP,
     act_on_xi,
     central_act_poly,
     divdiff,
@@ -393,7 +396,7 @@ def test_one_root_ascent_matches_the_length_comparison():
             y = _random_ext(rng, rs, zs, max_len=8)
             for i in range(rs.rank + 1):
                 up = aff_length(aff_mul(affine_simple_ext(rs, i), y)) > aff_length(y)
-                assert _ascends(rs, i, y) == up
+                assert left_ascent(y, i) == up
                 if i == 0:
                     node0.add(up)
     assert node0 == {False, True}
@@ -412,3 +415,24 @@ def test_warm_memos_change_no_result():
     assert embed_group.cache_info().hits > 0
     for _ in range(2):
         test_reflect_poly_matches_the_reflection_formula()
+
+
+def test_a_long_element_is_refused_before_its_word_is_built(monkeypatch):
+    # the length is compared with EXPANSION_CAP before any letter is peeled,
+    # so refusing a 2,400-letter element builds no word
+    words = []
+    monkeypatch.setattr("qseidel.nilhecke.reduced_word_affine",
+                        lambda h: words.append(h) or reduced_word_affine(h))
+    rs = build_root_system("A2")
+    tau = central_elements(rs)[1].to_ext()
+    x = aff_mul(tau, translation(rs, rs.coroot_to_coweight((600, 0))))
+    assert aff_length(x) == 2400
+    for expand in (embed_group, lambda y: nh_mul(nh_basis(y), nh_one(rs))):
+        with pytest.raises(ValueError, match=f"beyond length {EXPANSION_CAP}"):
+            expand(x)
+    assert words == []
+    # at the cap the word is built, once per split
+    y = aff_mul(tau, translation(rs, rs.coroot_to_coweight((2, 0))))
+    assert aff_length(y) == EXPANSION_CAP
+    assert nh_mul(nh_basis(y), nh_one(rs)) == nh_basis(y)
+    assert len(words) == 1 and aff_length(words[0]) == EXPANSION_CAP

@@ -217,6 +217,24 @@ def test_seidel_orbit_matches_central_order():
             assert size == len(steps)
 
 
+def test_the_seidel_representation_is_injective():
+    # pi_1(Aut X) -> QH*(X)_loc^x: distinct central elements z give distinct
+    # (Weyl part, q-exponent) of z * 1. The orbit orders do not separate
+    # tau_1, tau_3 and tau_4 on D4, where P_vee / Q_vee is Z/2 x Z/2.
+    cases = [(name, nodes) for name in CATALOG
+             for r in range(1, int(name[1:]) + 1)
+             for nodes in itertools.combinations(range(1, int(name[1:]) + 1), r)]
+    for name, nodes in cases + [("E6", (1,)), ("E6", (6,)), ("E7", (7,))]:
+        rs = build_root_system(name)
+        p = parabolic(rs, nodes)
+        images = set()
+        for z in central_elements(rs):
+            ((key, coeff),) = seidel_apply(z, unit_class(p)).terms.items()
+            assert coeff == SPoly.one(rs.rank)
+            images.add(key)
+        assert len(images) == len(central_elements(rs)), (name, nodes)
+
+
 def test_composite_seidel_exponent():
     # S_{z1} S_{z2} = q^e S_{z1 z2} with one global exponent
     for name in ("A2", "A3", "B2"):
