@@ -120,7 +120,11 @@ def inversion_count_oracle(x: ExtAffElt) -> int:
     """Count inverted positive real affine roots directly, up to a level bound.
 
     Only levels below max |<lambda, alpha>| + 1 can change sign, so the finite
-    sweep is exhaustive. Requires lambda in the coroot lattice.
+    sweep is exhaustive. x fixes delta, so x(gamma + n delta) = x(gamma) + n
+    delta, and the sign of beta + m delta is monotone in m: once an image is
+    positive, every image at a higher level is too. Each root's sweep therefore
+    stops at its first positive image and still counts every inversion.
+    Requires lambda in the coroot lattice.
     """
     rs = x.rs
     if not rs.in_coroot_lattice(x.lam):
@@ -128,12 +132,12 @@ def inversion_count_oracle(x: ExtAffElt) -> int:
     bound = max((abs(dot(x.lam, a)) for a in rs.pos_roots), default=0) + 1
     count = 0
     for gamma in rs.roots:
-        # x fixes delta, so x(gamma + n delta) = x(gamma) + n delta
         image = aff_act_root(x, AffineRoot(gamma, 0))
         start = 0 if is_positive_vec(gamma) else 1
         for level in range(start, bound + 1):
-            if not AffineRoot(image.finite, image.level + level).is_positive():
-                count += 1
+            if AffineRoot(image.finite, image.level + level).is_positive():
+                break
+            count += 1
     return count
 
 

@@ -157,8 +157,12 @@ def nh_basis(x: ExtAffElt) -> NilHeckeElt:
     return NilHeckeElt(x.rs, {x: SPoly.one(x.rs.rank)})
 
 
+@lru_cache(maxsize=None)
 def _split(x: ExtAffElt) -> tuple[tuple[int, ...], CentralElt]:
-    """x = h tau with tau central: a reduced word of h = x tau^-1, and tau."""
+    """x = h tau with tau central: a reduced word of h = x tau^-1, and tau.
+
+    Memoised per element; a refusal raises and is not cached.
+    """
     tau = CentralElt(x.rs, x.rs.minuscule_class_node(x.lam))
     h = x if tau.node is None else aff_mul(x, aff_inv(tau.to_ext()))
     if aff_length(h) > EXPANSION_CAP:  # refused before any letter is peeled

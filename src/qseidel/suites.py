@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 from .affine import (
@@ -70,6 +71,7 @@ from .rootsys import (
     build_root_system,
     dot,
     is_positive_vec,
+    mat_vec,
     strict_int,
     strict_ints,
     strict_keys,
@@ -150,10 +152,11 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, cond: bool, msg: str) -> None:
+    def check(self, cond: bool, msg: Callable[[], str]) -> None:
+        """Count one check; msg builds the failure text, and runs only when cond is false."""
         self.checks += 1
         if not cond:
-            self.failures.append(msg)
+            self.failures.append(msg())
 
 
 def _scoped_types(cfg: RunConfig, res: SuiteResult,
@@ -228,11 +231,11 @@ def suite_seidel_table(cfg: RunConfig, res: SuiteResult) -> None:
         (2, (2, 1)): sigma(p, s1, q=(1,)),
     }
     table = seidel_table(p)
-    res.check(len(table) == 9, f"table has {len(table)} entries, wanted 9")
+    res.check(len(table) == 9, lambda: f"table has {len(table)} entries, wanted 9")
     for z, w, prod in table:
         want = expected.get((z.node, reduced_word(w)))
         res.check(want is not None and prod == want,
-                  f"entry z={z.node} w={reduced_word(w)}: got {qh_text(prod)}")
+                  lambda: f"entry z={z.node} w={reduced_word(w)}: got {qh_text(prod)}")
 
 
 # -- criterion 2: Seidel/Chevalley commutation ----------------------------------
@@ -249,8 +252,8 @@ def suite_commutation(cfg: RunConfig, res: SuiteResult) -> None:
                     rhs = chevalley_multiply(j, seidel_multiply(i, c))
                     res.check(
                         lhs == rhs,
-                        f"{rs.name()} I_P={p.nodes} i={i} j={j} "
-                        f"w={reduced_word(w)}: {qh_text(lhs)} != {qh_text(rhs)}")
+                        lambda: f"{rs.name()} I_P={p.nodes} i={i} j={j} "
+                                f"w={reduced_word(w)}: {qh_text(lhs)} != {qh_text(rhs)}")
 
 
 # -- criterion 3: Chevalley operators commute; h^(n+1) = q ----------------------
@@ -267,8 +270,8 @@ def suite_chevalley(cfg: RunConfig, res: SuiteResult) -> None:
                     rhs = chevalley_multiply(k, chevalley_multiply(j, c, eq), eq)
                     res.check(
                         lhs == rhs,
-                        f"{rs.name()} I_P={p.nodes} D{j}D{k} eq={eq} "
-                        f"w={reduced_word(w)}")
+                        lambda: f"{rs.name()} I_P={p.nodes} D{j}D{k} eq={eq} "
+                                f"w={reduced_word(w)}")
     for n in (1, 2, 3, 4):
         name = f"A{n}"
         if name not in cfg.types or n > cfg.max_rank:
@@ -279,7 +282,7 @@ def suite_chevalley(cfg: RunConfig, res: SuiteResult) -> None:
         for _ in range(n + 1):
             c = chevalley_multiply(1, c)
         res.check(c == q_shift(unit_class(p), (1,)),
-                  f"A{n} I_P=(1,): D_1^{n + 1}(1) = {qh_text(c)}, wanted q*1")
+                  lambda: f"A{n} I_P=(1,): D_1^{n + 1}(1) = {qh_text(c)}, wanted q*1")
 
 
 # -- criterion 4: orbits and the composite group law ----------------------------
@@ -294,18 +297,18 @@ def suite_orbit(cfg: RunConfig, res: SuiteResult) -> None:
         orders = {z.node: central_order(z) for z in zs if z.node is not None}
         for node, order in orders.items():
             res.check(index % order == 0,
-                      f"{rs.name()} tau_{node}: order {order} does not divide "
-                      f"|P_vee/Q_vee| = {index}")
+                      lambda: f"{rs.name()} tau_{node}: order {order} does not divide "
+                              f"|P_vee/Q_vee| = {index}")
         if rs.name()[0] == "A":
             res.check(orders.get(1) == rs.rank + 1,
-                      f"{rs.name()}: tau_1 should generate the cyclic quotient")
+                      lambda: f"{rs.name()}: tau_1 should generate the cyclic quotient")
         for p in _scoped_parabolics(rs, cfg):
             for i in rs.minuscule_nodes:
                 steps, _ = seidel_orbit(i, p)
                 res.check(
                     len(steps) == orders[i],
-                    f"{rs.name()} I_P={p.nodes} i={i}: orbit length {len(steps)}"
-                    f" != central order {orders[i]}")
+                    lambda: f"{rs.name()} I_P={p.nodes} i={i}: orbit length {len(steps)}"
+                            f" != central order {orders[i]}")
             reps = enumerate_minreps(rs, p)
             for z1 in zs:
                 for z2 in zs:
@@ -317,8 +320,8 @@ def suite_orbit(cfg: RunConfig, res: SuiteResult) -> None:
                     res.check(
                         w_mul(v_element(rs, z1.node), v_element(rs, z2.node))
                         == vexp,
-                        f"{rs.name()}: v-part of tau_{z1.node} tau_{z2.node} "
-                        f"is not v-part of the product")
+                        lambda: f"{rs.name()}: v-part of tau_{z1.node} tau_{z2.node} "
+                                f"is not v-part of the product")
                     exponent = None
                     for w in reps:
                         c = sigma(p, w)
@@ -331,16 +334,16 @@ def suite_orbit(cfg: RunConfig, res: SuiteResult) -> None:
                             exponent = e
                         res.check(
                             wa == wb and e == exponent,
-                            f"{rs.name()} I_P={p.nodes} z1={z1.node} z2={z2.node}"
-                            f" w={reduced_word(w)}: composite law broken")
+                            lambda: f"{rs.name()} I_P={p.nodes} z1={z1.node} z2={z2.node}"
+                                    f" w={reduced_word(w)}: composite law broken")
                     j1 = involution(rs)[z1.node - 1]
                     j2 = involution(rs)[z2.node - 1]
                     cw = rs.fund_coweight(j1)
                     predicted = eta_P(vsub(cw, w_inv(v_element(rs, j2)).act_coweight(cw)), p)
                     res.check(exponent == predicted,
-                              f"{rs.name()} I_P={p.nodes} z1={z1.node} "
-                              f"z2={z2.node}: exponent {exponent} != predicted "
-                              f"{predicted}")
+                              lambda: f"{rs.name()} I_P={p.nodes} z1={z1.node} "
+                                      f"z2={z2.node}: exponent {exponent} != predicted "
+                                      f"{predicted}")
 
 
 # -- criterion 5: the length formula against inversion counting -----------------
@@ -356,8 +359,8 @@ def suite_length(cfg: RunConfig, res: SuiteResult) -> None:
                 lhs = aff_length(x)
                 rhs = inversion_count_oracle(x)
                 res.check(lhs == rhs,
-                          f"{rs.name()} w={reduced_word(w)} lam={c}: "
-                          f"formula {lhs} != inversions {rhs}")
+                          lambda: f"{rs.name()} w={reduced_word(w)} lam={c}: "
+                                  f"formula {lhs} != inversions {rhs}")
 
 
 # -- criterion 6: hat decomposition round trip ----------------------------------
@@ -371,16 +374,16 @@ def suite_hat(cfg: RunConfig, res: SuiteResult) -> None:
                 x = ExtAffElt(w, m)
                 tau, hat = hat_decompose(x)
                 res.check(aff_mul(tau.to_ext(), hat) == x,
-                          f"{rs.name()} w={reduced_word(w)} lam={m}: "
-                          f"tau*hat != x")
+                          lambda: f"{rs.name()} w={reduced_word(w)} lam={m}: "
+                                  f"tau*hat != x")
                 res.check(rs.in_coroot_lattice(hat.lam),
-                          f"{rs.name()} w={reduced_word(w)} lam={m}: "
-                          f"hat translation escapes the coroot lattice")
+                          lambda: f"{rs.name()} w={reduced_word(w)} lam={m}: "
+                                  f"hat translation escapes the coroot lattice")
                 res.check(tau.node == rs.minuscule_class_node(m),
-                          f"{rs.name()} lam={m}: wrong central class")
+                          lambda: f"{rs.name()} lam={m}: wrong central class")
                 res.check(aff_length(x) == aff_length(hat),
-                          f"{rs.name()} w={reduced_word(w)} lam={m}: "
-                          f"l(x) != l(hat)")
+                          lambda: f"{rs.name()} w={reduced_word(w)} lam={m}: "
+                                  f"l(x) != l(hat)")
 
 
 # -- criterion 7: pi_P correctness and windowed uniqueness -----------------------
@@ -399,13 +402,13 @@ def suite_pi_p(cfg: RunConfig, res: SuiteResult) -> None:
                 x1 = pi_P(x, p)
                 x2 = aff_mul(aff_inv(x1), x)
                 res.check(is_wpaff(x1, p),
-                          f"{rs.name()} I_P={p.nodes} lam={lam}: pi_P escapes")
+                          lambda: f"{rs.name()} I_P={p.nodes} lam={lam}: pi_P escapes")
                 res.check(in_parabolic_aff(x2, p),
-                          f"{rs.name()} I_P={p.nodes} lam={lam}: bad residual")
+                          lambda: f"{rs.name()} I_P={p.nodes} lam={lam}: bad residual")
                 mu_c = rs.coroot_coords(x2.lam)
                 res.check(all(mu_c[k - 1] == 0 for k in p.nodes),
-                          f"{rs.name()} I_P={p.nodes} lam={lam}: residual "
-                          f"translation not in the parabolic coroot lattice")
+                          lambda: f"{rs.name()} I_P={p.nodes} lam={lam}: residual "
+                                  f"translation not in the parabolic coroot lattice")
                 answers.append((x, x2))
                 maxc = max(maxc, max(abs(c) for c in mu_c) + 1)
             # windowed brute force: enumerate factorizations x = x1 (u t_mu)
@@ -425,21 +428,21 @@ def suite_pi_p(cfg: RunConfig, res: SuiteResult) -> None:
                 ui = w_inv(u)
                 roots = [ui.act_root(a) for a in rp]
                 targets = [0 if is_positive_vec(r) else -1 for r in roots]
-                by_pairing: dict[tuple[int, ...], list[Vec]] = {}
+                by_pairing: dict[Vec, list[Vec]] = {}
                 for mu in window:
-                    by_pairing.setdefault(tuple(dot(mu, r) for r in roots), []).append(mu)
+                    by_pairing.setdefault(mat_vec(roots, mu), []).append(mu)
                 for (x, _), hits in zip(answers, hits_of):
-                    key = tuple(dot(x.lam, r) - t for r, t in zip(roots, targets))
+                    key = vsub(mat_vec(roots, x.lam), targets)
                     hits.extend((u, mu) for mu in by_pairing.get(key, ()))
             for (x, x2), hits in zip(answers, hits_of):
                 res.check(len(hits) == 1,
-                          f"{rs.name()} I_P={p.nodes} lam={x.lam}: "
-                          f"{len(hits)} factorizations in the window")
+                          lambda: f"{rs.name()} I_P={p.nodes} lam={x.lam}: "
+                                  f"{len(hits)} factorizations in the window")
                 if len(hits) == 1:
                     u, mu = hits[0]
                     res.check(x2 == ExtAffElt(u, mu),
-                              f"{rs.name()} I_P={p.nodes} lam={x.lam}: brute "
-                              f"residual disagrees with pi_P")
+                              lambda: f"{rs.name()} I_P={p.nodes} lam={x.lam}: brute "
+                                      f"residual disagrees with pi_P")
 
 
 # -- criterion 8: closure under right multiplication by pi_P(t_lambda) ----------
@@ -454,8 +457,8 @@ def suite_closure(cfg: RunConfig, res: SuiteResult) -> None:
             lhs = is_waff_minus(t) and is_wpaff(t, p)
             rhs = is_antidominant(m) and all(dot(m, a) == 0 for a in rp)
             res.check(lhs == rhs,
-                      f"{rs.name()} I_P={p.nodes} lam={m}: translation "
-                      f"membership biconditional broken")
+                      lambda: f"{rs.name()} I_P={p.nodes} lam={m}: translation "
+                              f"membership biconditional broken")
         # closure and length additivity
         anti = list(_antidominant_box(rs.rank, min(cfg.radius, 2)))
         pis = {m: pi_P_ext(translation(rs, m), p) for m in anti}
@@ -465,8 +468,8 @@ def suite_closure(cfg: RunConfig, res: SuiteResult) -> None:
                 lt = aff_length(pi_P_ext(translation(rs, total), p))
                 res.check(
                     lt == aff_length(pis[nu]) + aff_length(pis[lam]),
-                    f"{rs.name()} I_P={p.nodes}: length additivity fails "
-                    f"at nu={nu} lam={lam}")
+                    lambda: f"{rs.name()} I_P={p.nodes}: length additivity fails "
+                            f"at nu={nu} lam={lam}")
         seen = 0
         for w, nu, x in _intersection(p, pis):
             seen += 1
@@ -474,10 +477,10 @@ def suite_closure(cfg: RunConfig, res: SuiteResult) -> None:
                 y = aff_mul(x, pis[lam])
                 res.check(
                     is_waff_minus(y) and is_wpaff(y, p),
-                    f"{rs.name()} I_P={p.nodes} w={reduced_word(w)} "
-                    f"nu={nu} lam={lam}: product leaves the intersection")
+                    lambda: f"{rs.name()} I_P={p.nodes} w={reduced_word(w)} "
+                            f"nu={nu} lam={lam}: product leaves the intersection")
         res.check(seen > 0,
-                  f"{rs.name()} I_P={p.nodes}: no sample points")
+                  lambda: f"{rs.name()} I_P={p.nodes}: no sample points")
 
 
 # -- criterion 9: the v_i elements ----------------------------------------------
@@ -488,12 +491,12 @@ def suite_v_elements(cfg: RunConfig, res: SuiteResult) -> None:
         for i in rs.minuscule_nodes:
             vi = v_element(rs, i)
             res.check(w_inv(vi) == v_element(rs, involution(rs)[i - 1]),
-                      f"{rs.name()}: v_{i}^-1 != v_f({i})")
+                      lambda: f"{rs.name()}: v_{i}^-1 != v_f({i})")
             for a in rs.pos_roots:
                 pos = is_positive_vec(vi.act_root(a))
                 res.check(pos == (a[i - 1] == 0),
-                          f"{rs.name()} v_{i}: positivity criterion fails "
-                          f"at root {a}")
+                          lambda: f"{rs.name()} v_{i}: positivity criterion fails "
+                                  f"at root {a}")
 
 
 # -- criterion 10: the nil Hecke suite -------------------------------------------
@@ -526,14 +529,14 @@ def suite_nilhecke(cfg: RunConfig, res: SuiteResult) -> None:
         for i in range(rs.rank + 1):
             si = embed_group(affine_simple_ext(rs, i))
             res.check(nh_mul(si, si) == nh_one(rs),
-                      f"{name}: embedded s_{i}^2 != 1")
+                      lambda: f"{name}: embedded s_{i}^2 != 1")
         if name == "A2":
             for a, b in ((1, 2), (0, 1), (0, 2)):
                 ea = embed_group(affine_simple_ext(rs, a))
                 eb = embed_group(affine_simple_ext(rs, b))
                 res.check(nh_mul(nh_mul(ea, eb), ea)
                           == nh_mul(nh_mul(eb, ea), eb),
-                          f"A2: braid relation fails for ({a},{b})")
+                          lambda: f"A2: braid relation fails for ({a},{b})")
         for z in central_elements(rs):
             if z.is_identity():
                 continue
@@ -543,7 +546,7 @@ def suite_nilhecke(cfg: RunConfig, res: SuiteResult) -> None:
                 j = central_dynkin_action(z, i)
                 lhs = nh_mul(nh_mul(ez, nh_basis(affine_simple_ext(rs, i))), ezi)
                 res.check(lhs == nh_basis(affine_simple_ext(rs, j)),
-                          f"{name}: tau_{z.node} A_s{i} tau^-1 != A_s{j}")
+                          lambda: f"{name}: tau_{z.node} A_s{i} tau^-1 != A_s{j}")
     # seeded multiplicativity of the group embedding
     rs = build_root_system("A2" if "A2" in cfg.types else cfg.types[0])
     rng = random.Random(cfg.seed)
@@ -567,7 +570,7 @@ def suite_nilhecke(cfg: RunConfig, res: SuiteResult) -> None:
         pairs += 1
         res.check(nh_mul(embed_group(x), embed_group(y))
                   == embed_group(aff_mul(x, y)),
-                  f"{rs.name()}: embedding not multiplicative on pair {pairs}")
+                  lambda: f"{rs.name()}: embedding not multiplicative on pair {pairs}")
     # the module action against the nil Hecke engine itself
     for name in ("A1", "A2"):
         if name not in cfg.types:
@@ -583,8 +586,8 @@ def suite_nilhecke(cfg: RunConfig, res: SuiteResult) -> None:
                 via_engine = nh_mod_Jtilde(nh_mul(ax, nh_basis(y)))
                 via_rule = act_on_xi(x, nh_basis(y))
                 res.check(via_engine == via_rule,
-                          f"{name}: xi action disagrees with the engine at "
-                          f"x={x!r} y={y!r}")
+                          lambda: f"{name}: xi action disagrees with the engine at "
+                                  f"x={x!r} y={y!r}")
 
 
 # -- criterion 11: the Peterson dictionary ---------------------------------------
@@ -597,10 +600,10 @@ def suite_psi(cfg: RunConfig, res: SuiteResult) -> None:
         s0 = aff_mul(ext(from_word(rs, (1,))), translation(rs, (-2,)))
         mu = (-2,)
         res.check(psi_P(s0, mu, b) == sigma(b, from_word(rs, (1,))),
-                  "A1: psi(xi_s0) != sigma(s1)")
+                  lambda: "A1: psi(xi_s0) != sigma(s1)")
         res.check(psi_P(identity_aff(rs), mu, b)
                   == q_shift(unit_class(b), (1,)),
-                  "A1: psi(xi_id) relative to t_{-alpha1vee} != q*1")
+                  lambda: "A1: psi(xi_id) relative to t_{-alpha1vee} != q*1")
     # representative independence on every scoped (type, I_P)
     for rs, p in _scope(cfg, res, rank_cap=3):
         rp = p.rp_pos
@@ -620,12 +623,12 @@ def suite_psi(cfg: RunConfig, res: SuiteResult) -> None:
             for m in shifts:
                 y2 = aff_mul(y, translation(rs, m))
                 res.check(psi_P(y2, m, p) == base,
-                          f"{rs.name()} I_P={p.nodes}: psi not "
-                          f"representative independent at "
-                          f"w={reduced_word(w)} nu={nu} shift={m}")
+                          lambda: f"{rs.name()} I_P={p.nodes}: psi not "
+                                  f"representative independent at "
+                                  f"w={reduced_word(w)} nu={nu} shift={m}")
                 tested += 1
         res.check(tested > 0,
-                  f"{rs.name()} I_P={p.nodes}: no psi samples")
+                  lambda: f"{rs.name()} I_P={p.nodes}: no psi samples")
 
 
 # -- criterion 12: the equivariant divergence report ----------------------------
@@ -646,8 +649,8 @@ def suite_equivariant(cfg: RunConfig, res: SuiteResult) -> None:
                       seidel_multiply(1, chevalley_multiply(1, c, True)))
         want = expected[reduced_word(w)]
         res.check(disc == want,
-                  f"A1 w={reduced_word(w)}: divergence {qh_text(disc)} is not "
-                  f"the documented {qh_text(want)}")
+                  lambda: f"A1 w={reduced_word(w)}: divergence {qh_text(disc)} is not "
+                          f"the documented {qh_text(want)}")
         if disc == want and not disc.is_zero():
             res.findings.append(
                 f"expected divergence at w={reduced_word(w)}: "
@@ -674,32 +677,32 @@ def suite_intertwine(cfg: RunConfig, res: SuiteResult) -> None:
                 plam = pis[lam]
                 tau1, phat = hat_decompose(plam)
                 res.check(tau1.node == z.node,
-                          f"{rs.name()} I_P={p.nodes} lam={lam}: "
-                          f"pi_P changed the central class")
+                          lambda: f"{rs.name()} I_P={p.nodes} lam={lam}: "
+                                  f"pi_P changed the central class")
                 factor = psi_P(phat, zero, p)
                 ((wf, df),) = factor.terms.keys()
                 res.check(
                     sigma(p, wf) == seidel_element(z, p),
-                    f"{rs.name()} I_P={p.nodes} lam={lam}: psi of "
-                    f"pi_P(t_lam) is not the Seidel class")
+                    lambda: f"{rs.name()} I_P={p.nodes} lam={lam}: psi of "
+                            f"pi_P(t_lam) is not the Seidel class")
                 y = aff_mul(x, plam)
                 res.check(is_waff_minus(y) and is_wpaff(y, p),
-                          f"{rs.name()} I_P={p.nodes}: product left "
-                          f"the intersection at w={reduced_word(w)} "
-                          f"nu={nu} lam={lam}")
+                          lambda: f"{rs.name()} I_P={p.nodes}: product left "
+                                  f"the intersection at w={reduced_word(w)} "
+                                  f"nu={nu} lam={lam}")
                 tau2, yhat = hat_decompose(y)
                 res.check(tau2.node == z.node,
-                          f"{rs.name()} I_P={p.nodes}: central part "
-                          f"of the product is not [t_lam]")
+                          lambda: f"{rs.name()} I_P={p.nodes}: central part "
+                                  f"of the product is not [t_lam]")
                 lhs = q_shift(seidel_apply(z, psi_P(x, zero, p)), df)
                 rhs = psi_P(yhat, zero, p)
                 res.check(lhs == rhs,
-                          f"{rs.name()} I_P={p.nodes} "
-                          f"w={reduced_word(w)} nu={nu} lam={lam}: "
-                          f"{qh_text(lhs)} != {qh_text(rhs)}")
+                          lambda: f"{rs.name()} I_P={p.nodes} "
+                                  f"w={reduced_word(w)} nu={nu} lam={lam}: "
+                                  f"{qh_text(lhs)} != {qh_text(rhs)}")
                 tested += 1
         res.check(tested > 0,
-                  f"{rs.name()} I_P={p.nodes}: no intertwining samples")
+                  lambda: f"{rs.name()} I_P={p.nodes}: no intertwining samples")
 
 
 SUITES = {

@@ -370,6 +370,27 @@ def affine_word_by_root_action(cartan, theta, theta_coweight, word, lam):
     return tuple(reversed(letters))
 
 
+def inversions_by_level_sweep(x):
+    """The affine inversion count of x = w t_lam by the exhaustive level sweep.
+
+    Every real root gamma + n delta > 0 with n up to max |<lam, alpha>| + 1
+    over alpha > 0 is imaged as w(gamma) + (n - <lam, gamma>) delta, and
+    counted when that image is negative; no level is skipped. The finite part
+    comes from WeylElt.act_root, the pairing from a plain dot product.
+    """
+    rs = x.rs
+    bound = max((abs(_dot(x.lam, a)) for a in rs.pos_roots), default=0) + 1
+    count = 0
+    for gamma in rs.roots:
+        image = x.w.act_root(gamma)
+        shift = -_dot(x.lam, gamma)
+        for n in range(0 if max(gamma) > 0 else 1, bound + 1):
+            level = n + shift
+            if level < 0 or (level == 0 and max(image) <= 0):
+                count += 1
+    return count
+
+
 # -- the quantum Chevalley formula, root by root -------------------------------
 
 

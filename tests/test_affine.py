@@ -52,6 +52,7 @@ from oracles import (
     affine_word_by_root_action,
     antidominant_coset_points,
     coweight_order_in_quotient,
+    inversions_by_level_sweep,
     pi_p_by_candidates,
     windowed_pi_p,
 )
@@ -138,6 +139,34 @@ def test_length_matches_inversion_oracle():
             coords = tuple(rng.randint(-2, 2) for _ in range(rs.rank))
             x = ExtAffElt(from_word(rs, word), rs.coroot_to_coweight(coords))
             assert aff_length(x) == inversion_count_oracle(x)
+
+
+@pytest.mark.parametrize("name", CATALOG + ("G2", "F4"))
+def test_the_inversion_oracle_stops_early_without_losing_a_count(name):
+    # the oracle stops each root's sweep at its first positive level; the
+    # exhaustive sweep must find the same count, also where pairings reach 5
+    rs = build_root_system(name)
+    rng = random.Random(31)
+    words = [(), reduced_word(longest_element(rs))]
+    words += [tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(1, 8)))
+              for _ in range(4)]
+    coords = [(0,) * rs.rank, (1,) * rs.rank, (-3,) * rs.rank]
+    coords += [tuple(rng.randint(-3, 3) for _ in range(rs.rank)) for _ in range(5)]
+    widest = 0
+    for word in words:
+        for c in coords:
+            x = ExtAffElt(from_word(rs, word), rs.coroot_to_coweight(c))
+            widest = max(widest, max(abs(dot(x.lam, a)) for a in rs.pos_roots))
+            assert inversion_count_oracle(x) == inversions_by_level_sweep(x) == aff_length(x)
+    assert widest >= 5
+    # off the coroot lattice the oracle still refuses; G2 and F4 have no such
+    # fundamental coweight
+    units = [tuple(int(t == k) for t in range(rs.rank)) for k in range(rs.rank)]
+    off = [m for m in units if not rs.in_coroot_lattice(m)]
+    assert bool(off) == (name not in ("G2", "F4"))
+    for m in off:
+        with pytest.raises(ValueError, match="coroot-lattice translation"):
+            inversion_count_oracle(translation(rs, m))
 
 
 def test_translation_length():

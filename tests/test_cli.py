@@ -374,7 +374,7 @@ def test_verify_config_unknown_key(tmp_path, capsys):
 
 def test_verify_failure_exits_one(monkeypatch, capsys):
     bad = SuiteResult(name="length")
-    bad.check(False, "synthetic failure")
+    bad.check(False, lambda: "synthetic failure")
     monkeypatch.setattr(cli, "run_suites", lambda cfg: [bad])
     assert cli.run(["verify", "--suite", "length"]) == 1
     out = capsys.readouterr().out

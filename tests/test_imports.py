@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, none is
 another module's private name, only rootsys imports fractions, no module
-builds a Weyl element from simple-root images, and only rootsys and affine
-read the level of an affine root (stdlib ast only)."""
+builds a Weyl element from simple-root images, only rootsys and affine
+read the level of an affine root, and every suite check passes its failure
+message as a lambda (stdlib ast only)."""
 
 import ast
 from pathlib import Path
@@ -68,6 +69,18 @@ def level_reads(source: str) -> list[str]:
             if isinstance(node, ast.Attribute) and node.attr == "level"]
 
 
+def eager_check_messages(source: str) -> list[str]:
+    """Calls <expr>.check(cond, msg) whose message is not a lambda, so it would
+    be formatted on every pass."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "check":
+            msgs = node.args[1:2] + [k.value for k in node.keywords if k.arg == "msg"]
+            if not msgs or not all(isinstance(m, ast.Lambda) for m in msgs):
+                out.append(f"line {node.lineno}: check")
+    return out
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -98,6 +111,15 @@ def test_only_rootsys_and_affine_read_affine_root_levels():
     readers = {p.name for p in SRC.glob("*.py")
                if level_reads(p.read_text(encoding="utf-8"))}
     assert readers <= {"rootsys.py", "affine.py"}
+
+
+def test_suite_checks_build_their_messages_lazily():
+    # a failing check formats its message; a passing one must not pay for it
+    source = (SRC / "suites.py").read_text(encoding="utf-8")
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "check"]
+    assert len(calls) == source.count(".check(") > 0
+    assert eager_check_messages(source) == []
 
 
 def test_the_check_sees_an_unused_import():
@@ -146,3 +168,15 @@ def test_the_check_sees_a_level_read():
               "n = getattr(root, 'level')\n"
               "AffineRoot(gamma, level=0)\n")
     assert level_reads(source) == ["line 1: level", "line 3: level"]
+
+
+def test_the_check_sees_an_eager_check_message():
+    source = ("res.check(ok, f'{rs.name()} w={reduced_word(w)}')\n"
+              "res.check(ok, lambda: f'{rs.name()}')\n"
+              "res.check(ok, 'plain')\n"
+              "res.check(ok, msg=lambda: 'late')\n"
+              "res.check(ok, msg=build())\n"
+              "res.check(ok)\n"
+              "checker.run(ok, 'not a check')\n")
+    assert eager_check_messages(source) == ["line 1: check", "line 3: check",
+                                             "line 5: check", "line 6: check"]

@@ -28,6 +28,7 @@ from qseidel.nilhecke import (
     scalar_root,
     weyl_act_poly,
     NilHeckeElt,
+    _split,
 )
 from qseidel.poly import SPoly, add_terms
 from qseidel.rootsys import CATALOG, build_root_system
@@ -413,6 +414,7 @@ def test_warm_memos_change_no_result():
             assert counts.setdefault(seed, res.checks) == res.checks
     assert counts[0] == 540
     assert embed_group.cache_info().hits > 0
+    assert _split.cache_info().hits > 0
     for _ in range(2):
         test_reflect_poly_matches_the_reflection_formula()
 
@@ -420,6 +422,7 @@ def test_warm_memos_change_no_result():
 def test_a_long_element_is_refused_before_its_word_is_built(monkeypatch):
     # the length is compared with EXPANSION_CAP before any letter is peeled,
     # so refusing a 2,400-letter element builds no word
+    _split.cache_clear()
     words = []
     monkeypatch.setattr("qseidel.nilhecke.reduced_word_affine",
                         lambda h: words.append(h) or reduced_word_affine(h))
@@ -431,8 +434,10 @@ def test_a_long_element_is_refused_before_its_word_is_built(monkeypatch):
         with pytest.raises(ValueError, match=f"beyond length {EXPANSION_CAP}"):
             expand(x)
     assert words == []
-    # at the cap the word is built, once per split
+    assert _split.cache_info().currsize == 0  # the refusal was not cached
+    # at the cap the word is built, once per element
     y = aff_mul(tau, translation(rs, rs.coroot_to_coweight((2, 0))))
     assert aff_length(y) == EXPANSION_CAP
-    assert nh_mul(nh_basis(y), nh_one(rs)) == nh_basis(y)
+    for _ in range(2):
+        assert nh_mul(nh_basis(y), nh_one(rs)) == nh_basis(y)
     assert len(words) == 1 and aff_length(words[0]) == EXPANSION_CAP

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qseidel import suites
+from qseidel import cli, suites
 from qseidel.affine import ExtAffElt, central_elements
 from qseidel.qh import seidel_apply, seidel_table, sigma
 from qseidel.rootsys import CATALOG, build_root_system
@@ -14,7 +14,7 @@ from qseidel.suites import (
     SuiteResult,
     run_suites,
 )
-from qseidel.weyl import enumerate_minreps, identity, parabolic
+from qseidel.weyl import enumerate_minreps, from_word, parabolic
 
 
 def test_registered_suites():
@@ -62,13 +62,27 @@ def test_run_suites_rejects_unknown_suite():
 
 
 def test_suite_result_accounting():
+    # a message is built only when its check fails
+    built = []
     r = SuiteResult(name="demo")
     assert r.ok()
-    r.check(True, "fine")
-    r.check(False, "broken")
+    r.check(True, lambda: built.append("fine") or "fine")
+    r.check(False, lambda: built.append("broken") or "broken")
     assert r.checks == 2
-    assert r.failures == ["broken"]
+    assert r.failures == built == ["broken"]
     assert not r.ok()
+
+
+def test_a_passing_run_builds_no_message(monkeypatch):
+    # every hat message formats reduced_word(w); a pass must format nothing
+    built, words = [], []
+    check = SuiteResult.check
+    monkeypatch.setattr(SuiteResult, "check", lambda self, cond, msg: check(
+        self, cond, lambda: built.append(1) or msg()))
+    monkeypatch.setattr(suites, "reduced_word", lambda w: words.append(w) or ())
+    (res,) = run_suites(RunConfig(suite="hat", types=("C3",), radius=1))
+    assert res.ok() and res.checks == 4 * 48 * 27
+    assert built == [] and words == []
 
 
 def test_seidel_table_shape():
@@ -138,7 +152,7 @@ def test_run_suites_makes_each_result_and_passes_it_in(monkeypatch):
 
     def fake(cfg, res):
         seen.append(res)
-        res.check(True, "")
+        res.check(True, lambda: "")
 
     monkeypatch.setitem(suites.SUITES, "v-elements", fake)
     (res,) = run_suites(RunConfig(suite="v-elements"))
@@ -184,11 +198,31 @@ def test_pi_p_oracle_keeps_the_multiplicity_of_its_hits(monkeypatch):
                for f in res.failures)
 
 
-def test_length_oracle_catches_one_wrong_length(monkeypatch):
+def test_length_oracle_catches_one_wrong_length(monkeypatch, capsys):
+    # aff_length off by one on a single element: one failure, with the text
+    # the suite has always printed, and the check count of a passing run
     rs = build_root_system("A2")
-    bad = ExtAffElt(identity(rs), rs.coroot_to_coweight((1, 0)))
+    bad = ExtAffElt(from_word(rs, (2, 1)), rs.coroot_to_coweight((1, -1)))
     real = suites.aff_length
     monkeypatch.setattr(suites, "aff_length", lambda x: real(x) + (x == bad))
+    text = "A2 w=(2, 1) lam=(1, -1): formula 9 != inversions 8"
     (res,) = run_suites(RunConfig(suite="length", types=("A2",), radius=1))
-    assert len(res.failures) == 1
-    assert res.failures[0].startswith("A2 w=() lam=(1, 0): formula")
+    assert (res.checks, res.failures) == (54, [text])
+    argv = ["verify", "--suite", "length", "--types", "A2", "--radius", "1"]
+    assert cli.run([*argv, "--format", "text"]) == 1
+    assert capsys.readouterr().out == (
+        f"length: FAIL checks=54 failures=1 findings=0\n  ! {text}\nverify: FAIL\n")
+    assert cli.run([*argv, "--format", "json"]) == 1
+    assert capsys.readouterr().out == (
+        f'{{"ok": false, "suites": [{{"checks": 54, "failures": ["{text}"], '
+        f'"findings": [], "name": "length"}}]}}\n')
+
+
+def test_the_length_suite_fails_when_the_formula_drops_the_weyl_sign(monkeypatch):
+    # sum |<lam, alpha>| is right on translations only; the inversion oracle
+    # must still see every other element it gets wrong
+    monkeypatch.setattr(suites, "aff_length", lambda x: sum(
+        abs(sum(map(int.__mul__, x.lam, a))) for a in x.rs.pos_roots))
+    (res,) = run_suites(RunConfig(suite="length", types=("A2", "B2"), radius=1))
+    assert res.checks == 9 * 6 + 9 * 8
+    assert 0 < len(res.failures) < res.checks
