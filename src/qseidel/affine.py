@@ -95,8 +95,14 @@ def identity_aff(rs: RootSystem) -> ExtAffElt:
 
 
 def aff_mul(x: ExtAffElt, y: ExtAffElt) -> ExtAffElt:
+    """(w_x t_{lambda_x})(w_y t_{lambda_y}) = w_x w_y t_{w_y^-1(lambda_x) + lambda_y}.
+
+    When lambda_x = 0 (x = ext(w), as in ext(w) * pi_P(...)) the product is
+    w_x w_y t_{lambda_y}, read without acting on the zero coweight."""
     if x.rs is not y.rs:
         raise ValueError("mixed root systems")
+    if not any(x.lam):
+        return ExtAffElt(w_mul(x.w, y.w), y.lam)
     return ExtAffElt(w_mul(x.w, y.w), vadd(y.w.inv_act_coweight(x.lam), y.lam))
 
 
@@ -117,25 +123,25 @@ def aff_length(x: ExtAffElt) -> int:
 
 
 def inversion_count_oracle(x: ExtAffElt) -> int:
-    """Count inverted positive real affine roots directly, up to a level bound.
+    """Count inverted positive real affine roots directly, level by level.
 
-    Only levels below max |<lambda, alpha>| + 1 can change sign, so the finite
-    sweep is exhaustive. x fixes delta, so x(gamma + n delta) = x(gamma) + n
-    delta, and the sign of beta + m delta is monotone in m: once an image is
-    positive, every image at a higher level is too. Each root's sweep therefore
-    stops at its first positive image and still counts every inversion.
-    Requires lambda in the coroot lattice.
+    x fixes delta, so x(gamma + n delta) = x(gamma) + n delta: with image =
+    x(gamma) = beta + m delta, the root gamma + n delta is sent to beta +
+    (m + n) delta, whose sign is monotone in n and positive once n > |m|.
+    Each root's sweep runs from its first positive level to |m| + 1 and stops
+    at its first positive image, so it is exhaustive and counts every
+    inversion. Requires lambda in the coroot lattice.
     """
     rs = x.rs
     if not rs.in_coroot_lattice(x.lam):
         raise ValueError("inversion oracle needs a coroot-lattice translation")
-    bound = max((abs(dot(x.lam, a)) for a in rs.pos_roots), default=0) + 1
     count = 0
     for gamma in rs.roots:
         image = aff_act_root(x, AffineRoot(gamma, 0))
-        start = 0 if is_positive_vec(gamma) else 1
-        for level in range(start, bound + 1):
-            if AffineRoot(image.finite, image.level + level).is_positive():
+        m = image.level
+        beta_positive = is_positive_vec(image.finite)
+        for n in range(0 if is_positive_vec(gamma) else 1, abs(m) + 2):
+            if m + n > 0 or (m + n == 0 and beta_positive):
                 break
             count += 1
     return count

@@ -86,8 +86,8 @@ class SPoly:
     def weight(coords: Iterable[int]) -> "SPoly":
         coords = tuple(coords)
         n = len(coords)
-        return SPoly(n, {tuple(int(t == k) for t in range(n)): coords[k]
-                         for k in range(n) if coords[k]})
+        return SPoly._of(n, {(0,) * k + (1,) + (0,) * (n - 1 - k): c
+                             for k, c in enumerate(coords) if c})
 
     # -- ring operations -------------------------------------------------
 

@@ -232,12 +232,15 @@ def _chevalley_data(p: ParabolicSet):
 
 @lru_cache(maxsize=None)
 def _chevalley_row(j: int, w: WeylElt, p: ParabolicSet):
-    """The terms (w', q-shift, multiplicity) of D_j sigma(w), non-equivariant:
-    w s_alpha with a zero shift when it lies in W^P one step up, and
-    (w s_alpha)^P with shift eta_P(alpha_vee) when its length drops by
-    n_alpha - 1. Memoised per (j, w, P), so an operator is worked out once per
-    element of W^P it reaches. The Weyl part is the object coset_reduce
-    returns in both branches, shared with its cache."""
+    """(row, diag) for D_j sigma(w). row holds the non-equivariant terms
+    (w', q-shift, multiplicity): w s_alpha with a zero shift when it lies in
+    W^P one step up, and (w s_alpha)^P with shift eta_P(alpha_vee) when its
+    length drops by n_alpha - 1. diag is the equivariant diagonal coefficient
+    w_j - w(w_j), one linear SPoly (zero when w fixes w_j). Memoised per
+    (j, w, P), so an operator is worked out once per element of W^P it
+    reaches, and plain and equivariant calls share the entry. The Weyl part
+    is the object coset_reduce returns in both branches, shared with its
+    cache."""
     zero = (0,) * len(p.nodes)
     lw = w.length
     row = []
@@ -251,7 +254,8 @@ def _chevalley_row(j: int, w: WeylElt, p: ParabolicSet):
             row.append((w2p, zero, mult))
         if w2p.length == lw + 1 - n_alpha:
             row.append((w2p, eta, mult))
-    return tuple(row)
+    wj = (0,) * (j - 1) + (1,) + (0,) * (p.rs.rank - j)
+    return tuple(row), SPoly.weight(vsub(wj, w.act_weight(wj)))
 
 
 def chevalley_multiply(j: int, c: QHClass, equivariant: bool = False) -> QHClass:
@@ -265,18 +269,14 @@ def chevalley_multiply(j: int, c: QHClass, equivariant: bool = False) -> QHClass
 def _chevalley_terms(j: int, c: QHClass, equivariant: bool):
     """The (key, coefficient) terms of chevalley_multiply, repeats not yet summed."""
     p = c.p
-    if equivariant:
-        wj = tuple(int(t == j - 1) for t in range(p.rs.rank))
-        wj_poly = SPoly.weight(wj)
     for (w, d), coeff in c.terms.items():
-        for w2, e, m in _chevalley_row(j, w, p):
+        row, diag = _chevalley_row(j, w, p)
+        for w2, e, m in row:
             # results share coefficients, as in seidel_multiply: nothing
             # changes an SPoly in place
             yield (w2, vadd(d, e)), coeff if m == 1 else coeff * m
-        if equivariant:
-            diag = wj_poly - SPoly.weight(w.act_weight(wj))
-            if diag:
-                yield (w, d), coeff * diag
+        if equivariant and diag:
+            yield (w, d), coeff * diag
 
 
 # -- the Peterson dictionary ---------------------------------------------------

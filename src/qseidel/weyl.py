@@ -114,8 +114,8 @@ class WeylElt:
 
     def act_weight(self, a: Vec) -> Vec:
         """Action on the weight lattice in fundamental-weight coordinates."""
-        rs = self.rs
-        return tuple(dot(a, rs.coroot_of(col)) for col in self.inv_images)
+        coroot_of = self.rs.coroot_of
+        return tuple([dot(a, coroot_of(col)) for col in self.inv_images])
 
     @_lazy
     def length(self) -> int:

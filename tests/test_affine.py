@@ -93,12 +93,18 @@ def test_associativity_and_inverse():
 
 
 def test_affine_action_is_homomorphism():
+    # half the left factors have lambda_x = 0, which aff_mul reads without the
+    # coweight action; both branches must compose like the action itself
     rng = random.Random(13)
-    for name in ("A2", "B2"):
+    for name in CATALOG + ("G2", "F4"):
         rs = build_root_system(name)
         affine_roots = [rs.affine_simple(i) for i in range(rs.rank + 1)]
-        for _ in range(25):
+        for alpha in (rs.theta, rs.simple_root(1)):
+            affine_roots += [AffineRoot(alpha, 1), AffineRoot(vneg(alpha), 1)]
+        for k in range(24):
             x, y = _random_elt(rs, rng), _random_elt(rs, rng)
+            if k % 2:
+                x = ext(x.w)
             for beta in affine_roots:
                 assert aff_act_root(aff_mul(x, y), beta) == aff_act_root(
                     x, aff_act_root(y, beta))

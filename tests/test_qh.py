@@ -32,6 +32,7 @@ from qseidel.qh import (
 )
 from qseidel.rootsys import CATALOG, build_root_system, vsub
 from qseidel.weyl import (
+    WeylElt,
     coset_reduce,
     enumerate_minreps,
     from_word,
@@ -364,6 +365,31 @@ def test_chevalley_multiply_validates_node():
             with pytest.raises(ValueError):
                 chevalley_multiply(j, sigma(p, from_word(rs, (1,))), eq)
     assert _chevalley_row.cache_info() == before
+
+
+def test_the_equivariant_diagonal_is_read_off_the_memo(monkeypatch):
+    # the diagonal w_j - w(w_j) is stored in the row: an equivariant call
+    # after a plain one is a pure memo hit, and a warm call acts on no weight
+    rs = build_root_system("B3")
+    p = parabolic(rs, (1, 3))
+    c = QHClass(p, {(w, (0, 0)): SPoly.one(rs.rank)
+                    for w in enumerate_minreps(rs, p)})
+    warm = {}
+    for j in p.nodes:
+        plain = chevalley_multiply(j, c)
+        before = _chevalley_row.cache_info()
+        warm[j] = chevalley_multiply(j, c, True)
+        after = _chevalley_row.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) \
+            == (len(c.terms), 0)
+        assert warm[j] != plain
+    calls = []
+    act_weight = WeylElt.act_weight
+    monkeypatch.setattr(WeylElt, "act_weight",
+                        lambda w, a: calls.append(w) or act_weight(w, a))
+    for j in p.nodes:
+        assert chevalley_multiply(j, c, True) == warm[j]
+    assert calls == []
 
 
 def test_psi_frozen_a1():
