@@ -61,12 +61,19 @@ from .weyl import (
 AFFINE_WORD_CAP = 4096
 
 
-@dataclass(frozen=True)
 class ExtAffElt:
-    """w t_lambda with lambda a coweight in fundamental-coweight coordinates."""
+    """w t_lambda with lambda a coweight in fundamental-coweight coordinates.
 
-    w: WeylElt
-    lam: Vec
+    Elements are never mutated: they key caches, and == and hash use (w, lam);
+    the hash is taken once, when the element is made.
+    """
+
+    __slots__ = ("w", "lam", "_hash")
+
+    def __init__(self, w: WeylElt, lam: Vec):
+        self.w = w
+        self.lam = lam
+        self._hash = hash((w, lam))
 
     @property
     def rs(self) -> RootSystem:
@@ -74,6 +81,14 @@ class ExtAffElt:
 
     def is_identity(self) -> bool:
         return self.w.is_identity() and not any(self.lam)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExtAffElt):
+            return NotImplemented
+        return self.lam == other.lam and self.w == other.w
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Aff({self.w!r}, t{list(self.lam)})"

@@ -16,7 +16,6 @@ Simple roots are numbered 1..n following Bourbaki (see README for the table).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -158,15 +157,28 @@ def mat_vec(mat, v: Vec) -> Vec:
     return tuple([sum(map(mul, row, v)) for row in mat])
 
 
-@dataclass(frozen=True)
 class AffineRoot:
-    """Real affine root alpha + n*delta with finite part a root and integer level n."""
+    """Real affine root alpha + n*delta with finite part a root and integer level n.
 
-    finite: Vec
-    level: int
+    Never mutated; == and hash use (finite, level).
+    """
 
-    def is_positive(self) -> bool:
-        return self.level > 0 or (self.level == 0 and is_positive_vec(self.finite))
+    __slots__ = ("finite", "level")
+
+    def __init__(self, finite: Vec, level: int):
+        self.finite = finite
+        self.level = level
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AffineRoot):
+            return NotImplemented
+        return self.level == other.level and self.finite == other.finite
+
+    def __hash__(self) -> int:
+        return hash((self.finite, self.level))
+
+    def __repr__(self) -> str:
+        return f"AffineRoot(finite={self.finite!r}, level={self.level!r})"
 
 
 class RootSystem:

@@ -420,20 +420,21 @@ def suite_pi_p(cfg: RunConfig, res: SuiteResult) -> None:
                 coeffs = dict(zip(p.wp_nodes, cs))
                 window.append(rs.coroot_to_coweight(
                     tuple(coeffs.get(k, 0) for k in range(1, rs.rank + 1))))
-            # per u, the window indexed by its pairings with u^-1(R_P^+); a
-            # factorization needs <lam - mu, u^-1 alpha> = target for every
-            # alpha, so one lookup per answer yields its hits in window order
+            # x1 = u^-1 t_{u(lam-mu)} meets the criterion when <lam - mu,
+            # u^-1 alpha> = -[u^-1 alpha < 0] for every alpha in R_P^+. u^-1
+            # permutes +-R_P^+, so with gamma = +-u^-1 alpha taken positive this
+            # reads <lam - mu, gamma> = [u(gamma) < 0] for every gamma in R_P^+:
+            # the window is indexed once by its pairings with R_P^+, and each
+            # (u, answer) is one lookup that yields its hits in window order
+            by_pairing: dict[Vec, list[Vec]] = {}
+            for mu in window:
+                by_pairing.setdefault(mat_vec(rp, mu), []).append(mu)
+            pairings = [mat_vec(rp, x.lam) for x, _ in answers]
             hits_of = [[] for _ in answers]
             for u in wp:
-                ui = w_inv(u)
-                roots = [ui.act_root(a) for a in rp]
-                targets = [0 if is_positive_vec(r) else -1 for r in roots]
-                by_pairing: dict[Vec, list[Vec]] = {}
-                for mu in window:
-                    by_pairing.setdefault(mat_vec(roots, mu), []).append(mu)
-                for (x, _), hits in zip(answers, hits_of):
-                    key = vsub(mat_vec(roots, x.lam), targets)
-                    hits.extend((u, mu) for mu in by_pairing.get(key, ()))
+                inverted = [not is_positive_vec(u.act_root(a)) for a in rp]
+                for lp, hits in zip(pairings, hits_of):
+                    hits.extend((u, mu) for mu in by_pairing.get(vsub(lp, inverted), ()))
             for (x, x2), hits in zip(answers, hits_of):
                 res.check(len(hits) == 1,
                           lambda: f"{rs.name()} I_P={p.nodes} lam={x.lam}: "

@@ -14,10 +14,27 @@ from qseidel.suites import RunConfig, run_suites
 from conftest import ACCEPTANCE_LINES
 
 
-def _gate(num, suite, budget, cfg=None):
-    cfg = cfg if cfg is not None else RunConfig(suite=suite)
+# The exact check count of each suite at its contract configuration. A
+# speedup that lowers a count has dropped work, so the gate pins them all.
+CHECK_COUNTS = {
+    "seidel-table": 10,
+    "commutation": 14_628,
+    "chevalley": 9_380,
+    "orbit": 18_546,
+    "length": 15_360,
+    "hat": 61_440,
+    "pi-p": 107_650,
+    "closure": 213_459,
+    "v-elements": 139,
+    "nilhecke": 540,
+    "psi": 2_660,
+    "equivariant": 2,
+}
+
+
+def _gate(num, suite, budget):
     t0 = time.monotonic()
-    results = run_suites(cfg)
+    results = run_suites(RunConfig(suite=suite))
     dt = time.monotonic() - t0
     failures = [f for r in results for f in r.failures]
     checks = sum(r.checks for r in results)
@@ -29,6 +46,9 @@ def _gate(num, suite, budget, cfg=None):
     for f in failures:
         ACCEPTANCE_LINES.append(f"  ! {f}")
     assert not failures, failures
+    assert checks > 0, f"{suite} performed no checks"
+    assert checks == CHECK_COUNTS[suite], f"{suite} ran {checks} checks, " \
+        f"pinned {CHECK_COUNTS[suite]}"
     assert dt < budget, f"{suite} took {dt:.2f}s, budget {budget}s"
     return results
 

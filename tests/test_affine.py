@@ -33,7 +33,14 @@ from qseidel.affine import (
     reduced_word_affine,
     translation,
 )
-from qseidel.rootsys import CATALOG, AffineRoot, build_root_system, dot, vneg
+from qseidel.rootsys import (
+    CATALOG,
+    AffineRoot,
+    build_root_system,
+    dot,
+    is_positive_vec,
+    vneg,
+)
 from qseidel.weyl import (
     enumerate_parabolic_subgroup,
     enumerate_weyl,
@@ -62,6 +69,24 @@ def _random_elt(rs, rng, box=2):
     word = [rng.randint(1, rs.rank) for _ in range(rng.randint(0, 4))]
     lam = tuple(rng.randint(-box, box) for _ in range(rs.rank))
     return ExtAffElt(from_word(rs, word), lam)
+
+
+def test_elements_and_affine_roots_are_values():
+    # equal however they are built, hashed as the pair they hold, printed as
+    # before, and with no instance __dict__ to store anything else in
+    rs = build_root_system("A2")
+    x = ExtAffElt(from_word(rs, (1, 2)), (1, -1))
+    y = aff_mul(ext(from_word(rs, (1, 2))), translation(rs, (1, -1)))
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert hash(x) == hash((x.w, x.lam))
+    assert x != (x.w, x.lam) and x != translation(rs, (1, -1))
+    assert repr(x) == "Aff(W[1.2], t[1, -1])"
+    beta = AffineRoot((1, 0), 1)
+    assert beta == AffineRoot((1, 0), 1) != AffineRoot((1, 0), 0)
+    assert hash(beta) == hash(((1, 0), 1)) and beta != ((1, 0), 1)
+    assert repr(beta) == "AffineRoot(finite=(1, 0), level=1)"
+    for value in (x, beta):
+        assert not hasattr(value, "__dict__")
 
 
 def test_group_law_on_translations():
@@ -325,7 +350,7 @@ def test_wpaff_membership_examples():
 
 @pytest.mark.parametrize("name", CATALOG + ("G2", "F4"))
 def test_every_sign_reader_matches_the_root_action(name):
-    # each reader of the sign rule against aff_act_root(...).is_positive() on
+    # each reader of the sign rule against the sign of aff_act_root(...) on
     # extended elements. x(beta + n delta) = x(beta) + n delta, so a positive
     # root of (W_P)_aff stays positive under x once alpha and delta - alpha do.
     # Members of W_aff^- come from a peel by the root action and members of
@@ -339,7 +364,9 @@ def test_every_sign_reader_matches_the_root_action(name):
     levi = {p: [a for a in rs.pos_roots if not any(a[i - 1] for i in p.nodes)] for p in ps}
 
     def sends_negative(x, beta):
-        return not aff_act_root(x, beta).is_positive()
+        # beta + n delta > 0 exactly when n > 0, or n = 0 and beta > 0
+        image = aff_act_root(x, beta)
+        return image.level < 0 or (image.level == 0 and not is_positive_vec(image.finite))
 
     def descents(x):
         return [i for i in range(n + 1) if sends_negative(x, simple[i])]

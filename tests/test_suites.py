@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from qseidel import cli, suites
-from qseidel.affine import ExtAffElt, central_elements
+from qseidel.affine import ExtAffElt, aff_mul, central_elements, ext
 from qseidel.qh import seidel_apply, seidel_table, sigma
 from qseidel.rootsys import CATALOG, build_root_system
 from qseidel.suites import (
@@ -14,7 +14,7 @@ from qseidel.suites import (
     SuiteResult,
     run_suites,
 )
-from qseidel.weyl import enumerate_minreps, from_word, parabolic
+from qseidel.weyl import enumerate_minreps, from_word, parabolic, simple_reflection
 
 
 def test_registered_suites():
@@ -196,6 +196,21 @@ def test_pi_p_oracle_keeps_the_multiplicity_of_its_hits(monkeypatch):
     assert len(res.failures) == 27
     assert all(f.endswith(": 2 factorizations in the window")
                for f in res.failures)
+
+
+def test_pi_p_oracle_catches_a_wrong_pi_p(monkeypatch):
+    # pi_P times a Levi reflection s_j, j off I_P, stays in the same coset, so
+    # the residual is still parabolic; the criterion and the windowed brute
+    # force must each see every answer go wrong
+    rs = build_root_system("B3")
+    real = suites.pi_P
+    monkeypatch.setattr(suites, "pi_P", lambda x, p: aff_mul(
+        real(x, p), ext(simple_reflection(rs, p.wp_nodes[0]))))
+    (res,) = run_suites(RunConfig(suite="pi-p", types=("B3",), parabolic=(1,), radius=1))
+    assert res.checks == 135
+    assert sum(f.endswith(": pi_P escapes") for f in res.failures) == 27
+    assert sum(f.endswith(": brute residual disagrees with pi_P") for f in res.failures) == 27
+    assert len(res.failures) == 54
 
 
 def test_length_oracle_catches_one_wrong_length(monkeypatch, capsys):
