@@ -134,7 +134,7 @@ def aff_length(x: ExtAffElt) -> int:
     big = len(rs.pos_roots)
     # sum of |e_alpha(x)|: alpha = roots[k] for k < N, [w(alpha) < 0] is perm[k] >= N
     return sum(abs((k >= big) + c)
-               for k, c in zip(x.w.perm, mat_vec(rs.pos_roots, x.lam)))
+               for k, c in zip(x.w.perm, rs.pos_root_pairings(x.lam)))
 
 
 def inversion_count_oracle(x: ExtAffElt) -> int:

@@ -206,22 +206,29 @@ def _cmd_verify(args) -> int:
              "radius": args.radius, "max_rank": args.max_rank, "seed": args.seed,
              "format": args.format}
     cfg = RunConfig.from_json({**data, **{k: v for k, v in flags.items() if v is not None}})
-    results = run_suites(cfg)
-    # A suite named on its own that made no check verified nothing, and so
-    # did a run of all suites without a single check; under "all", one suite
-    # may simply not apply to the chosen types.
+    code, out, err = verify_output(run_suites(cfg), cfg.suite, cfg.fmt)
+    sys.stderr.write(err)
+    sys.stdout.write(out)
+    return code
+
+
+def verify_output(results, suite: str, fmt: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `verify --suite suite --format fmt`,
+    for the results of its run_suites call.
+
+    A suite named on its own that made no check verified nothing, and so did
+    a run of all suites without a single check; under "all", one suite may
+    simply not apply to the chosen types.
+    """
     empty = [r.name for r in results if r.checks == 0]
-    if cfg.suite == "all" and len(empty) < len(results):
+    if suite == "all" and len(empty) < len(results):
         empty = []
-    for r in results:
-        if r.skipped:
-            print(f"note: {r.name} skipped by rank cap: {' '.join(r.skipped)}",
-                  file=sys.stderr)
-    for name in empty:
-        print(f"error: {name} made no checks", file=sys.stderr)
+    err = [f"note: {r.name} skipped by rank cap: {' '.join(r.skipped)}\n"
+           for r in results if r.skipped]
+    err += [f"error: {name} made no checks\n" for name in empty]
     ok = all(r.ok() for r in results) and not empty
-    if cfg.fmt == "json":
-        _print_json({
+    if fmt == "json":
+        out = [json.dumps({
             "ok": ok,
             "suites": [{
                 "name": r.name,
@@ -229,18 +236,17 @@ def _cmd_verify(args) -> int:
                 "failures": r.failures,
                 "findings": r.findings,
             } for r in results],
-        })
+        }, sort_keys=True) + "\n"]
     else:
+        out = []
         for r in results:
             status = "FAIL" if not r.ok() else "EMPTY" if r.name in empty else "ok"
-            print(f"{r.name}: {status} checks={r.checks} "
-                  f"failures={len(r.failures)} findings={len(r.findings)}")
-            for f in r.failures:
-                print(f"  ! {f}")
-            for f in r.findings:
-                print(f"  * {f}")
-        print("verify: " + ("ok" if ok else "FAIL"))
-    return 0 if ok else 1
+            out.append(f"{r.name}: {status} checks={r.checks} "
+                       f"failures={len(r.failures)} findings={len(r.findings)}\n")
+            out += [f"  ! {f}\n" for f in r.failures]
+            out += [f"  * {f}\n" for f in r.findings]
+        out.append("verify: " + ("ok" if ok else "FAIL") + "\n")
+    return 0 if ok else 1, "".join(out), "".join(err)
 
 
 @cache

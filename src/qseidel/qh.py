@@ -254,8 +254,11 @@ def _chevalley_row(j: int, w: WeylElt, p: ParabolicSet):
             row.append((w2p, zero, mult))
         if w2p.length == lw + 1 - n_alpha:
             row.append((w2p, eta, mult))
+    # <w(w_j), alpha_k_vee> = <w_j, w^-1(alpha_k)_vee>: the j-th coroot
+    # coordinate of w^-1(alpha_k)
+    coroot_of = p.rs.coroot_of
     wj = (0,) * (j - 1) + (1,) + (0,) * (p.rs.rank - j)
-    return tuple(row), SPoly.weight(vsub(wj, w.act_weight(wj)))
+    return tuple(row), SPoly.weight(vsub(wj, [coroot_of(col)[j - 1] for col in w.inv_images]))
 
 
 def chevalley_multiply(j: int, c: QHClass, equivariant: bool = False) -> QHClass:

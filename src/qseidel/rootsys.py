@@ -12,6 +12,22 @@ is bookkeeping over a handful of integer lattices attached to a Cartan matrix:
   a coweight against a root is a plain dot product.
 
 Simple roots are numbered 1..n following Bourbaki (see README for the table).
+
+Every integer matrix-vector product runs through generated code, compiled
+from integers only:
+
+* `mat_vec` dispatches on the length of the vector to a kernel per rank
+  0..MAX_RANK, compiled on its first use, that unpacks the vector and each
+  row into local names and sums their products (rank 0 gives a zero per
+  row);
+* each RootSystem compiles its three fixed maps, Cartan^T (coroot to
+  coweight coordinates), its adjugate (`_scaled_coroot`, behind the coroot
+  lattice tests) and the pairing of a coweight with R^+, with the matrix
+  entries folded in: zero terms are dropped and an entry +-1 is a sign.
+
+Only integer literals the library computed itself and fixed names enter the
+generated source; `fold_maps` refuses any other entry before it builds any.
+A vector or row of the wrong length raises ValueError from the unpacking.
 """
 
 from __future__ import annotations
@@ -20,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import add, mul, neg, sub
-from typing import Optional
+from typing import Callable, Optional
 
 Vec = tuple[int, ...]
 
@@ -152,9 +168,76 @@ def int_inverse(mat) -> tuple[tuple[Vec, ...], int]:
     return adj, abs(prev) // g
 
 
+def _compile(source: str) -> dict:
+    """The names defined by generated source (see the module docstring)."""
+    scope: dict = {}
+    exec(compile(source, "<qseidel.rootsys kernels>", "exec"), scope)
+    return scope
+
+
+def _targets(prefix: str, n: int) -> str:
+    """An assignment target unpacking exactly n items: 'v0, v1,' or '()'."""
+    return ", ".join(f"{prefix}{i}" for i in range(n)) + "," if n else "()"
+
+
+def _rank_kernel(n: int) -> Callable:
+    """mat_vec for vectors of length n, with the sum unrolled."""
+    if n > MAX_RANK:
+        raise ValueError(f"no kernel for vectors of length {n}")
+    terms = " + ".join(f"r{i} * v{i}" for i in range(n)) or "0"
+    return _compile(f"def mat_vec_{n}(mat, v):\n"
+                    f"    {_targets('v', n)} = v\n"
+                    f"    return tuple([{terms} for {_targets('r', n)} in mat])\n")[f"mat_vec_{n}"]
+
+
+# rank -> kernel, each compiled on first use and never replaced
+_RANK_KERNELS: dict[int, Callable] = {}
+
+
 def mat_vec(mat, v: Vec) -> Vec:
-    """The integer product mat . v, for a matrix given by its rows."""
-    return tuple([sum(map(mul, row, v)) for row in mat])
+    """The integer product mat . v, for a matrix given by its rows.
+
+    ValueError when a row's length is not len(v), or len(v) > MAX_RANK.
+    """
+    try:
+        kernel = _RANK_KERNELS[len(v)]
+    except KeyError:
+        kernel = _RANK_KERNELS[len(v)] = _rank_kernel(len(v))
+    return kernel(mat, v)
+
+
+def _folded_row(row: Vec) -> str:
+    """sum(a * v_i for a, v_i in row), zero terms dropped and +-1 a sign."""
+    out = ""
+    for i, a in enumerate(row):
+        if a:
+            term = f"v{i}" if abs(a) == 1 else f"{abs(a)} * v{i}"
+            if out:
+                out += f" - {term}" if a < 0 else f" + {term}"
+            else:
+                out = f"-{term}" if a < 0 else term
+    return out or "0"
+
+
+def fold_maps(n: int, **mats) -> tuple[Callable[[Vec], Vec], ...]:
+    """v -> mat . v for each integer matrix with rows of length n, compiled
+    with its entries folded in, in keyword order; each keyword names its map.
+
+    ValueError for an entry that is not an int (bool included) or a row not
+    of length n, before any source is built.
+    """
+    for mat in mats.values():
+        for row in mat:
+            if len(row) != n:
+                raise ValueError(f"matrix row {row!r} does not have length {n}")
+            for a in row:
+                strict_int(a, "matrix entry")
+    scope = _compile("".join(
+        f"def {name}(v):\n"
+        f"    {_targets('v', n)} = v\n"
+        f"    return ({''.join(_folded_row(row) + ', ' for row in mat)})\n"
+        for name, mat in mats.items()))
+    return tuple(scope[name] for name in mats)
 
 
 class AffineRoot:
@@ -182,7 +265,14 @@ class AffineRoot:
 
 
 class RootSystem:
-    """Immutable container for one simple type; build via build_root_system()."""
+    """Immutable container for one simple type; build via build_root_system().
+
+    Its three fixed linear maps are compiled attributes (see the module
+    docstring): coroot_to_coweight(c) maps coroot to fundamental-coweight
+    coordinates (Cartan^T), _scaled_coroot(m) is d times the coroot
+    coordinates of m (the adjugate of Cartan^T, d = its denominator), and
+    pos_root_pairings(lam) is (<lam, alpha> for alpha in pos_roots).
+    """
 
     def __init__(self, letter: str, rank: int):
         if letter not in _VALID_RANKS or rank not in _VALID_RANKS[letter]:
@@ -195,6 +285,9 @@ class RootSystem:
         self._cartan_t: tuple[Vec, ...] = tuple(zip(*self.cartan))
         self._adj, self._denom = int_inverse(self._cartan_t)
         self._generate_roots()
+        self.coroot_to_coweight, self._scaled_coroot, self.pos_root_pairings = fold_maps(
+            rank, coroot_to_coweight=self._cartan_t, scaled_coroot=self._adj,
+            pos_root_pairings=self.pos_roots)
         self._find_theta()
         self._find_minuscule()
         self._central_class_table()
@@ -274,14 +367,6 @@ class RootSystem:
 
     def fund_coweight(self, i: int) -> Vec:
         return tuple(int(k == i - 1) for k in range(self.rank))
-
-    def coroot_to_coweight(self, c: Vec) -> Vec:
-        """Coroot coordinates -> fundamental-coweight coordinates (transpose Cartan)."""
-        return mat_vec(self._cartan_t, c)
-
-    def _scaled_coroot(self, m: Vec) -> Vec:
-        """d * (coroot coordinates of m), an integer vector."""
-        return mat_vec(self._adj, m)
 
     def coweight_to_coroot(self, m: Vec) -> tuple[Fraction, ...]:
         """Rational coroot coordinates of any coweight (a view; not used internally)."""

@@ -6,6 +6,7 @@ rather than inside the library. One PASS/FAIL line per criterion is
 written to the real stdout so the gate stays legible under capture.
 """
 
+import hashlib
 import time
 
 from qseidel import cli
@@ -31,6 +32,48 @@ CHECK_COUNTS = {
     "equivariant": 2,
 }
 
+# The sha256 of what `qseidel verify --suite S` prints to stdout at the
+# contract configuration, as text and as JSON: a change that keeps the
+# counts but alters a finding, a failure or the layout moves a pin.
+VERIFY_SHA256 = {
+    "seidel-table": (
+        "aa0a72f5f53066c348182847ff2d77886ee2fc0b157fee0404103a93053349c5",
+        "2b1f396fb260d6f450a7f3642d3b5e3d76cea8a8b26bc6c2450edb28ebc185fa"),
+    "commutation": (
+        "fc7ee132b72f397ac33a2842a792279ea70f900cd4f96634e147159417aa2ae0",
+        "f0468f07dfba2f01f94812133cc073c8b7d8f998a8d241424122c71ef903f607"),
+    "chevalley": (
+        "80dd954e8ca0a3993f5a546204021afe332fffcb9a5aa664df56d7e4cf923f81",
+        "cfed8ea79f788a072f3151fd152df541ff8f14b5fa08801623f238d9139a1966"),
+    "orbit": (
+        "4235591c42d5053c72feecfe99d4e74feb2a8171d23a6ec4c42cd9745c99624c",
+        "8e2e4f80bf0423ff8666bae4ed98d4c1737377bd7a3161879f88fd7330b025f3"),
+    "length": (
+        "f9c6e0c08e5c69f79bb682fdae0b331c3d0fea647ad609c4410a02333e99c9de",
+        "3be8b4bd6843766d24fadafa76a463ac5d56542cd592d97e01b02cad25d8e4fb"),
+    "hat": (
+        "88b4c4278a6a6972c6ed9ba89754e915e80a5f5735e7fc3998e9d028521541d8",
+        "d14dd595ba82fc88350ca235c0166e4fe3b14e6e0c79922fae969787afba5fd1"),
+    "pi-p": (
+        "aaf4b3cc4e5ca9e1fd601fe5f60e9b9e5aee314b8bb9ebc7950fab602e04a271",
+        "cacedebdc5dcd6e5b46f9d508c587b7172625d8c016b98d748e83b510c9b1dcd"),
+    "closure": (
+        "ce16e21306bcfe77dfed0cc82815980fa0ddf7e1e736762ef15c3c727f893ed7",
+        "cf1f2bc3a1a8c385a51455638ff8979eef1b120a4bf21a0d5cf92429beb65980"),
+    "v-elements": (
+        "8ad602b2242f3f27d2f66c1bf7827b0947f53c0ddb2c2f7f3ab86051f7ec9335",
+        "c9fa5db83b2409dc1ce0daa5e975cf0109f4e8975f24693b2027b70d2cba3a38"),
+    "nilhecke": (
+        "2655a173544513b3af727b8b740de675c3d8518584182ba2ba4369c8ead63cb7",
+        "105bdee0d724499202aa844f2358961a921c290000b0dbad37bf762b852ac5ff"),
+    "psi": (
+        "5905cd55388ea90be6f850eda8c4e323179a115922e3882646e72d077ac5f5a1",
+        "0cc1ab4404ff91425a5633cdde6f0c8871178cbf28acdd4ccc6950ef6d9f8eb0"),
+    "equivariant": (
+        "e140d86effbc823aa3bed7e2bbc8a2ba58443ab7c5082413cc77cc908b5faf1a",
+        "2a85bea32f32e4a153aeeb86873cd908a2c5a08aa76adc034634124c6cc4d111"),
+}
+
 
 def _gate(num, suite, budget):
     t0 = time.monotonic()
@@ -49,6 +92,10 @@ def _gate(num, suite, budget):
     assert checks > 0, f"{suite} performed no checks"
     assert checks == CHECK_COUNTS[suite], f"{suite} ran {checks} checks, " \
         f"pinned {CHECK_COUNTS[suite]}"
+    for fmt, pin in zip(("text", "json"), VERIFY_SHA256[suite]):
+        out = cli.verify_output(results, suite, fmt)[1]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pin, \
+            f"{suite} verify --format {fmt} output moved:\n{out}"
     assert dt < budget, f"{suite} took {dt:.2f}s, budget {budget}s"
     return results
 

@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, none is
 another module's private name, only rootsys imports fractions, no module
 builds a Weyl element from simple-root images, only rootsys and affine
-read the level of an affine root, and every suite check passes its failure
-message as a lambda (stdlib ast only)."""
+read the level of an affine root, every suite check passes its failure
+message as a lambda, and only rootsys compiles code (stdlib ast only)."""
 
 import ast
 from pathlib import Path
@@ -81,6 +81,23 @@ def eager_check_messages(source: str) -> list[str]:
     return out
 
 
+def code_generation_calls(source: str) -> list[str]:
+    """Calls of the builtins exec, eval and compile, by name or as
+    builtins.<name>."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "builtins":
+            name = func.attr
+        else:
+            name = getattr(func, "id", None)
+        if name in ("exec", "eval", "compile"):
+            out.append(f"line {node.lineno}: {name}")
+    return out
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -120,6 +137,13 @@ def test_suite_checks_build_their_messages_lazily():
              and getattr(node.func, "attr", None) == "check"]
     assert len(calls) == source.count(".check(") > 0
     assert eager_check_messages(source) == []
+
+
+def test_only_rootsys_generates_code():
+    # the compiled kernels are built from integers in one place
+    callers = {p.name for p in SRC.glob("*.py")
+               if code_generation_calls(p.read_text(encoding="utf-8"))}
+    assert callers == {"rootsys.py"}
 
 
 def test_the_check_sees_an_unused_import():
@@ -180,3 +204,14 @@ def test_the_check_sees_an_eager_check_message():
               "checker.run(ok, 'not a check')\n")
     assert eager_check_messages(source) == ["line 1: check", "line 3: check",
                                              "line 5: check", "line 6: check"]
+
+
+def test_the_check_sees_code_generation():
+    source = ("exec(src, scope)\n"
+              "f = eval('1 + 1')\n"
+              "code = compile(src, '<x>', 'exec')\n"
+              "builtins.exec(src)\n"
+              "pattern = re.compile('a+')\n"
+              "result = run.eval(x)\n")
+    assert code_generation_calls(source) == ["line 1: exec", "line 2: eval",
+                                             "line 3: compile", "line 4: exec"]

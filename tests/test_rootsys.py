@@ -1,20 +1,27 @@
+import inspect
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from qseidel import rootsys
+from qseidel.affine import inversion_count_oracle
 from qseidel.rootsys import (
     CATALOG,
     build_root_system,
     cartan_matrix,
     dot,
+    fold_maps,
     int_inverse,
     is_positive_vec,
+    mat_vec,
     vadd,
     vneg,
 )
+from qseidel.suites import suite_pi_p
 from qseidel.weyl import involution
 
 from oracles import (
@@ -261,3 +268,97 @@ def test_coroot_lattice_arithmetic_against_rational_solve(name):
             assert all(x.denominator == 1 for x in shifted)
     # the probe meets every class of the coweight lattice mod Q_vee
     assert len(class_of_frac) == math.prod(smith_invariant_factors(rs.cartan))
+
+
+# Every valid simple type up to MAX_RANK.
+ALL_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+             + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+             + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def _plain_mat_vec(mat, v):
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in mat)
+
+
+def _kernel_probes(n, rng):
+    """Seeded integer vectors of length n: small, huge (+-10**15) and as lists."""
+    big = 10 ** 15
+    vecs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(20)]
+    vecs += [tuple(rng.choice((-big, big, rng.randint(-big, big))) for _ in range(n))
+             for _ in range(10)]
+    vecs += [(0,) * n, (1,) * n]
+    return vecs + [list(v) for v in vecs[:8]]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_compiled_maps_against_plain_sums(name):
+    rs = build_root_system(name)
+    n = rs.rank
+    cartan_t = [[rs.cartan[j][i] for j in range(n)] for i in range(n)]
+    rng = random.Random(n * 31 + ord(name[0]))
+    square = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    for v in _kernel_probes(n, rng):
+        for mat in (rs.cartan, cartan_t, rs.pos_roots, square):
+            assert mat_vec(mat, v) == _plain_mat_vec(mat, v)
+        assert rs.coroot_to_coweight(v) == _plain_mat_vec(cartan_t, v)
+        assert rs._scaled_coroot(v) == _plain_mat_vec(rs._adj, v)
+        pairings = rs.pos_root_pairings(v)
+        assert pairings == _plain_mat_vec(rs.pos_roots, v)
+        assert pairings == tuple(dot(v, alpha) for alpha in rs.pos_roots)
+        # the adjugate inverts Cartan^T up to its denominator
+        assert rs._scaled_coroot(rs.coroot_to_coweight(v)) == tuple(rs._denom * c for c in v)
+
+
+@pytest.mark.parametrize("name", ["A1", "G2", "D4", "E8"])
+def test_compiled_maps_refuse_a_vector_of_the_wrong_length(name):
+    # zip would drop the extra coordinate, or the missing one, silently
+    rs = build_root_system(name)
+    v = tuple(range(1, rs.rank + 1))
+    maps = (rs.coroot_to_coweight, rs._scaled_coroot, rs.pos_root_pairings,
+            lambda u: mat_vec(rs.cartan, u), lambda u: mat_vec(rs.pos_roots, u))
+    for f in maps:
+        for bad in (v[:-1], v + (0,), list(v) + [0]):
+            with pytest.raises(ValueError):
+                f(bad)
+    with pytest.raises(ValueError):
+        mat_vec(((1,) * 9,), (1,) * 9)
+
+
+def test_rank_zero_gives_a_zero_per_row():
+    # the empty Levi of I_P = all nodes
+    assert mat_vec(((), (), ()), ()) == (0, 0, 0)
+    assert mat_vec((), []) == ()
+    with pytest.raises(ValueError):
+        mat_vec(((1,),), ())
+
+
+def test_folded_rows_drop_zeros_and_write_units_as_signs():
+    src = rootsys._folded_row
+    assert src((0, 1, 0, 0)) == "v1"
+    assert src((0, -1, 2, 0)) == "-v1 + 2 * v2"
+    assert src((3, 0, -1, -10 ** 15)) == "3 * v0 - v2 - 1000000000000000 * v3"
+    assert src((0, 0)) == "0"
+    zero, unit = fold_maps(2, zero=((0, 0),), unit=((1, 0), (0, -1)))
+    assert zero((5, 7)) == (0,)
+    assert unit((5, 7)) == (5, -7)
+
+
+@pytest.mark.parametrize("entry", [2.0, "2", True])
+def test_fold_maps_refuses_a_non_int_entry_before_building_source(entry, monkeypatch):
+    built = []
+    monkeypatch.setattr(rootsys, "_compile", built.append)
+    with pytest.raises(ValueError, match="matrix entry"):
+        fold_maps(2, good=((1, 0), (0, 1)), bad=((1, entry), (0, 1)))
+    with pytest.raises(ValueError):
+        fold_maps(2, short=((1, 0), (1,)))
+    assert built == []
+
+
+def test_oracles_keep_their_own_arithmetic():
+    # the brute-force checks must not read the compiled R^+ pairing they check
+    oracles = Path(__file__).with_name("oracles.py").read_text(encoding="utf-8")
+    for source in (inspect.getsource(inversion_count_oracle), inspect.getsource(suite_pi_p),
+                   oracles):
+        assert "pos_root_pairings" not in source
+    for name in ("coroot_to_coweight", "_scaled_coroot", "fold_maps"):
+        assert name not in oracles
