@@ -150,12 +150,13 @@ def inversion_count_oracle(x: ExtAffElt) -> int:
     rs = x.rs
     if not rs.in_coroot_lattice(x.lam):
         raise ValueError("inversion oracle needs a coroot-lattice translation")
+    big = len(rs.pos_roots)
     count = 0
-    for gamma in rs.roots:
+    for k, gamma in enumerate(rs.roots):  # gamma > 0 exactly when k < N
         image = aff_act_root(x, AffineRoot(gamma, 0))
         m = image.level
         beta_positive = is_positive_vec(image.finite)
-        for n in range(0 if is_positive_vec(gamma) else 1, abs(m) + 2):
+        for n in range(0 if k < big else 1, abs(m) + 2):
             if m + n > 0 or (m + n == 0 and beta_positive):
                 break
             count += 1
@@ -216,7 +217,6 @@ class CentralElt:
         return f"Central({self.rs.name()}, {self.node})"
 
 
-@lru_cache(maxsize=None)
 def central_elements(rs: RootSystem) -> tuple[CentralElt, ...]:
     return (CentralElt(rs, None),) + tuple(CentralElt(rs, i) for i in rs.minuscule_nodes)
 

@@ -334,7 +334,7 @@ def run(argv: list[str] | None = None) -> int:
         args.node = node
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -48,7 +48,6 @@ EXPANSION_CAP = 8
 # -- scalar actions of the affine letters -------------------------------------
 
 
-@lru_cache(maxsize=None)
 def scalar_root(rs: RootSystem, i: int) -> SPoly:
     """alpha_i as a weight-lattice polynomial; the node 0 letter reads as -theta."""
     return SPoly.weight(mat_vec(rs.cartan, rs.affine_simple(i).finite))

@@ -51,6 +51,9 @@ _VALID_RANKS = {
     "F": (4,),
     "G": (2,),
 }
+# (letter, rank) by the type's one accepted name, as RootSystem.name() prints it
+_BY_NAME = {f"{letter}{rank}": (letter, rank)
+            for letter, ranks in _VALID_RANKS.items() for rank in ranks}
 
 # Default working catalog: every acceptance sweep runs over these.
 CATALOG = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4")
@@ -410,17 +413,12 @@ class RootSystem:
 
 @lru_cache(maxsize=None)
 def build_root_system(name: str) -> RootSystem:
-    """Build (and cache) a root system from a name like 'D4'.
+    """The root system of a type named exactly as `roots` prints it, like 'D4'.
 
-    The cache makes root systems singletons, so identity comparison of the
-    .rs attribute across derived objects is sound.
+    Any other spelling ('d4', ' D4', 'D04') raises ValueError, so the cache
+    holds one object per type and identity comparison of the .rs attribute
+    across derived objects is sound.
     """
-    name = name.strip()
-    if len(name) < 2 or not name[0].isalpha():
+    if name not in _BY_NAME:
         raise ValueError(f"bad root system name: {name!r}")
-    letter = name[0].upper()
-    try:
-        rank = int(name[1:])
-    except ValueError:
-        raise ValueError(f"bad root system name: {name!r}") from None
-    return RootSystem(letter, rank)
+    return RootSystem(*_BY_NAME[name])

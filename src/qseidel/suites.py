@@ -114,6 +114,10 @@ class RunConfig:
         if (not isinstance(self.types, tuple) or not self.types
                 or not all(isinstance(t, str) for t in self.types)):
             raise ValueError(f"types must be a non-empty list of type names, got {self.types!r}")
+        for name in self.types:  # refused here, whether or not the suite reads it
+            build_root_system(name)
+        if len(set(self.types)) != len(self.types):  # would run each repeat again
+            raise ValueError(f"types must be distinct, got {list(self.types)}")
         if self.parabolic is not None:
             if not strict_ints(self.parabolic, "parabolic"):  # would run the degenerate P = G
                 raise ValueError("parabolic must be null or a non-empty list of nodes, got []")

@@ -276,7 +276,6 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElt, ...]:
     return _closure(rs, rs.pos_roots)
 
 
-@lru_cache(maxsize=None)
 def longest_element(rs: RootSystem) -> WeylElt:
     """The longest element w0, by right multiplication with s_j while some s_j
     is a right ascent (perm[simple_index[j-1]] < N): each step adds one to the
@@ -366,7 +365,6 @@ def coset_reduce(w: WeylElt, p: ParabolicSet) -> WeylElt:
     return cur
 
 
-@lru_cache(maxsize=None)
 def enumerate_parabolic_subgroup(p: ParabolicSet) -> tuple[WeylElt, ...]:
     """Elements of W_P in length order."""
     return _closure(p.rs, p.rp_pos)

@@ -109,8 +109,7 @@ def test_weyl_counts(capsys):
 
 
 def _enumeration_cache_sizes():
-    return tuple(f.cache_info().currsize for f in (
-        weyl.enumerate_weyl, weyl.enumerate_minreps, weyl.enumerate_parabolic_subgroup))
+    return tuple(f.cache_info().currsize for f in (weyl.enumerate_weyl, weyl.enumerate_minreps))
 
 
 @pytest.mark.parametrize("argv", [["weyl", "E8"], ["weyl", "E8", "--parabolic", "1", "2", "3"]])
@@ -261,8 +260,17 @@ def test_affine_pi_p_without_parabolic_errors(capsys):
     assert "parabolic" in capsys.readouterr().err
 
 
-def test_affine_pi_p_on_e7_enumerates_no_parabolic_subgroup(capsys):
-    # W_P is W(E6), 51,840 elements, for I_P = {7}
+def test_affine_pi_p_on_e7_enumerates_no_parabolic_subgroup(monkeypatch, capsys):
+    # W_P is W(E6), 51,840 elements, for I_P = {7}; every enumeration of W,
+    # W_P or W^P walks weyl._closure
+    walks = []
+    real = weyl._closure
+
+    def counted(rs, roots):
+        walks.append(len(roots))
+        return real(rs, roots)
+
+    monkeypatch.setattr(weyl, "_closure", counted)
     before = _enumeration_cache_sizes()
     elt = {"w": [7, 6, 5, 4, 2], "lambda": [0, 0, 0, 0, 0, 0, 10**6]}
     argv = ["affine", "pi-p", "E7", "--parabolic", "7", "--elt", json.dumps(elt)]
@@ -272,6 +280,7 @@ def test_affine_pi_p_on_e7_enumerates_no_parabolic_subgroup(capsys):
     assert cli.run(argv + ["--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert _enumeration_cache_sizes() == before
+    assert walks == []
     rs = build_root_system("E7")
     p = weyl.parabolic(rs, (7,))
     x1, x2 = (affine.ExtAffElt(weyl.from_word(rs, data[k]["w"]), tuple(data[k]["lambda"]))
@@ -473,7 +482,7 @@ def test_qprod_q_needs_one_exponent_per_node(capsys):
     ("seed", False), ("parabolic", [1.0]), ("parabolic", "1"),
     ("types", "A2"), ("types", ["A2", 3]), ("format", "xml"),
     ("format", ["json"]), ("suite", "no-such-suite"), ("suite", ["all"]),
-    ("types", []), ("parabolic", []), ("parabolic", [1, 1]),
+    ("types", []), ("parabolic", []), ("parabolic", [1, 1]), ("types", ["A2", "A2"]),
 ])
 def test_verify_config_rejects_non_integers(key, value, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -574,6 +583,21 @@ def test_verify_all_passes_when_one_suite_does_not_apply(capsys):
     assert captured.out.endswith("verify: ok\n")
     assert "intertwine skipped by rank cap: A3" in captured.err
     assert "made no checks" not in captured.err
+
+
+@pytest.mark.parametrize("suite", ["seidel-table", "equivariant", "orbit", "all"])
+@pytest.mark.parametrize("types, error", [
+    (["a2"], "bad root system name: 'a2'"), (["A02"], "bad root system name: 'A02'"),
+    (["A1", "Z9"], "bad root system name: 'Z9'"),
+    (["A2", "A2"], "types must be distinct, got ['A2', 'A2']"),
+])
+def test_verify_refuses_a_bad_or_repeated_type_in_every_suite(suite, types, error, capsys):
+    # seidel-table and equivariant read no type, and a repeated type would
+    # run every check of the others twice
+    assert cli.run(["verify", "--suite", suite, "--types", *types]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("cls", [

@@ -2,7 +2,8 @@
 another module's private name, only rootsys imports fractions, no module
 builds a Weyl element from simple-root images, only rootsys and affine
 read the level of an affine root, every suite check passes its failure
-message as a lambda, and only rootsys compiles code (stdlib ast only)."""
+message as a lambda, only rootsys compiles code, and the package's memos are
+exactly the pinned inventory (stdlib ast only)."""
 
 import ast
 from pathlib import Path
@@ -98,6 +99,99 @@ def code_generation_calls(source: str) -> list[str]:
     return out
 
 
+# The element types and the monomial exponents whose memo entries grow with
+# the inputs a run reaches, as annotated on the memoised functions.
+ELEMENT_ANNOTATIONS = {"WeylElt", "ExtAffElt", "tuple[int, ...]"}
+
+
+def memo_inventory(source: str) -> dict[str, str]:
+    """Each use of functools.lru_cache or functools.cache, by any imported
+    name, mapped to its key kind: the decorated function's name to "per
+    element" when a parameter is annotated with one of ELEMENT_ANNOTATIONS,
+    else "per parabolic" when one is a ParabolicSet, else "per type" when it
+    has parameters (a root system, its name, nodes or roots) and "per
+    process" when it has none. A use that decorates no function (as in
+    lru_cache()(f)) is listed as "line N" with kind "unnamed"."""
+    tree = ast.parse(source)
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update(a.asname or a.name for a in node.names
+                         if a.name in ("lru_cache", "cache"))
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "functools")
+
+    def is_memo(node) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in names
+        return (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+                and getattr(node.value, "id", None) in modules)
+
+    def kind(fn) -> str:
+        notes = {ast.unparse(a.annotation) for a in fn.args.args if a.annotation}
+        if notes & ELEMENT_ANNOTATIONS:
+            return "per element"
+        if "ParabolicSet" in notes:
+            return "per parabolic"
+        return "per type" if fn.args.args else "per process"
+
+    decorated = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                decorated[id(dec.func if isinstance(dec, ast.Call) else dec)] = node
+    out = {}
+    for node in ast.walk(tree):
+        if is_memo(node):
+            fn = decorated.get(id(node))
+            if fn is None:
+                out[f"line {node.lineno}"] = "unnamed"
+            else:
+                out[fn.name] = kind(fn)
+    return out
+
+
+# Every memo of the package and its key kind (see memo_inventory). Each is
+# reused by some benchmark workload or contract suite; the per-element ones
+# grow with the inputs of a run and are never emptied.
+MEMOS = {
+    ("rootsys", "build_root_system"): "per type",
+    ("weyl", "identity"): "per type",
+    ("weyl", "simple_reflection"): "per type",
+    ("weyl", "reflection"): "per type",
+    ("weyl", "_right_simple"): "per type",
+    ("weyl", "enumerate_weyl"): "per type",
+    ("weyl", "involution"): "per type",
+    ("weyl", "v_element"): "per type",
+    ("affine", "identity_aff"): "per type",
+    ("affine", "affine_simple_ext"): "per type",
+    ("weyl", "enumerate_minreps"): "per parabolic",
+    ("affine", "_levi"): "per parabolic",
+    ("qh", "_chevalley_data"): "per parabolic",
+    ("weyl", "reduced_word"): "per element",
+    ("weyl", "coset_reduce"): "per element",
+    ("affine", "pi_P"): "per element",
+    ("affine", "peterson_decompose"): "per element",
+    ("nilhecke", "_weight_images"): "per element",
+    ("nilhecke", "_letter_rows"): "per element",
+    ("nilhecke", "_split"): "per element",
+    ("nilhecke", "embed_group"): "per element",
+    ("qh", "_seidel_term"): "per element",
+    ("qh", "_chevalley_row"): "per element",
+    ("cli", "build_parser"): "per process",
+}
+
+
+def package_memos(sources: dict[str, str]) -> dict[tuple[str, str], str]:
+    """memo_inventory over modules given by name, keyed by (module, function)."""
+    return {(module, name): kind for module, source in sources.items()
+            for name, kind in memo_inventory(source).items()}
+
+
+def _package_sources() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -144,6 +238,37 @@ def test_only_rootsys_generates_code():
     callers = {p.name for p in SRC.glob("*.py")
                if code_generation_calls(p.read_text(encoding="utf-8"))}
     assert callers == {"rootsys.py"}
+
+
+def test_the_memos_are_the_pinned_inventory():
+    # a change that adds, drops or rekeys a memo updates MEMOS too
+    assert package_memos(_package_sources()) == MEMOS
+    assert sum(kind != "per process" for kind in MEMOS.values()) == 23
+
+
+def test_the_inventory_sees_an_unlisted_memo():
+    source = ("import functools\n"
+              "import functools as ft\n"
+              "from functools import lru_cache as memo, cache, partial\n"
+              "@memo(maxsize=None)\n"
+              "def cold(rs: RootSystem, i: int): ...\n"
+              "@ft.cache\n"
+              "def coset(p: ParabolicSet): ...\n"
+              "@functools.lru_cache\n"
+              "def row(j: int, w: WeylElt, p: ParabolicSet): ...\n"
+              "@cache\n"
+              "def parser(): ...\n"
+              "@partial(print)\n"
+              "def plain(x: ExtAffElt): ...\n"
+              "square = functools.lru_cache(maxsize=None)(lambda x: x * x)\n")
+    assert memo_inventory(source) == {"cold": "per type", "coset": "per parabolic",
+                                      "row": "per element", "parser": "per process",
+                                      "line 14": "unnamed"}
+    sources = _package_sources()
+    sources["weyl"] += ("\n\n@lru_cache(maxsize=None)\n"
+                        "def inverse(a: WeylElt) -> WeylElt:\n"
+                        "    return w_inv(a)\n")
+    assert package_memos(sources) != MEMOS
 
 
 def test_the_check_sees_an_unused_import():

@@ -46,6 +46,21 @@ def test_unknown_type_rejected():
         build_root_system("A0")
 
 
+@pytest.mark.parametrize("name", ["a2", " A2", "A2 ", "A02", "A+2", "A 2", "B\u0663", "A", ""])
+def test_only_the_printed_name_builds_a_root_system(name):
+    # a second spelling would build a second root system of the same type,
+    # and a second entry in every memo keyed by it
+    with pytest.raises(ValueError, match="bad root system name"):
+        build_root_system(name)
+
+
+def test_each_type_has_one_root_system():
+    for name in ALL_TYPES:
+        rs = build_root_system(name)
+        assert rs.name() == name
+        assert build_root_system(rs.name()) is rs
+
+
 def test_cartan_diagonal_and_symmetry():
     for name in CATALOG:
         a = cartan_matrix(name[0], int(name[1:]))

@@ -136,6 +136,8 @@ def test_runconfig_refuses_repeated_parabolic_nodes():
     ({"max_rank": 2.5}, "max_rank must be an integer"),
     ({"radius": True}, "radius must be an integer"),
     ({"radius": 1.5}, "radius must be an integer"),
+    ({"suite": "seidel-table", "types": ("A02",)}, "bad root system name: 'A02'"),
+    ({"types": ("A2", "A2")}, "types must be distinct"),
 ])
 def test_runconfig_checks_its_bounds_however_it_is_built(kw, match):
     # a config built from Python meets the bounds that --config and the
