@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 from .rootsys import (
     AffineRoot,
@@ -178,16 +178,14 @@ def is_waff_minus(x: ExtAffElt) -> bool:
     return _simple_descent(x) is None
 
 
-def _levi_signs(w: WeylElt, lam: Vec, p: ParabolicSet) -> Iterator[int]:
-    """e_alpha(w t_lam) for alpha over R_P^+, in the order of p.rp_pos, one at a time."""
-    big = len(p.rs.pos_roots)
-    for k, alpha in zip(p.rp_index, p.rp_pos):
-        yield dot(lam, alpha) + (w.perm[k] >= big)
-
-
 def is_wpaff(x: ExtAffElt, p: ParabolicSet) -> bool:
     """x sends every positive root of (W_P)_aff positive: e = 0 over R_P^+."""
-    return not any(_levi_signs(x.w, x.lam, p))
+    big = len(p.rs.pos_roots)
+    perm, lam = x.w.perm, x.lam
+    for k, alpha in zip(p.rp_index, p.rp_pos):
+        if dot(lam, alpha) + (perm[k] >= big):
+            return False
+    return True
 
 
 # -- central elements --------------------------------------------------------
@@ -357,14 +355,31 @@ def in_parabolic_aff(x: ExtAffElt, p: ParabolicSet) -> bool:
 @lru_cache(maxsize=None)
 def _levi(p: ParabolicSet) -> tuple:
     """alpha_j_vee for j off I_P, adj / d inverting the Levi Cartan block
-    M[j][k] = <alpha_k_vee, alpha_j>, and (alpha, alpha_vee, s_alpha) over
-    R_P^+ in the order of p.rp_pos; coroots in coweight coordinates."""
+    M[j][k] = <alpha_k_vee, alpha_j>, (alpha, alpha_vee, s_alpha) over R_P^+
+    in the order of p.rp_pos, and rho_P_vee = sum of varpi_i_vee over I_P,
+    whose stabiliser is W_P; coroots in coweight coordinates."""
     rs = p.rs
     rows = tuple(rs.cartan[j - 1] for j in p.wp_nodes)
     adj, d = int_inverse([[row[j - 1] for row in rows] for j in p.wp_nodes])
     roots = tuple((alpha, rs.coroot_to_coweight(rs.coroot_of(alpha)), reflection(rs, alpha))
                   for alpha in p.rp_pos)
-    return rows, adj, d, roots
+    rho = tuple(int(i in p.nodes) for i in range(1, rs.rank + 1))
+    return rows, adj, d, roots, rho
+
+
+def _same_coset(x1: ExtAffElt, x: ExtAffElt, p: ParabolicSet) -> bool:
+    """Whether x1^-1 x = u t_{lambda_x - u^-1 lambda_1}, u = w_1^-1 w_x, lies
+    in (W_P)_aff, read without forming it: u fixes rho_P_vee (W_P is its
+    stabiliser), and lambda_x - lambda_1 lies in Q_vee_P (u in W_P moves
+    lambda_1 only by elements of Q_vee_P)."""
+    try:
+        c = x.rs.coroot_coords(vsub(x.lam, x1.lam))
+    except ValueError:  # lambda_x - lambda_1 is off the coroot lattice
+        return False
+    if any(c[i - 1] for i in p.nodes):
+        return False
+    rho = _levi(p)[4]
+    return x1.w.act_coweight(rho) == x.w.act_coweight(rho)
 
 
 @lru_cache(maxsize=None)
@@ -380,33 +395,43 @@ def pi_P(x: ExtAffElt, p: ParabolicSet) -> ExtAffElt:
     < 0); the loop stops exactly when is_wpaff(x) holds. Each step lowers the
     number sum |e| over R_P^+ of positive roots of (W_P)_aff that x inverts,
     so that number bounds the steps, and a step past it is an AssertionError.
-    The residual is verified.
+    The residual x1^-1 x is verified without being formed: it lies in
+    (W_P)_aff exactly when w_x(rho_P_vee) = w_1(rho_P_vee), with rho_P_vee =
+    sum of varpi_i_vee over I_P, the dominant coweight whose stabiliser is
+    W_P, and lambda_x - lambda_1 lies in Q_vee_P.
     """
     rs = x.rs
     if not rs.in_coroot_lattice(x.lam):
         raise ValueError("pi_P over W_aff needs a coroot-lattice translation; "
                          "use pi_P_ext for general coweights")
-    rows, adj, d, roots = _levi(p)
+    rows, adj, d, roots, _ = _levi(p)
     lam = x.lam
     for c, row in zip(mat_vec(adj, [lam[j - 1] for j in p.wp_nodes]), rows):
         c //= d
         if c:
             lam = tuple(a - c * b for a, b in zip(lam, row))
     w = x.w
-    budget = sum(map(abs, _levi_signs(w, lam, p)))
+    perm = w.perm
+    big = len(rs.pos_roots)
+    budget = 0
+    for k, alpha in zip(p.rp_index, p.rp_pos):
+        budget += abs(dot(lam, alpha) + (perm[k] >= big))
     for steps in range(budget + 1):
-        for e, (alpha, coroot, s) in zip(_levi_signs(w, lam, p), roots):
+        for k, (alpha, coroot, s) in zip(p.rp_index, roots):
+            c = dot(lam, alpha)
+            e = c + (perm[k] >= big)
             if e:
                 break
         else:  # e = 0 over R_P^+: x is in (W^P)_aff
             break
         if steps == budget:
             raise AssertionError(f"pi_P descent passed its budget of {budget} steps")
-        c = dot(lam, alpha) + (e < 0)
+        c += e < 0
         w = w_mul(w, s)
+        perm = w.perm
         lam = tuple(a - c * b for a, b in zip(lam, coroot))
     x1 = ExtAffElt(w, lam)
-    if not in_parabolic_aff(aff_mul(aff_inv(x1), x), p):
+    if not _same_coset(x1, x, p):
         raise AssertionError("pi_P residual escaped (W_P)_aff")
     return x1
 

@@ -28,8 +28,6 @@ from .affine import (
     central_elements,
     eta_P,
     is_antidominant,
-    is_waff_minus,
-    is_wpaff,
     peterson_decompose,
 )
 from .poly import SPoly, add_terms
@@ -289,15 +287,14 @@ def psi_P(y: ExtAffElt, mu: Vec, p: ParabolicSet) -> QHClass:
     """Class of xi_y relative to the reference xi_{pi_P(t_mu)}: q^{eta_P(nu-mu)} sigma(w).
 
     y must lie in W_aff^- intersect (W^P)_aff and mu must be an antidominant
-    coroot-lattice coweight; (w, nu) is the Peterson decomposition of y.
+    coroot-lattice coweight; (w, nu) is the Peterson decomposition of y,
+    which checks y on every miss (a memo hit means y was checked before).
     """
     rs = y.rs
     if not is_antidominant(mu):
         raise ValueError("reference coweight must be antidominant")
     if not rs.in_coroot_lattice(mu):
         raise ValueError("reference coweight must be in the coroot lattice")
-    if not (is_waff_minus(y) and is_wpaff(y, p)):
-        raise ValueError("psi_P needs y in W_aff^- intersect (W^P)_aff")
     w, nu = peterson_decompose(y, p)
     d = eta_P(vsub(nu, tuple(mu)), p)
     return QHClass._of(p, {(w, d): SPoly.one(rs.rank)})

@@ -125,6 +125,12 @@ class RunConfig:
             # node; the others would run as if the list were well formed.
             if len(set(self.parabolic)) != len(self.parabolic):
                 raise ValueError(f"parabolic nodes must be distinct, got {list(self.parabolic)}")
+            # Likewise a node past the rank of a type.
+            for name in self.types:
+                rank = build_root_system(name).rank
+                if not all(1 <= i <= rank for i in self.parabolic):
+                    raise ValueError(f"parabolic nodes must lie in 1..{rank} for {name}, "
+                                     f"got {list(self.parabolic)}")
         for key in ("radius", "max_rank", "seed"):
             strict_int(getattr(self, key), key)
         # Either would run an empty scope and report "made no checks".

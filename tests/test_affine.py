@@ -40,6 +40,7 @@ from qseidel.rootsys import (
     dot,
     is_positive_vec,
     vneg,
+    vsub,
 )
 from qseidel.weyl import (
     enumerate_parabolic_subgroup,
@@ -467,7 +468,9 @@ def test_parabolic_membership_reads_the_inversions(name):
 
 def test_pi_p_of_a_huge_translation_takes_few_steps(monkeypatch):
     # without the translation into the Levi alcove the descent would take
-    # about 10**6 steps here; each step is one w_mul
+    # about 10**6 steps here. Each descent step is one w_mul, and pi_P makes
+    # no other, so the counter counts descent steps; an input that the
+    # translation already puts in (W^P)_aff takes none
     steps = []
 
     def counting_w_mul(a, b):
@@ -476,6 +479,7 @@ def test_pi_p_of_a_huge_translation_takes_few_steps(monkeypatch):
 
     monkeypatch.setattr("qseidel.affine.w_mul", counting_w_mul)
     rs = build_root_system("B3")
+    total = 0
     for nodes in ((1,), (2,), (3,), (1, 3)):
         for word, c in (((), (10**6, -10**6, 3)),
                         ((1, 2, 3, 2), (-10**6, 7, 10**6 - 1))):
@@ -484,9 +488,11 @@ def test_pi_p_of_a_huge_translation_takes_few_steps(monkeypatch):
             steps.clear()
             x = ExtAffElt(from_word(rs, word), lam)
             x1 = pi_P.__wrapped__(x, parabolic(rs, nodes))
-            assert 0 < len(steps) < 50, (nodes, word, len(steps))
+            assert len(steps) < 50, (nodes, word, len(steps))
+            total += len(steps)
             want = pi_p_by_candidates(rs.cartan, word, lam, nodes)
             assert (x1.w.images, x1.lam) == want, (nodes, word, c)
+    assert total > 0  # the counter still sees the descent
 
 
 def test_a_descent_step_that_does_not_shorten_fails_fast(monkeypatch):
@@ -505,6 +511,121 @@ def test_a_descent_step_that_does_not_shorten_fails_fast(monkeypatch):
                 pi_P.__wrapped__(x, parabolic(rs, nodes))
     finally:
         affine._levi.cache_clear()
+
+
+@pytest.mark.parametrize("name", CATALOG + ("G2", "F4"))
+def test_the_stabiliser_criterion_matches_the_formed_residual(name):
+    # affine._same_coset(x1, x, p) against the residual it avoids forming,
+    # in_parabolic_aff(x1^-1 x, p). x = x1 y with y = u t_mu, u a word in the
+    # nodes off I_P and mu in Q_vee_P, is in x1's coset; a quantum node in
+    # the word, a coroot at a quantum node in mu, or a fundamental coweight
+    # added to mu (off Q_vee on most types) may move it out
+    rs = build_root_system(name)
+    n = rs.rank
+    rng = random.Random(name)
+    seen = set()
+    for r in range(1, n + 1):
+        for nodes in itertools.combinations(range(1, n + 1), r):
+            p = parabolic(rs, nodes)
+            for kind, _ in itertools.product(range(4), range(3)):
+                word = ([rng.choice(p.wp_nodes) for _ in range(rng.randint(0, 4))]
+                        if p.wp_nodes else [])
+                coords = [0 if i in nodes else rng.randint(-2, 2) for i in range(1, n + 1)]
+                if kind == 1:
+                    word.insert(rng.randint(0, len(word)), rng.choice(nodes))
+                elif kind == 2:
+                    coords[rng.choice(nodes) - 1] += rng.choice((-1, 1))
+                mu = rs.coroot_to_coweight(tuple(coords))
+                if kind == 3:
+                    j = rng.randrange(n)
+                    mu = tuple(a + (k == j) for k, a in enumerate(mu))
+                x1 = _random_elt(rs, rng)
+                x = aff_mul(x1, ExtAffElt(from_word(rs, word), mu))
+                want = in_parabolic_aff(aff_mul(aff_inv(x1), x), p)
+                assert affine._same_coset(x1, x, p) == want, (name, nodes, x1, x)
+                assert want or kind, (name, nodes, x1, x)
+                seen.add(want)
+    assert seen == {False, True}
+
+
+def _record_the_residual_check(monkeypatch):
+    """Wrap affine._same_coset; the list gets (x1, x, p) of each pi_P check."""
+    seen = []
+    real = affine._same_coset
+
+    def recorded(x1, x, p):
+        seen.append((x1, x, p))
+        return real(x1, x, p)
+
+    monkeypatch.setattr(affine, "_same_coset", recorded)
+    return seen
+
+
+def test_pi_p_refuses_a_residual_translation_off_q_vee_p(monkeypatch):
+    # a seeded fault: the Levi translation subtracts the coroot of a quantum
+    # node, so lambda_x - lambda_1 leaves Q_vee_P and the residual escapes
+    real = affine._levi
+
+    def rows_from_a_quantum_node(p):
+        rows, adj, d, roots, rho = real(p)
+        return tuple(p.rs.cartan[p.nodes[0] - 1] for _ in rows), adj, d, roots, rho
+
+    monkeypatch.setattr(affine, "_levi", rows_from_a_quantum_node)
+    seen = _record_the_residual_check(monkeypatch)
+    for name, word, c, nodes in (("A2", (1,), (0, -2), (2,)),
+                                 ("B3", (3,), (-2, 0, -2), (2,)),
+                                 ("D4", (1,), (0, -2, 1, 1), (4,))):
+        rs = build_root_system(name)
+        p = parabolic(rs, nodes)
+        x = ExtAffElt(from_word(rs, word), rs.coroot_to_coweight(c))
+        with pytest.raises(AssertionError, match="residual escaped"):
+            pi_P.__wrapped__(x, p)
+        x1 = seen[-1][0]
+        assert not in_parabolic_aff(aff_mul(aff_inv(x1), x), p)
+        assert any(rs.coroot_coords(vsub(x.lam, x1.lam))[i - 1] for i in nodes)
+
+
+def test_pi_p_reports_a_residual_off_the_coroot_lattice_as_an_assertion(monkeypatch):
+    # a seeded fault: the Levi translation subtracts varpi_1_vee, off Q_vee
+    # in A2, so coroot_coords(lambda_x - lambda_1) raises ValueError inside
+    # the check; pi_P must report that as its own failure, not a usage error
+    real = affine._levi
+
+    def rows_of_fundamental_coweights(p):
+        rows, adj, d, roots, rho = real(p)
+        return tuple(p.rs.fund_coweight(j) for j in p.wp_nodes), adj, d, roots, rho
+
+    monkeypatch.setattr(affine, "_levi", rows_of_fundamental_coweights)
+    rs = build_root_system("A2")
+    x = translation(rs, rs.coroot_to_coweight((1, 0)))
+    with pytest.raises(AssertionError, match="residual escaped"):
+        pi_P.__wrapped__(x, parabolic(rs, (2,)))
+
+
+def test_pi_p_refuses_a_descent_reflection_outside_w_p(monkeypatch):
+    # a seeded fault: each descent step multiplies by the simple reflection
+    # of a quantum node, so w_1 leaves w_x W_P and moves rho_P_vee
+    real = affine._levi
+
+    def reflection_of_a_quantum_node(p):
+        rows, adj, d, roots, rho = real(p)
+        s = simple_reflection(p.rs, p.nodes[0])
+        return rows, adj, d, tuple((a, c, s) for a, c, _ in roots), rho
+
+    monkeypatch.setattr(affine, "_levi", reflection_of_a_quantum_node)
+    seen = _record_the_residual_check(monkeypatch)
+    for name, word, c, nodes in (("A2", (1,), (0, -2), (2,)),
+                                 ("B3", (3,), (-2, 0, -2), (2,)),
+                                 ("D4", (3,), (-2, 0, 2, 1), (2,))):
+        rs = build_root_system(name)
+        p = parabolic(rs, nodes)
+        x = ExtAffElt(from_word(rs, word), rs.coroot_to_coweight(c))
+        with pytest.raises(AssertionError, match="residual escaped"):
+            pi_P.__wrapped__(x, p)
+        x1 = seen[-1][0]
+        assert not in_parabolic_aff(aff_mul(aff_inv(x1), x), p)
+        rho = tuple(int(i in nodes) for i in range(1, rs.rank + 1))
+        assert x1.w.act_coweight(rho) != x.w.act_coweight(rho)
 
 
 def test_pi_p_on_e7_enumerates_no_parabolic_subgroup(monkeypatch):

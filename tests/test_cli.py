@@ -97,6 +97,21 @@ def test_repeated_parabolic_nodes_are_a_usage_error(argv, capsys):
     assert "distinct" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "v-elements", "--types", "A2", "--parabolic", "5"],
+    ["verify", "--suite", "seidel-table", "--parabolic", "9"],
+    ["verify", "--suite", "commutation", "--types", "A2", "--parabolic", "5"],
+    ["verify", "--suite", "orbit", "--types", "B3", "A2", "--parabolic", "3"],
+    ["verify", "--suite", "v-elements", "--types", "A2", "--parabolic", "0"],
+])
+def test_verify_refuses_a_parabolic_node_past_the_rank(argv, capsys):
+    # refused for every suite, whether or not it builds a parabolic set
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parabolic nodes must lie in" in captured.err
+
+
 def test_weyl_counts(capsys):
     assert cli.run(["weyl", "A2", "--parabolic", "1",
                     "--format", "json"]) == 0

@@ -412,6 +412,27 @@ def test_psi_rejects_bad_reference():
         psi_P(affine_simple_ext(rs, 0), (1,), b1)  # dominant reference
 
 
+@pytest.mark.parametrize("name", ["A2", "B3"])
+def test_psi_refuses_y_outside_the_intersection_on_every_call(name):
+    # psi_P leaves the check of y to peterson_decompose, whose memo keeps
+    # only results, so a repeated call is refused as the first one was
+    from qseidel.affine import ext, is_waff_minus, is_wpaff, peterson_decompose
+    rs = build_root_system(name)
+    p = parabolic(rs, (1,))
+    mu = tuple(0 for _ in range(rs.rank))
+    # s_1 sends alpha_1 negative; t_{-2 rho_vee}, rho_vee the sum of the
+    # fundamental coweights, is in W_aff^- but moves alpha_2, in R_P^+
+    minus_only = translation(rs, (-2,) * rs.rank)
+    assert is_waff_minus(minus_only) and not is_wpaff(minus_only, p)
+    for y, match in ((ext(from_word(rs, (1,))), "minimal coset representative"),
+                     (minus_only, r"\(W\^P\)_aff")):
+        before = peterson_decompose.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                psi_P(y, mu, p)
+        assert peterson_decompose.cache_info().currsize == before
+
+
 def test_psi_representative_independence():
     # shifting (y, mu) by a t_nu fixed by the parabolic leaves psi unchanged
     rs = build_root_system("A2")

@@ -119,7 +119,16 @@ def test_runconfig_refuses_repeated_parabolic_nodes():
         RunConfig(parabolic=(1, 1))
     with pytest.raises(ValueError, match="distinct"):
         RunConfig.from_json({"parabolic": [2, 1, 2]})
-    assert RunConfig(parabolic=(2, 1)).parabolic == (2, 1)
+    assert RunConfig(types=("A2",), parabolic=(2, 1)).parabolic == (2, 1)
+
+
+def test_runconfig_refuses_a_parabolic_node_past_the_rank_of_a_type():
+    # every listed type, as with a bad type name: node 2 is past A1's rank
+    with pytest.raises(ValueError, match=r"1\.\.1 for A1"):
+        RunConfig(parabolic=(2, 1))
+    with pytest.raises(ValueError, match=r"1\.\.2 for A2"):
+        RunConfig.from_json({"suite": "v-elements", "types": ["B3", "A2"], "parabolic": [3]})
+    assert RunConfig(types=("B3", "C3"), parabolic=(3,)).parabolic == (3,)
 
 
 @pytest.mark.parametrize("kw, match", [
