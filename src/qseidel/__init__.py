@@ -9,7 +9,7 @@ dictionary (qh). The suites module re-derives the identities these
 implementations rely on from independent definitions.
 """
 
-from .affine import ExtAffElt, hat_decompose, peterson_decompose, pi_P, pi_P_ext
+from .affine import ExtAffElt, hat_decompose, peterson_decompose, pi_P
 from .qh import (
     QHClass,
     chevalley_multiply,
@@ -39,7 +39,6 @@ __all__ = [
     "parabolic",
     "peterson_decompose",
     "pi_P",
-    "pi_P_ext",
     "psi_P",
     "qh_from_json",
     "qh_text",

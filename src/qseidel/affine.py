@@ -145,11 +145,9 @@ def inversion_count_oracle(x: ExtAffElt) -> int:
     (m + n) delta, whose sign is monotone in n and positive once n > |m|.
     Each root's sweep runs from its first positive level to |m| + 1 and stops
     at its first positive image, so it is exhaustive and counts every
-    inversion. Requires lambda in the coroot lattice.
+    inversion. Any coweight lambda will do: every level <lambda, gamma> is an integer.
     """
     rs = x.rs
-    if not rs.in_coroot_lattice(x.lam):
-        raise ValueError("inversion oracle needs a coroot-lattice translation")
     big = len(rs.pos_roots)
     count = 0
     for k, gamma in enumerate(rs.roots):  # gamma > 0 exactly when k < N
@@ -371,7 +369,7 @@ def _same_coset(x1: ExtAffElt, x: ExtAffElt, p: ParabolicSet) -> bool:
     """Whether x1^-1 x = u t_{lambda_x - u^-1 lambda_1}, u = w_1^-1 w_x, lies
     in (W_P)_aff, read without forming it: u fixes rho_P_vee (W_P is its
     stabiliser), and lambda_x - lambda_1 lies in Q_vee_P (u in W_P moves
-    lambda_1 only by elements of Q_vee_P)."""
+    any coweight only by elements of Q_vee_P)."""
     try:
         c = x.rs.coroot_coords(vsub(x.lam, x1.lam))
     except ValueError:  # lambda_x - lambda_1 is off the coroot lattice
@@ -384,7 +382,7 @@ def _same_coset(x1: ExtAffElt, x: ExtAffElt, p: ParabolicSet) -> bool:
 
 @lru_cache(maxsize=None)
 def pi_P(x: ExtAffElt, p: ParabolicSet) -> ExtAffElt:
-    """The (W^P)_aff factor of x = x1 * x2, x2 in (W_P)_aff, for x in W_aff.
+    """The (W^P)_aff factor of x = x1 * x2, x2 in (W_P)_aff, for any x in the extended group.
 
     x1 is the unique element of x (W_P)_aff sending every positive root of
     (W_P)_aff positive, the minimal one (Dyer). A translation by mu0 in
@@ -395,15 +393,15 @@ def pi_P(x: ExtAffElt, p: ParabolicSet) -> ExtAffElt:
     < 0); the loop stops exactly when is_wpaff(x) holds. Each step lowers the
     number sum |e| over R_P^+ of positive roots of (W_P)_aff that x inverts,
     so that number bounds the steps, and a step past it is an AssertionError.
-    The residual x1^-1 x is verified without being formed: it lies in
-    (W_P)_aff exactly when w_x(rho_P_vee) = w_1(rho_P_vee), with rho_P_vee =
-    sum of varpi_i_vee over I_P, the dominant coweight whose stabiliser is
-    W_P, and lambda_x - lambda_1 lies in Q_vee_P.
+    The residual x1^-1 x is checked by _same_coset, without being formed.
+
+    lambda may be any coweight: mu0 lies in Q_vee_P, each step is the group
+    law, and a length-zero tau permutes the positive affine roots, so x = tau
+    hat(x) inverts what hat(x) inverts and descends to tau pi_P(hat(x)).
     """
     rs = x.rs
-    if not rs.in_coroot_lattice(x.lam):
-        raise ValueError("pi_P over W_aff needs a coroot-lattice translation; "
-                         "use pi_P_ext for general coweights")
+    if p.rs is not rs:
+        raise ValueError("mixed root systems")
     rows, adj, d, roots, _ = _levi(p)
     lam = x.lam
     for c, row in zip(mat_vec(adj, [lam[j - 1] for j in p.wp_nodes]), rows):
@@ -436,12 +434,6 @@ def pi_P(x: ExtAffElt, p: ParabolicSet) -> ExtAffElt:
     return x1
 
 
-def pi_P_ext(x: ExtAffElt, p: ParabolicSet) -> ExtAffElt:
-    """Extension tau * pi_P(hat(x)) to the extended group."""
-    tau, hat = hat_decompose(x)
-    return aff_mul(tau.to_ext(), pi_P(hat, p))
-
-
 def eta_P(m: Vec, p: ParabolicSet) -> Vec:
     """Coroot coordinates of a coroot-lattice coweight, restricted to the quantum nodes."""
     c = p.rs.coroot_coords(m)
@@ -466,6 +458,8 @@ def peterson_decompose(y: ExtAffElt, p: ParabolicSet) -> tuple[WeylElt, Vec]:
     W_aff^- intersect (W^P)_aff.
     """
     rs = y.rs
+    if p.rs is not rs:
+        raise ValueError("mixed root systems")
     if not is_waff_minus(y):
         raise ValueError("peterson_decompose needs a minimal coset representative")
     if not is_wpaff(y, p):

@@ -20,7 +20,7 @@ from .affine import (
     aff_length,
     aff_mul,
     hat_decompose,
-    pi_P_ext,
+    pi_P,
     reduced_word_affine,
 )
 from .qh import (
@@ -144,7 +144,7 @@ def _cmd_affine(args) -> int:
         if not args.parabolic:
             raise ValueError("pi-p needs --parabolic")
         p = parabolic(rs, tuple(args.parabolic))
-        x1 = pi_P_ext(x, p)
+        x1 = pi_P(x, p)
         j1, j2 = _ext_json(x1), _ext_json(aff_mul(aff_inv(x1), x))
         if args.format == "json":
             return _print_json({"pi_p": j1, "residual": j2})

@@ -67,6 +67,8 @@ class QHClass:
 
     def __post_init__(self):
         for w, d in self.terms:
+            if w.rs is not self.p.rs:
+                raise ValueError("mixed root systems")
             if not is_minrep(w, self.p):
                 raise ValueError("class keys must be minimal coset representatives")
             if len(d) != len(self.p.nodes):

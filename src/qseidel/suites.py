@@ -36,7 +36,6 @@ from .affine import (
     is_waff_minus,
     is_wpaff,
     pi_P,
-    pi_P_ext,
     translation,
 )
 from .nilhecke import (
@@ -202,7 +201,7 @@ def _scope(cfg: RunConfig, res: SuiteResult, rank_cap: int | None = None):
 
 def _intersection(p: ParabolicSet, pis: dict[Vec, ExtAffElt]):
     """(w, nu, x) for w in W^P and nu in pis with x = w pi_P(t_nu) in
-    W_aff^- intersect (W^P)_aff; pis maps nu to pi_P_ext(t_nu)."""
+    W_aff^- intersect (W^P)_aff; pis maps any coweight nu to pi_P(t_nu)."""
     for w in enumerate_minreps(p.rs, p):
         ew = ext(w)
         for nu, pi in pis.items():
@@ -472,11 +471,11 @@ def suite_closure(cfg: RunConfig, res: SuiteResult) -> None:
                               f"membership biconditional broken")
         # closure and length additivity
         anti = list(_antidominant_box(rs.rank, min(cfg.radius, 2)))
-        pis = {m: pi_P_ext(translation(rs, m), p) for m in anti}
+        pis = {m: pi_P(translation(rs, m), p) for m in anti}
         for nu in anti:
             for lam in anti:
                 total = vadd(nu, lam)
-                lt = aff_length(pi_P_ext(translation(rs, total), p))
+                lt = aff_length(pi_P(translation(rs, total), p))
                 res.check(
                     lt == aff_length(pis[nu]) + aff_length(pis[lam]),
                     lambda: f"{rs.name()} I_P={p.nodes}: length additivity fails "
@@ -627,7 +626,7 @@ def suite_psi(cfg: RunConfig, res: SuiteResult) -> None:
             continue
         anti = [rs.coroot_to_coweight(c)
                 for c in _antidominant_box(rs.rank, cfg.radius)]
-        pis = {nu: pi_P_ext(translation(rs, nu), p) for nu in anti}
+        pis = {nu: pi_P(translation(rs, nu), p) for nu in anti}
         tested = 0
         for w, nu, y in _intersection(p, pis):
             base = psi_P(y, (0,) * rs.rank, p)
@@ -675,7 +674,7 @@ def suite_intertwine(cfg: RunConfig, res: SuiteResult) -> None:
     for rs, p in _scope(cfg, res, rank_cap=2):
         zero = (0,) * rs.rank
         anti = list(_antidominant_box(rs.rank, 1))
-        pis = {m: pi_P_ext(translation(rs, m), p) for m in anti}
+        pis = {m: pi_P(translation(rs, m), p) for m in anti}
         tested = 0
         for w, nu, x in _intersection(p, pis):
             taux, xhat = hat_decompose(x)

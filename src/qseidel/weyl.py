@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .rootsys import RootSystem, Vec, dot, mat_vec
+from .rootsys import RootSystem, Vec, dot, mat_vec, strict_int
 
 # Enumerations build at most this many root-permutation entries (elements
 # times |R|): all of W up to B7/C7, D7, E6 and A8, but not B8, D8, E7 or E8.
@@ -344,8 +344,8 @@ class ParabolicSet:
 
 def parabolic(rs: RootSystem, nodes) -> ParabolicSet:
     """The parabolic set with quantum nodes `nodes`, in any order (a repeated
-    node is refused, not merged)."""
-    return ParabolicSet(rs, tuple(sorted(nodes)))
+    node is refused, not merged); each node must be an int."""
+    return ParabolicSet(rs, tuple(sorted(strict_int(i, "parabolic node") for i in nodes)))
 
 
 def is_minrep(w: WeylElt, p: ParabolicSet) -> bool:
@@ -356,6 +356,8 @@ def is_minrep(w: WeylElt, p: ParabolicSet) -> bool:
 @lru_cache(maxsize=None)
 def coset_reduce(w: WeylElt, p: ParabolicSet) -> WeylElt:
     """The minimal element wP of w*W_P; w = wP * u with u in W_P, lengths additive."""
+    if w.rs is not p.rs:
+        raise ValueError("mixed root systems")
     perm, letters = _peel(w, p.wp_nodes)
     if not letters:
         return w

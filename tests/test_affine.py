@@ -29,7 +29,6 @@ from qseidel.affine import (
     left_ascent,
     peterson_decompose,
     pi_P,
-    pi_P_ext,
     reduced_word_affine,
     translation,
 )
@@ -39,6 +38,7 @@ from qseidel.rootsys import (
     build_root_system,
     dot,
     is_positive_vec,
+    vadd,
     vneg,
     vsub,
 )
@@ -70,6 +70,13 @@ def _random_elt(rs, rng, box=2):
     word = [rng.randint(1, rs.rank) for _ in range(rng.randint(0, 4))]
     lam = tuple(rng.randint(-box, box) for _ in range(rs.rank))
     return ExtAffElt(from_word(rs, word), lam)
+
+
+def _off_lattice_coweight(rs, rng, box):
+    """A coweight off the coroot lattice: coroot coordinates in [-box, box]
+    plus the fundamental coweight of a minuscule node."""
+    c = tuple(rng.randint(-box, box) for _ in range(rs.rank))
+    return vadd(rs.coroot_to_coweight(c), rs.fund_coweight(rng.choice(rs.minuscule_nodes)))
 
 
 def test_elements_and_affine_roots_are_values():
@@ -191,14 +198,17 @@ def test_the_inversion_oracle_stops_early_without_losing_a_count(name):
             widest = max(widest, max(abs(dot(x.lam, a)) for a in rs.pos_roots))
             assert inversion_count_oracle(x) == inversions_by_level_sweep(x) == aff_length(x)
     assert widest >= 5
-    # off the coroot lattice the oracle still refuses; G2 and F4 have no such
-    # fundamental coweight
+    # off the coroot lattice the oracle counts too, and agrees with the
+    # exhaustive sweep and the length; G2 and F4 have no such fundamental
+    # coweight
     units = [tuple(int(t == k) for t in range(rs.rank)) for k in range(rs.rank)]
     off = [m for m in units if not rs.in_coroot_lattice(m)]
     assert bool(off) == (name not in ("G2", "F4"))
     for m in off:
-        with pytest.raises(ValueError, match="coroot-lattice translation"):
-            inversion_count_oracle(translation(rs, m))
+        for word in words:
+            for lam in (m, vneg(m)):
+                x = ExtAffElt(from_word(rs, word), lam)
+                assert inversion_count_oracle(x) == inversions_by_level_sweep(x) == aff_length(x)
 
 
 def test_translation_length():
@@ -355,7 +365,7 @@ def test_every_sign_reader_matches_the_root_action(name):
     # extended elements. x(beta + n delta) = x(beta) + n delta, so a positive
     # root of (W_P)_aff stays positive under x once alpha and delta - alpha do.
     # Members of W_aff^- come from a peel by the root action and members of
-    # (W^P)_aff from pi_P_ext, so both answers occur for each predicate.
+    # (W^P)_aff from pi_P, so both answers occur for each predicate.
     rs = build_root_system(name)
     n = rs.rank
     rng = random.Random(name)
@@ -379,7 +389,7 @@ def test_every_sign_reader_matches_the_root_action(name):
         minus = x
         while finite := [i for i in descents(minus) if i]:
             minus = aff_mul(minus, affine_simple_ext(rs, finite[0]))
-        for y in (x, minus, pi_P_ext(x, rng.choice(ps))):
+        for y in (x, minus, pi_P(x, rng.choice(ps))):
             down = descents(y)
             assert _affine_descent(y) == (down[0] if down else None), y
             assert is_waff_minus(y) == (down in ([], [0])), y
@@ -401,6 +411,7 @@ def test_every_sign_reader_matches_the_root_action(name):
 
 def test_pi_p_properties():
     rng = random.Random(29)
+    off = 0
     for name in ("A2", "B2", "A3"):
         rs = build_root_system(name)
         nodes_choices = [(1,), tuple(range(1, rs.rank + 1))]
@@ -408,18 +419,26 @@ def test_pi_p_properties():
             p = parabolic(rs, nodes)
             for _ in range(20):
                 x = _random_elt(rs, rng)
-                x1 = pi_P_ext(x, p)
+                x1 = pi_P(x, p)
                 x2 = aff_mul(aff_inv(x1), x)
                 assert is_wpaff(x1, p)
                 assert in_parabolic_aff(x2, p)
                 # projection is idempotent on its image
-                assert pi_P_ext(x1, p) == x1
+                assert pi_P(x1, p) == x1
+                # on the extended group pi_P(tau hat) = tau pi_P(hat), with
+                # hat in the non-extended group
+                tau, hat = hat_decompose(x)
+                assert x1 == aff_mul(tau.to_ext(), pi_P(hat, p)), (x, nodes)
+                off += not tau.is_identity()
+    assert off > 0
 
 
 def test_pi_p_matches_windowed_brute_force():
-    # general w t_lambda (lambda in Q_vee), not only translations, on every
-    # catalog type; the window is wider than any residual shift seen here
+    # general w t_lambda (lambda in Q_vee, then off it), not only
+    # translations, on every catalog type; the window is wider than any
+    # residual shift seen here
     rng = random.Random(41)
+    off_rng = random.Random(43)
     for name in CATALOG:
         rs = build_root_system(name)
         n = rs.rank
@@ -434,23 +453,46 @@ def test_pi_p_matches_windowed_brute_force():
             x1 = pi_P(ExtAffElt(from_word(rs, word), lam), parabolic(rs, nodes))
             hits = windowed_pi_p(rs.cartan, word, lam, nodes, 6)
             assert hits == [(x1.w.images, x1.lam)], (name, word, lam, nodes)
+        # and off the coroot lattice: lambda shifted by the fundamental
+        # coweight of a minuscule node, drawn from a second generator so the
+        # draws above stay as they were
+        for _ in range(15):
+            word = [off_rng.randint(1, n) for _ in range(off_rng.randint(0, 6))]
+            lam = _off_lattice_coweight(rs, off_rng, 2)
+            assert not rs.in_coroot_lattice(lam)
+            nodes = off_rng.choice(subsets)
+            x1 = pi_P(ExtAffElt(from_word(rs, word), lam), parabolic(rs, nodes))
+            hits = windowed_pi_p(rs.cartan, word, lam, nodes, 6)
+            assert hits == [(x1.w.images, x1.lam)], (name, word, lam, nodes)
 
 
 @pytest.mark.parametrize("name", CATALOG + ("G2", "F4"))
 def test_pi_p_matches_the_candidate_solve(name):
-    # general w t_lambda against the per-u candidate solve of the oracle
+    # general w t_lambda against the per-u candidate solve of the oracle; the
+    # coroot-lattice draws come first, and a second generator adds two draws
+    # off the lattice per I_P (G2 and F4 have none)
     rs = build_root_system(name)
     n = rs.rank
     rng = random.Random(name)
+    off_rng = random.Random(name + " off")
+    off = 0
     for r in range(1, n + 1):
         for nodes in itertools.combinations(range(1, n + 1), r):
             p = parabolic(rs, nodes)
+            draws = []
             for _ in range(3):
                 word = [rng.randint(1, n) for _ in range(rng.randint(0, 6))]
                 lam = rs.coroot_to_coweight(tuple(rng.randint(-3, 3) for _ in range(n)))
+                draws.append((word, lam))
+            for _ in range(2 if rs.minuscule_nodes else 0):
+                word = [off_rng.randint(1, n) for _ in range(off_rng.randint(0, 6))]
+                draws.append((word, _off_lattice_coweight(rs, off_rng, 3)))
+            for word, lam in draws:
                 x1 = pi_P(ExtAffElt(from_word(rs, word), lam), p)
                 want = pi_p_by_candidates(rs.cartan, word, lam, nodes)
                 assert (x1.w.images, x1.lam) == want, (name, word, lam, nodes)
+                off += not rs.in_coroot_lattice(lam)
+    assert bool(off) == (name not in ("G2", "F4"))
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -674,13 +716,13 @@ def test_peterson_decompose_round_trip():
                     continue
                 w = from_word(rs, [rng.randint(1, rs.rank)
                                    for _ in range(rng.randint(0, 3))])
-                y = aff_mul(ext(w), pi_P_ext(translation(rs, lam), p))
+                y = aff_mul(ext(w), pi_P(translation(rs, lam), p))
                 if not (is_waff_minus(y) and is_wpaff(y, p)):
                     continue
                 seen += 1
                 u, nu = peterson_decompose(y, p)
                 assert is_antidominant(nu)
-                assert aff_mul(ext(u), pi_P_ext(translation(rs, nu), p)) == y
+                assert aff_mul(ext(u), pi_P(translation(rs, nu), p)) == y
                 # the recovered eta class agrees with the one we built from
                 assert eta_P(nu, p) == eta_P(lam, p)
             assert seen > 0
@@ -740,6 +782,20 @@ def test_peterson_decompose_rejects_bad_input():
     p = parabolic(rs, (1,))
     with pytest.raises(ValueError):
         peterson_decompose(translation(rs, (1, 1)), p)
+
+
+def test_pi_p_and_peterson_refuse_mixed_root_systems():
+    # A2 elements against a B2 or an A3 parabolic set: the root system of one
+    # does not index the other, and the refusal leaves nothing in either memo
+    a2 = build_root_system("A2")
+    xs = (ExtAffElt(from_word(a2, (1, 2)), (0, 0)), identity_aff(a2))
+    before = (pi_P.cache_info().currsize, peterson_decompose.cache_info().currsize)
+    for name, nodes in (("B2", (2,)), ("A3", (1,))):
+        p = parabolic(build_root_system(name), nodes)
+        for f, x in itertools.product((pi_P, peterson_decompose), xs):
+            with pytest.raises(ValueError, match="mixed root systems"):
+                f(x, p)
+    assert (pi_P.cache_info().currsize, peterson_decompose.cache_info().currsize) == before
 
 
 def test_identity_and_translation_basics():

@@ -2,15 +2,20 @@
 another module's private name, only rootsys imports fractions, no module
 builds a Weyl element from simple-root images, only rootsys and affine
 read the level of an affine root, every suite check passes its failure
-message as a lambda, only rootsys compiles code, and the package's memos are
-exactly the pinned inventory (stdlib ast only)."""
+message as a lambda, only rootsys compiles code, the package's memos are
+exactly the pinned inventory (stdlib ast only), and the README's API
+sentence names exactly qseidel.__all__."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
+import qseidel
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "qseidel"
+README = SRC.parent.parent / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -188,6 +193,14 @@ def package_memos(sources: dict[str, str]) -> dict[tuple[str, str], str]:
             for name, kind in memo_inventory(source).items()}
 
 
+def readme_api_names(readme: str) -> list[str]:
+    """The backticked names of the README sentence "`import qseidel` exposes
+    ...", which ends at the first period followed by white space."""
+    tail = readme[readme.index("`import qseidel` exposes "):]
+    sentence = re.match(r"`import qseidel` exposes (.*?)\.\s", tail, re.S).group(1)
+    return re.findall(r"`([^`]+)`", sentence)
+
+
 def _package_sources() -> dict[str, str]:
     return {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
 
@@ -340,3 +353,22 @@ def test_the_check_sees_code_generation():
               "result = run.eval(x)\n")
     assert code_generation_calls(source) == ["line 1: exec", "line 2: eval",
                                              "line 3: compile", "line 4: exec"]
+
+
+def test_the_readme_names_the_public_api():
+    # the Python API sentence lists each public name once, and no other
+    names = readme_api_names(README.read_text(encoding="utf-8"))
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(qseidel.__all__)
+
+
+def test_the_check_sees_a_stale_readme_api_name():
+    text = ("Intro.\n\n`import qseidel` exposes `pi_P`, `retired_name` and\n"
+            "`psi_P`. Everything else is reached through `qseidel.weyl`.\n")
+    assert readme_api_names(text) == ["pi_P", "retired_name", "psi_P"]
+    # the real README with a name added to or dropped from its sentence
+    head, sep, tail = README.read_text(encoding="utf-8").partition("`import qseidel` exposes ")
+    for stale in (tail.replace("`pi_P`,", "`pi_P`, `retired_name`,", 1),
+                  tail.replace("`psi_P`, ", "", 1)):
+        assert stale != tail
+        assert sorted(readme_api_names(head + sep + stale)) != sorted(qseidel.__all__)

@@ -142,6 +142,18 @@ def test_seidel_multiply_validates_node():
     assert _seidel_term.cache_info() == before
 
 
+def test_classes_refuse_mixed_root_systems():
+    # an A2 key in a class over a B2 or an A3 parabolic set, built directly
+    # or through sigma
+    w = from_word(build_root_system("A2"), (1, 2))
+    for name, nodes in (("B2", (2,)), ("A3", (1,))):
+        p = parabolic(build_root_system(name), nodes)
+        with pytest.raises(ValueError, match="mixed root systems"):
+            QHClass(p, {(w, (0,)): SPoly.one(p.rs.rank)})
+        with pytest.raises(ValueError, match="mixed root systems"):
+            sigma(p, w)
+
+
 def test_seidel_term_memo_matches_its_formula():
     # the memo hands back what the unwrapped formula computes, for every
     # minuscule node and every w in W^P; over the catalog eta also matches
@@ -437,12 +449,12 @@ def test_psi_representative_independence():
     # shifting (y, mu) by a t_nu fixed by the parabolic leaves psi unchanged
     rs = build_root_system("A2")
     p = parabolic(rs, (1, 2))
-    from qseidel.affine import aff_mul, is_waff_minus, is_wpaff, pi_P_ext
+    from qseidel.affine import aff_mul, is_waff_minus, is_wpaff, pi_P
     from qseidel.weyl import identity
     checked = 0
     for coords in itertools.product(range(-1, 1), repeat=2):
         lam = rs.coroot_to_coweight(coords)
-        y = pi_P_ext(translation(rs, lam), p)
+        y = pi_P(translation(rs, lam), p)
         if not (is_waff_minus(y) and is_wpaff(y, p)):
             continue
         for shift_coords in itertools.product(range(-1, 1), repeat=2):

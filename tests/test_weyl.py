@@ -344,3 +344,28 @@ def test_equal_elements_hash_equal_however_they_are_built(name):
     assert p == q and hash(p) == hash(q) and len({p, q}) == 1
     with pytest.raises(ValueError, match="distinct"):
         parabolic(rs, (1, 2, 1))
+
+
+def test_parabolic_takes_integer_nodes_only():
+    # a bool, float or string node is a usage error, never read as node 1;
+    # any iterable of ints still works
+    rs = build_root_system("A3")
+    want = ParabolicSet(rs, (1, 3))
+    for nodes in ((3, 1), [1, 3], {3, 1}, iter((3, 1)), range(1, 4, 2)):
+        assert parabolic(rs, nodes) == want
+    for bad in ((True,), (1.0,), ("1",), (3, False), (None,)):
+        with pytest.raises(ValueError, match="parabolic node must be an integer"):
+            parabolic(rs, bad)
+
+
+def test_coset_reduce_refuses_mixed_root_systems():
+    # an A2 element modulo a B2 or an A3 parabolic set; the refusal leaves
+    # nothing in the memo
+    w = from_word(build_root_system("A2"), (1, 2))
+    before = coset_reduce.cache_info().currsize
+    for name, nodes in (("B2", (2,)), ("A3", (1,))):
+        p = parabolic(build_root_system(name), nodes)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="mixed root systems"):
+                coset_reduce(w, p)
+    assert coset_reduce.cache_info().currsize == before
