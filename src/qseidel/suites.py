@@ -1,8 +1,9 @@
-"""Named verification suites with configurable bounds.
+"""Named verification suites, each scoped by its rank cap in SUITES.
 
-Every suite is a function (RunConfig, SuiteResult) -> None that fills the
-result run_suites made for it. The CLI `verify` subcommand and the acceptance
-tests both run these through run_suites; nothing here prints.
+Every suite is a function (RunConfig, SuiteResult, types) -> None that fills
+the result run_suites made for it, on the root systems run_suites gave it.
+The CLI `verify` subcommand and the acceptance tests both run these through
+run_suites; nothing here prints.
 A failure is a condition the library claims always holds; a finding is an
 observation the suite is expected to report without failing (the equivariant
 suite uses findings for the documented commutation divergence).
@@ -113,8 +114,7 @@ class RunConfig:
         if (not isinstance(self.types, tuple) or not self.types
                 or not all(isinstance(t, str) for t in self.types)):
             raise ValueError(f"types must be a non-empty list of type names, got {self.types!r}")
-        for name in self.types:  # refused here, whether or not the suite reads it
-            build_root_system(name)
+        ranks = {name: build_root_system(name).rank for name in self.types}
         if len(set(self.types)) != len(self.types):  # would run each repeat again
             raise ValueError(f"types must be distinct, got {list(self.types)}")
         if self.parabolic is not None:
@@ -125,8 +125,7 @@ class RunConfig:
             if len(set(self.parabolic)) != len(self.parabolic):
                 raise ValueError(f"parabolic nodes must be distinct, got {list(self.parabolic)}")
             # Likewise a node past the rank of a type.
-            for name in self.types:
-                rank = build_root_system(name).rank
+            for name, rank in ranks.items():
                 if not all(1 <= i <= rank for i in self.parabolic):
                     raise ValueError(f"parabolic nodes must lie in 1..{rank} for {name}, "
                                      f"got {list(self.parabolic)}")
@@ -168,21 +167,7 @@ class SuiteResult:
             self.failures.append(msg())
 
 
-def _scoped_types(cfg: RunConfig, res: SuiteResult,
-                  rank_cap: int | None = None) -> list[RootSystem]:
-    """The configured types within both rank caps; the others go to res.skipped."""
-    cap = cfg.max_rank if rank_cap is None else min(cfg.max_rank, rank_cap)
-    out = []
-    for name in cfg.types:
-        rs = build_root_system(name)
-        if rs.rank <= cap:
-            out.append(rs)
-        else:
-            res.skipped.append(rs.name())
-    return out
-
-
-def _scoped_parabolics(rs: RootSystem, cfg: RunConfig) -> list[ParabolicSet]:
+def _parabolics(rs: RootSystem, cfg: RunConfig) -> list[ParabolicSet]:
     if cfg.parabolic is not None:
         return [parabolic(rs, cfg.parabolic)]
     nodes = range(1, rs.rank + 1)
@@ -192,11 +177,16 @@ def _scoped_parabolics(rs: RootSystem, cfg: RunConfig) -> list[ParabolicSet]:
     return [parabolic(rs, s) for s in subsets]
 
 
-def _scope(cfg: RunConfig, res: SuiteResult, rank_cap: int | None = None):
-    """(rs, P) over the scoped types and, per type, its scoped parabolic sets."""
-    for rs in _scoped_types(cfg, res, rank_cap):
-        for p in _scoped_parabolics(rs, cfg):
+def _pairs(cfg: RunConfig, types: list[RootSystem]):
+    """(rs, P) over the given types and, per type, its configured parabolic sets."""
+    for rs in types:
+        for p in _parabolics(rs, cfg):
             yield rs, p
+
+
+def _named(types: list[RootSystem], *names: str) -> list[RootSystem]:
+    """The given types that are among names, for the checks made on named types only."""
+    return [rs for rs in types if rs.name() in names]
 
 
 def _intersection(p: ParabolicSet, pis: dict[Vec, ExtAffElt]):
@@ -222,36 +212,36 @@ def _antidominant_box(rank: int, radius: int):
 # -- criterion 1: the projective-plane table -----------------------------------
 
 
-def suite_seidel_table(cfg: RunConfig, res: SuiteResult) -> None:
-    rs = build_root_system("A2")
-    p = parabolic(rs, (1,))
-    s1 = from_word(rs, (1,))
-    s21 = from_word(rs, (2, 1))
-    e = identity(rs)
-    expected = {
-        (None, ()): sigma(p, e),
-        (None, (1,)): sigma(p, s1),
-        (None, (2, 1)): sigma(p, s21),
-        (1, ()): sigma(p, s1),
-        (1, (1,)): sigma(p, s21),
-        (1, (2, 1)): q_shift(unit_class(p), (1,)),
-        (2, ()): sigma(p, s21),
-        (2, (1,)): q_shift(unit_class(p), (1,)),
-        (2, (2, 1)): sigma(p, s1, q=(1,)),
-    }
-    table = seidel_table(p)
-    res.check(len(table) == 9, lambda: f"table has {len(table)} entries, wanted 9")
-    for z, w, prod in table:
-        want = expected.get((z.node, reduced_word(w)))
-        res.check(want is not None and prod == want,
-                  lambda: f"entry z={z.node} w={reduced_word(w)}: got {qh_text(prod)}")
+def suite_seidel_table(cfg: RunConfig, res: SuiteResult, types: list[RootSystem]) -> None:
+    for rs in _named(types, "A2"):
+        p = parabolic(rs, (1,))
+        s1 = from_word(rs, (1,))
+        s21 = from_word(rs, (2, 1))
+        e = identity(rs)
+        expected = {
+            (None, ()): sigma(p, e),
+            (None, (1,)): sigma(p, s1),
+            (None, (2, 1)): sigma(p, s21),
+            (1, ()): sigma(p, s1),
+            (1, (1,)): sigma(p, s21),
+            (1, (2, 1)): q_shift(unit_class(p), (1,)),
+            (2, ()): sigma(p, s21),
+            (2, (1,)): q_shift(unit_class(p), (1,)),
+            (2, (2, 1)): sigma(p, s1, q=(1,)),
+        }
+        table = seidel_table(p)
+        res.check(len(table) == 9, lambda: f"table has {len(table)} entries, wanted 9")
+        for z, w, prod in table:
+            want = expected.get((z.node, reduced_word(w)))
+            res.check(want is not None and prod == want,
+                      lambda: f"entry z={z.node} w={reduced_word(w)}: got {qh_text(prod)}")
 
 
 # -- criterion 2: Seidel/Chevalley commutation ----------------------------------
 
 
-def suite_commutation(cfg: RunConfig, res: SuiteResult) -> None:
-    for rs, p in _scope(cfg, res):
+def suite_commutation(cfg: RunConfig, res: SuiteResult, types: list[RootSystem]) -> None:
+    for rs, p in _pairs(cfg, types):
         reps = enumerate_minreps(rs, p)
         for i in rs.minuscule_nodes:
             for j in p.nodes:
@@ -268,8 +258,8 @@ def suite_commutation(cfg: RunConfig, res: SuiteResult) -> None:
 # -- criterion 3: Chevalley operators commute; h^(n+1) = q ----------------------
 
 
-def suite_chevalley(cfg: RunConfig, res: SuiteResult) -> None:
-    for rs, p in _scope(cfg, res):
+def suite_chevalley(cfg: RunConfig, res: SuiteResult, types: list[RootSystem]) -> None:
+    for rs, p in _pairs(cfg, types):
         reps = enumerate_minreps(rs, p)
         for j, k in itertools.combinations(p.nodes, 2):
             for w in reps:
@@ -281,24 +271,21 @@ def suite_chevalley(cfg: RunConfig, res: SuiteResult) -> None:
                         lhs == rhs,
                         lambda: f"{rs.name()} I_P={p.nodes} D{j}D{k} eq={eq} "
                                 f"w={reduced_word(w)}")
-    for n in (1, 2, 3, 4):
-        name = f"A{n}"
-        if name not in cfg.types or n > cfg.max_rank:
-            continue
-        rs = build_root_system(name)
+    # projective space A_n/P_1, whatever --parabolic says
+    for rs in [rs for rs in types if rs.letter == "A"]:
         p = parabolic(rs, (1,))
         c = unit_class(p)
-        for _ in range(n + 1):
+        for _ in range(rs.rank + 1):
             c = chevalley_multiply(1, c)
         res.check(c == q_shift(unit_class(p), (1,)),
-                  lambda: f"A{n} I_P=(1,): D_1^{n + 1}(1) = {qh_text(c)}, wanted q*1")
+                  lambda: f"{rs.name()} I_P=(1,): D_1^{rs.rank + 1}(1) = {qh_text(c)}, wanted q*1")
 
 
 # -- criterion 4: orbits and the composite group law ----------------------------
 
 
-def suite_orbit(cfg: RunConfig, res: SuiteResult) -> None:
-    for rs in _scoped_types(cfg, res):
+def suite_orbit(cfg: RunConfig, res: SuiteResult, types: list[RootSystem]) -> None:
+    for rs in types:
         # |P_vee/Q_vee| = det(Cartan), read off the type (F and G: 1)
         n = rs.rank
         index = {"A": n + 1, "B": 2, "C": 2, "D": 4, "E": 9 - n}.get(rs.letter, 1)
@@ -311,7 +298,7 @@ def suite_orbit(cfg: RunConfig, res: SuiteResult) -> None:
         if rs.name()[0] == "A":
             res.check(orders.get(1) == rs.rank + 1,
                       lambda: f"{rs.name()}: tau_1 should generate the cyclic quotient")
-        for p in _scoped_parabolics(rs, cfg):
+        for p in _parabolics(rs, cfg):
             for i in rs.minuscule_nodes:
                 steps, _ = seidel_orbit(i, p)
                 res.check(
@@ -358,8 +345,8 @@ def suite_orbit(cfg: RunConfig, res: SuiteResult) -> None:
 # -- criterion 5: the length formula against inversion counting -----------------
 
 
-def suite_length(cfg: RunConfig, res: SuiteResult) -> None:
-    for rs in _scoped_types(cfg, res, rank_cap=3):
+def suite_length(cfg: RunConfig, res: SuiteResult, types: list[RootSystem]) -> None:
+    for rs in types:
         elems = enumerate_weyl(rs)
         for c in _box(rs.rank, cfg.radius):
             lam = rs.coroot_to_coweight(c)
@@ -375,8 +362,8 @@ def suite_length(cfg: RunConfig, res: SuiteResult) -> None:
 # -- criterion 6: hat decomposition round trip ----------------------------------
 
 
-def suite_hat(cfg: RunConfig, res: SuiteResult) -> None:
-    for rs in _scoped_types(cfg, res, rank_cap=3):
+def suite_hat(cfg: RunConfig, res: SuiteResult, types: list[RootSystem]) -> None:
+    for rs in types:
         elems = enumerate_weyl(rs)
         for m in _box(rs.rank, cfg.radius):
             for w in elems:
@@ -398,10 +385,10 @@ def suite_hat(cfg: RunConfig, res: SuiteResult) -> None:
 # -- criterion 7: pi_P correctness and windowed uniqueness -----------------------
 
 
-def suite_pi_p(cfg: RunConfig, res: SuiteResult) -> None:
-    for rs in _scoped_types(cfg, res):
+def suite_pi_p(cfg: RunConfig, res: SuiteResult, types: list[RootSystem]) -> None:
+    for rs in types:
         box = [rs.coroot_to_coweight(c) for c in _box(rs.rank, cfg.radius)]
-        for p in _scoped_parabolics(rs, cfg):
+        for p in _parabolics(rs, cfg):
             wp = enumerate_parabolic_subgroup(p)
             rp = p.rp_pos
             answers = []
@@ -458,8 +445,8 @@ def suite_pi_p(cfg: RunConfig, res: SuiteResult) -> None:
 # -- criterion 8: closure under right multiplication by pi_P(t_lambda) ----------
 
 
-def suite_closure(cfg: RunConfig, res: SuiteResult) -> None:
-    for rs, p in _scope(cfg, res, rank_cap=3):
+def suite_closure(cfg: RunConfig, res: SuiteResult, types: list[RootSystem]) -> None:
+    for rs, p in _pairs(cfg, types):
         rp = p.rp_pos
         # the translation criterion, exhaustively over the coordinate box
         for m in _box(rs.rank, cfg.radius):
@@ -496,8 +483,8 @@ def suite_closure(cfg: RunConfig, res: SuiteResult) -> None:
 # -- criterion 9: the v_i elements ----------------------------------------------
 
 
-def suite_v_elements(cfg: RunConfig, res: SuiteResult) -> None:
-    for rs in _scoped_types(cfg, res, rank_cap=4):
+def suite_v_elements(cfg: RunConfig, res: SuiteResult, types: list[RootSystem]) -> None:
+    for rs in types:
         for i in rs.minuscule_nodes:
             vi = v_element(rs, i)
             res.check(w_inv(vi) == v_element(rs, involution(rs)[i - 1]),
@@ -530,12 +517,10 @@ def _short_affine_elements(rs: RootSystem, max_len: int) -> list[ExtAffElt]:
     return out
 
 
-def suite_nilhecke(cfg: RunConfig, res: SuiteResult) -> None:
-
-    for name in ("A1", "A2"):
-        if name not in cfg.types:
-            continue
-        rs = build_root_system(name)
+def suite_nilhecke(cfg: RunConfig, res: SuiteResult, types: list[RootSystem]) -> None:
+    small = _named(types, "A1", "A2")
+    for rs in small:
+        name = rs.name()
         for i in range(rs.rank + 1):
             si = embed_group(affine_simple_ext(rs, i))
             res.check(nh_mul(si, si) == nh_one(rs),
@@ -557,35 +542,32 @@ def suite_nilhecke(cfg: RunConfig, res: SuiteResult) -> None:
                 lhs = nh_mul(nh_mul(ez, nh_basis(affine_simple_ext(rs, i))), ezi)
                 res.check(lhs == nh_basis(affine_simple_ext(rs, j)),
                           lambda: f"{name}: tau_{z.node} A_s{i} tau^-1 != A_s{j}")
-    # seeded multiplicativity of the group embedding
-    rs = build_root_system("A2" if "A2" in cfg.types else cfg.types[0])
-    rng = random.Random(cfg.seed)
-    zs = central_elements(rs)
-    pairs = 0
-    while pairs < 200:
-        lx = rng.randint(0, 3)
-        ly = rng.randint(0, 3)
-        x = ext(identity(rs))
-        for _ in range(lx):
-            x = aff_mul(x, affine_simple_ext(rs, rng.randint(0, rs.rank)))
-        y = ext(identity(rs))
-        for _ in range(ly):
-            y = aff_mul(y, affine_simple_ext(rs, rng.randint(0, rs.rank)))
-        if rng.random() < 0.5:
-            x = aff_mul(zs[rng.randrange(len(zs))].to_ext(), x)
-        if rng.random() < 0.5:
-            y = aff_mul(zs[rng.randrange(len(zs))].to_ext(), y)
-        if aff_length(x) + aff_length(y) > EXPANSION_CAP:
-            continue
-        pairs += 1
-        res.check(nh_mul(embed_group(x), embed_group(y))
-                  == embed_group(aff_mul(x, y)),
-                  lambda: f"{rs.name()}: embedding not multiplicative on pair {pairs}")
+    # seeded multiplicativity of the group embedding, on A2 if given
+    for rs in (_named(types, "A2") or types)[:1]:
+        rng = random.Random(cfg.seed)
+        zs = central_elements(rs)
+        pairs = 0
+        while pairs < 200:
+            lx = rng.randint(0, 3)
+            ly = rng.randint(0, 3)
+            x = ext(identity(rs))
+            for _ in range(lx):
+                x = aff_mul(x, affine_simple_ext(rs, rng.randint(0, rs.rank)))
+            y = ext(identity(rs))
+            for _ in range(ly):
+                y = aff_mul(y, affine_simple_ext(rs, rng.randint(0, rs.rank)))
+            if rng.random() < 0.5:
+                x = aff_mul(zs[rng.randrange(len(zs))].to_ext(), x)
+            if rng.random() < 0.5:
+                y = aff_mul(zs[rng.randrange(len(zs))].to_ext(), y)
+            if aff_length(x) + aff_length(y) > EXPANSION_CAP:
+                continue
+            pairs += 1
+            res.check(nh_mul(embed_group(x), embed_group(y))
+                      == embed_group(aff_mul(x, y)),
+                      lambda: f"{rs.name()}: embedding not multiplicative on pair {pairs}")
     # the module action against the nil Hecke engine itself
-    for name in ("A1", "A2"):
-        if name not in cfg.types:
-            continue
-        rs = build_root_system(name)
+    for rs in small:
         elems = _short_affine_elements(rs, 4)
         minus = [y for y in elems if is_waff_minus(y)]
         for x in elems:
@@ -596,16 +578,15 @@ def suite_nilhecke(cfg: RunConfig, res: SuiteResult) -> None:
                 via_engine = nh_mod_Jtilde(nh_mul(ax, nh_basis(y)))
                 via_rule = act_on_xi(x, nh_basis(y))
                 res.check(via_engine == via_rule,
-                          lambda: f"{name}: xi action disagrees with the engine at "
+                          lambda: f"{rs.name()}: xi action disagrees with the engine at "
                                   f"x={x!r} y={y!r}")
 
 
 # -- criterion 11: the Peterson dictionary ---------------------------------------
 
 
-def suite_psi(cfg: RunConfig, res: SuiteResult) -> None:
-    if "A1" in cfg.types:
-        rs = build_root_system("A1")
+def suite_psi(cfg: RunConfig, res: SuiteResult, types: list[RootSystem]) -> None:
+    for rs in _named(types, "A1"):
         b = parabolic(rs, (1,))
         s0 = aff_mul(ext(from_word(rs, (1,))), translation(rs, (-2,)))
         mu = (-2,)
@@ -615,7 +596,7 @@ def suite_psi(cfg: RunConfig, res: SuiteResult) -> None:
                   == q_shift(unit_class(b), (1,)),
                   lambda: "A1: psi(xi_id) relative to t_{-alpha1vee} != q*1")
     # representative independence on every scoped (type, I_P)
-    for rs, p in _scope(cfg, res, rank_cap=3):
+    for rs, p in _pairs(cfg, types):
         rp = p.rp_pos
         shifts = []
         for c in _box(rs.rank, cfg.radius):
@@ -644,34 +625,34 @@ def suite_psi(cfg: RunConfig, res: SuiteResult) -> None:
 # -- criterion 12: the equivariant divergence report ----------------------------
 
 
-def suite_equivariant(cfg: RunConfig, res: SuiteResult) -> None:
-    rs = build_root_system("A1")
-    b = parabolic(rs, (1,))
-    s1 = from_word(rs, (1,))
-    alpha1 = SPoly.weight((2,))
-    expected = {
-        (): qh_scale(sigma(b, s1), alpha1),
-        (1,): qh_scale(q_shift(unit_class(b), (1,)), -1 * alpha1),
-    }
-    for w in enumerate_minreps(rs, b):
-        c = sigma(b, w)
-        disc = qh_sub(chevalley_multiply(1, seidel_multiply(1, c), True),
-                      seidel_multiply(1, chevalley_multiply(1, c, True)))
-        want = expected[reduced_word(w)]
-        res.check(disc == want,
-                  lambda: f"A1 w={reduced_word(w)}: divergence {qh_text(disc)} is not "
-                          f"the documented {qh_text(want)}")
-        if disc == want and not disc.is_zero():
-            res.findings.append(
-                f"expected divergence at w={reduced_word(w)}: "
-                f"D1(S1(c)) - S1(D1(c)) = {qh_text(disc)}")
+def suite_equivariant(cfg: RunConfig, res: SuiteResult, types: list[RootSystem]) -> None:
+    for rs in _named(types, "A1"):
+        b = parabolic(rs, (1,))
+        s1 = from_word(rs, (1,))
+        alpha1 = SPoly.weight((2,))
+        expected = {
+            (): qh_scale(sigma(b, s1), alpha1),
+            (1,): qh_scale(q_shift(unit_class(b), (1,)), -1 * alpha1),
+        }
+        for w in enumerate_minreps(rs, b):
+            c = sigma(b, w)
+            disc = qh_sub(chevalley_multiply(1, seidel_multiply(1, c), True),
+                          seidel_multiply(1, chevalley_multiply(1, c, True)))
+            want = expected[reduced_word(w)]
+            res.check(disc == want,
+                      lambda: f"A1 w={reduced_word(w)}: divergence {qh_text(disc)} is not "
+                              f"the documented {qh_text(want)}")
+            if disc == want and not disc.is_zero():
+                res.findings.append(
+                    f"expected divergence at w={reduced_word(w)}: "
+                    f"D1(S1(c)) - S1(D1(c)) = {qh_text(disc)}")
 
 
 # -- the dictionary intertwines Seidel operators with translations ---------------
 
 
-def suite_intertwine(cfg: RunConfig, res: SuiteResult) -> None:
-    for rs, p in _scope(cfg, res, rank_cap=2):
+def suite_intertwine(cfg: RunConfig, res: SuiteResult, types: list[RootSystem]) -> None:
+    for rs, p in _pairs(cfg, types):
         zero = (0,) * rs.rank
         anti = list(_antidominant_box(rs.rank, 1))
         pis = {m: pi_P(translation(rs, m), p) for m in anti}
@@ -715,26 +696,34 @@ def suite_intertwine(cfg: RunConfig, res: SuiteResult) -> None:
                   lambda: f"{rs.name()} I_P={p.nodes}: no intertwining samples")
 
 
+# Each suite with its rank cap: run_suites gives it the configured types of
+# rank at most min(max_rank, cap), and None means max_rank alone.
 SUITES = {
-    "seidel-table": suite_seidel_table,
-    "commutation": suite_commutation,
-    "chevalley": suite_chevalley,
-    "orbit": suite_orbit,
-    "length": suite_length,
-    "hat": suite_hat,
-    "pi-p": suite_pi_p,
-    "closure": suite_closure,
-    "v-elements": suite_v_elements,
-    "nilhecke": suite_nilhecke,
-    "psi": suite_psi,
-    "equivariant": suite_equivariant,
-    "intertwine": suite_intertwine,
+    "seidel-table": (suite_seidel_table, None),
+    "commutation": (suite_commutation, None),
+    "chevalley": (suite_chevalley, None),
+    "orbit": (suite_orbit, None),
+    "length": (suite_length, 3),
+    "hat": (suite_hat, 3),
+    "pi-p": (suite_pi_p, None),
+    "closure": (suite_closure, 3),
+    "v-elements": (suite_v_elements, 4),
+    "nilhecke": (suite_nilhecke, None),
+    "psi": (suite_psi, 3),
+    "equivariant": (suite_equivariant, None),
+    "intertwine": (suite_intertwine, 2),
 }
 
 
 def run_suites(cfg: RunConfig) -> list[SuiteResult]:
-    """One result per selected suite, in SUITES order, each filled by its suite."""
-    results = [SuiteResult(name) for name in (SUITES if cfg.suite == "all" else [cfg.suite])]
-    for res in results:
-        SUITES[res.name](cfg, res)
+    """One result per selected suite, in SUITES order, each filled by its suite
+    on the configured types within its rank cap; the others go to skipped."""
+    systems = [build_root_system(name) for name in cfg.types]
+    results = []
+    for name in (SUITES if cfg.suite == "all" else [cfg.suite]):
+        suite, cap = SUITES[name]
+        top = cfg.max_rank if cap is None else min(cfg.max_rank, cap)
+        res = SuiteResult(name, skipped=[rs.name() for rs in systems if rs.rank > top])
+        suite(cfg, res, [rs for rs in systems if rs.rank <= top])
+        results.append(res)
     return results

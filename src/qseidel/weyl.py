@@ -307,9 +307,10 @@ class ParabolicSet:
     nodes: tuple[int, ...]
 
     def __post_init__(self):
-        if list(self.nodes) != sorted(set(self.nodes)):
-            raise ValueError(
-                f"parabolic nodes must be sorted and distinct, got {list(self.nodes)}")
+        # True would hash equal to node 1 and share its memo entries
+        nodes = [strict_int(i, "parabolic node") for i in self.nodes]
+        if nodes != sorted(set(nodes)):
+            raise ValueError(f"parabolic nodes must be sorted and distinct, got {nodes}")
         if any(not 1 <= i <= self.rs.rank for i in self.nodes):
             raise ValueError("parabolic node out of range")
         # The dataclass hash, taken once: parabolic sets key the element caches.

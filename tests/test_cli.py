@@ -600,6 +600,30 @@ def test_verify_all_passes_when_one_suite_does_not_apply(capsys):
     assert "made no checks" not in captured.err
 
 
+@pytest.mark.parametrize("argv, checks, note", [
+    # the table and the divergence report are frozen on A2 and A1 only
+    (["seidel-table", "--types", "B2"], 0, ""),
+    (["equivariant", "--types", "D4"], 0, ""),
+    # the seeded pairs honour --max-rank, and run on the first type without A2
+    (["nilhecke", "--types", "E8", "--max-rank", "2"], 0,
+     "note: nilhecke skipped by rank cap: E8\n"),
+    (["nilhecke", "--types", "B3"], 200, ""),
+    # the D_1^(n+1)(1) = q tail covers every A_n in scope, on I_P = {1}
+    # whatever --parabolic says
+    (["chevalley", "--types", "A5", "--parabolic", "1", "--max-rank", "5"], 1, ""),
+    (["chevalley", "--types", "A5", "--parabolic", "3", "--max-rank", "5"], 1, ""),
+    # a rank cap holds above --max-rank too
+    (["v-elements", "--types", "A5", "--max-rank", "5"], 0,
+     "note: v-elements skipped by rank cap: A5\n"),
+])
+def test_verify_runs_no_type_outside_types_and_max_rank(argv, checks, note, capsys):
+    code = cli.run(["verify", "--suite", *argv, "--format", "json"])
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["suites"][0]["checks"] == checks
+    assert code == (0 if checks else 1)
+    assert captured.err == note + ("" if checks else f"error: {argv[0]} made no checks\n")
+
+
 @pytest.mark.parametrize("suite", ["seidel-table", "equivariant", "orbit", "all"])
 @pytest.mark.parametrize("types, error", [
     (["a2"], "bad root system name: 'a2'"), (["A02"], "bad root system name: 'A02'"),
@@ -607,8 +631,8 @@ def test_verify_all_passes_when_one_suite_does_not_apply(capsys):
     (["A2", "A2"], "types must be distinct, got ['A2', 'A2']"),
 ])
 def test_verify_refuses_a_bad_or_repeated_type_in_every_suite(suite, types, error, capsys):
-    # seidel-table and equivariant read no type, and a repeated type would
-    # run every check of the others twice
+    # a bad name is refused even by the suites that run on named types only,
+    # and a repeated type would run every check twice
     assert cli.run(["verify", "--suite", suite, "--types", *types]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -2,7 +2,8 @@
 another module's private name, only rootsys imports fractions, no module
 builds a Weyl element from simple-root images, only rootsys and affine
 read the level of an affine root, every suite check passes its failure
-message as a lambda, only rootsys compiles code, the package's memos are
+message as a lambda, only rootsys compiles code, only RunConfig and
+run_suites decide which types a suite runs on, the package's memos are
 exactly the pinned inventory (stdlib ast only), and the README's API
 sentence names exactly qseidel.__all__."""
 
@@ -102,6 +103,28 @@ def code_generation_calls(source: str) -> list[str]:
         if name in ("exec", "eval", "compile"):
             out.append(f"line {node.lineno}: {name}")
     return out
+
+
+# The definitions in suites.py that may read a config's types or max_rank, or
+# build a root system: the scope of every suite is decided there alone.
+SCOPE_DECIDERS = {"RunConfig", "run_suites"}
+
+
+def scope_reads(source: str) -> list[str]:
+    """Attribute reads <expr>.types and <expr>.max_rank, and each use of
+    build_root_system by name or as <module>.build_root_system, outside the
+    top-level definitions named in SCOPE_DECIDERS, in source order."""
+    found = []
+    for top in ast.parse(source).body:
+        if getattr(top, "name", None) in SCOPE_DECIDERS:
+            continue
+        for node in ast.walk(top):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if (name == "build_root_system"
+                    or isinstance(node, ast.Attribute) and name in ("types", "max_rank")):
+                found.append((node.lineno, node.col_offset, name))
+    return [f"line {line}: {name}" for line, _, name in sorted(found)]
 
 
 # The element types and the monomial exponents whose memo entries grow with
@@ -244,6 +267,33 @@ def test_suite_checks_build_their_messages_lazily():
              and getattr(node.func, "attr", None) == "check"]
     assert len(calls) == source.count(".check(") > 0
     assert eager_check_messages(source) == []
+
+
+def test_only_run_suites_scopes_the_suites():
+    # run_suites gives each suite the types its SUITES entry allows; a suite
+    # that read --types or built a root system itself could run outside them
+    assert scope_reads((SRC / "suites.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_suite_choosing_its_own_types():
+    source = ("class RunConfig:\n"
+              "    def __post_init__(self):\n"
+              "        build_root_system(self.types[0]), self.max_rank\n"
+              "def run_suites(cfg):\n"
+              "    return [build_root_system(n) for n in cfg.types if cfg.max_rank]\n"
+              "def suite_table(cfg, res, types):\n"
+              "    rs = build_root_system('A2')\n"
+              "    if 'A1' in cfg.types and cfg.max_rank > 1:\n"
+              "        make = rootsys.build_root_system\n"
+              "    types = [rs for rs in types if rs.rank <= cfg.radius]\n")
+    assert scope_reads(source) == ["line 7: build_root_system", "line 8: types",
+                                   "line 8: max_rank", "line 9: build_root_system"]
+    # the real module with the table built on A2 whatever the types
+    real = (SRC / "suites.py").read_text(encoding="utf-8")
+    seeded = real.replace('    for rs in _named(types, "A2"):\n        p = parabolic(rs, (1,))',
+                          '    for rs in [build_root_system("A2")]:\n'
+                          '        p = parabolic(rs, (1,))', 1)
+    assert seeded != real and len(scope_reads(seeded)) == 1
 
 
 def test_only_rootsys_generates_code():

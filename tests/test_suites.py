@@ -98,7 +98,7 @@ def test_seidel_table_shape():
 def test_seidel_table_matches_the_operator_on_every_catalog_parabolic():
     for name in CATALOG:
         rs = build_root_system(name)
-        for p in suites._scoped_parabolics(rs, RunConfig()):  # every I_P
+        for p in suites._parabolics(rs, RunConfig()):  # every I_P
             assert seidel_table(p) == [
                 (z, w, seidel_apply(z, sigma(p, w)))
                 for z in central_elements(rs) for w in enumerate_minreps(rs, p)]
@@ -159,16 +159,20 @@ def test_runconfig_checks_its_bounds_however_it_is_built(kw, match):
 
 
 def test_run_suites_makes_each_result_and_passes_it_in(monkeypatch):
+    # the suite gets its result and the types within its rank cap, and the
+    # result already names the types the cap left out
     seen = []
 
-    def fake(cfg, res):
-        seen.append(res)
+    def fake(cfg, res, types):
+        seen.append((res, [rs.name() for rs in types], list(res.skipped)))
         res.check(True, lambda: "")
 
-    monkeypatch.setitem(suites.SUITES, "v-elements", fake)
-    (res,) = run_suites(RunConfig(suite="v-elements"))
-    assert len(seen) == 1 and seen[0] is res
-    assert (res.name, res.checks) == ("v-elements", 1)
+    monkeypatch.setitem(suites.SUITES, "v-elements", (fake, 2))
+    (res,) = run_suites(RunConfig(suite="v-elements", types=("B3", "A2", "A1", "A4"),
+                                  max_rank=3))
+    assert len(seen) == 1 and seen[0][0] is res
+    assert seen[0][1:] == (["A2", "A1"], ["B3", "A4"])
+    assert (res.name, res.checks, res.skipped) == ("v-elements", 1, ["B3", "A4"])
 
 
 def test_single_suite_scoping():
@@ -195,6 +199,26 @@ def test_rank_caps_record_skipped_types():
     (res,) = run_suites(RunConfig(suite="v-elements", types=("A2", "A3"),
                                   max_rank=2))
     assert res.skipped == ["A3"]
+
+
+@pytest.mark.parametrize("types, drawn", [
+    (("A1", "B2", "A2"), "A2"), (("B2", "A1"), "B2"),
+])
+def test_nilhecke_draws_its_seeded_pairs_on_a2_else_the_first_type(types, drawn, monkeypatch):
+    # every check's message names its type; build them all to see where the
+    # 200 seeded pairs ran
+    texts = []
+    real = SuiteResult.check
+
+    def check(self, cond, msg):
+        texts.append(msg())
+        real(self, cond, msg)
+
+    monkeypatch.setattr(SuiteResult, "check", check)
+    (res,) = run_suites(RunConfig(suite="nilhecke", types=types))
+    assert res.ok() and len(texts) == res.checks
+    pairs = [t.split(":")[0] for t in texts if "embedding not multiplicative" in t]
+    assert pairs == [drawn] * 200
 
 
 def test_pi_p_oracle_keeps_the_multiplicity_of_its_hits(monkeypatch):

@@ -356,6 +356,10 @@ def test_parabolic_takes_integer_nodes_only():
     for bad in ((True,), (1.0,), ("1",), (3, False), (None,)):
         with pytest.raises(ValueError, match="parabolic node must be an integer"):
             parabolic(rs, bad)
+    # built directly too: (True,) would hash equal to the node-1 set
+    for bad in ((True,), (1.0,), ("1",)):
+        with pytest.raises(ValueError, match="parabolic node must be an integer"):
+            ParabolicSet(rs, bad)
 
 
 def test_coset_reduce_refuses_mixed_root_systems():
