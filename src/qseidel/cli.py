@@ -108,21 +108,19 @@ def _cmd_roots(args) -> int:
 
 def _cmd_weyl(args) -> int:
     rs = build_root_system(args.type)
-    nodes = tuple(args.parabolic) if args.parabolic else tuple(
-        range(1, rs.rank + 1))
-    p = parabolic(rs, nodes)
+    p = parabolic(rs, args.parabolic or range(1, rs.rank + 1))
     reps = enumerate_minreps(rs, p)
     if args.format == "json":
         return _print_json({
             "type": rs.name(),
-            "parabolic": list(nodes),
+            "parabolic": list(p.nodes),
             "count": len(reps),
             "minreps": [list(reduced_word(w)) for w in reps],
             "longest": list(reduced_word(longest_element(rs))),
             "v_elements": {str(i): list(reduced_word(v_element(rs, i)))
                            for i in rs.minuscule_nodes},
         })
-    lines = [f"type {rs.name()}  I_P={list(nodes)}  |W^P| = {len(reps)}"]
+    lines = [f"type {rs.name()}  I_P={list(p.nodes)}  |W^P| = {len(reps)}"]
     lines.extend("  " + word_text(w) for w in reps)
     lines.append("longest: " + word_text(longest_element(rs)))
     lines.extend(f"v_{i}: " + word_text(v_element(rs, i))
@@ -143,7 +141,7 @@ def _cmd_affine(args) -> int:
     if args.action == "pi-p":
         if not args.parabolic:
             raise ValueError("pi-p needs --parabolic")
-        p = parabolic(rs, tuple(args.parabolic))
+        p = parabolic(rs, args.parabolic)
         x1 = pi_P(x, p)
         j1, j2 = _ext_json(x1), _ext_json(aff_mul(aff_inv(x1), x))
         if args.format == "json":
@@ -178,15 +176,13 @@ def _cmd_qprod(args) -> int:
 
 def _cmd_seidel_table(args) -> int:
     rs = build_root_system(args.type)
-    nodes = tuple(args.parabolic) if args.parabolic else tuple(
-        range(1, rs.rank + 1))
-    p = parabolic(rs, nodes)
+    p = parabolic(rs, args.parabolic or range(1, rs.rank + 1))
     rows = seidel_table(p)
     if args.format == "json":
-        return _print_json({"type": rs.name(), "parabolic": list(nodes), "rows": [
+        return _print_json({"type": rs.name(), "parabolic": list(p.nodes), "rows": [
             {"z": z.node, "w": list(reduced_word(w)), "product": qh_to_json(prod)}
             for z, w, prod in rows]})
-    lines = [f"type {rs.name()}  I_P={list(nodes)}"]
+    lines = [f"type {rs.name()}  I_P={list(p.nodes)}"]
     for z, w, prod in rows:
         zlab = f"tau_{z.node}" if z.node else "e"
         lines.append(f"  {zlab:7s} * sigma({word_text(w)}) = {qh_text(prod)}")

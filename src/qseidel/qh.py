@@ -109,15 +109,10 @@ def unit_class(p: ParabolicSet) -> QHClass:
     return sigma(p, identity(p.rs))
 
 
-def sigma(p: ParabolicSet, w: WeylElt, q: Vec | None = None,
-          coeff: SPoly | int = 1) -> QHClass:
-    """The class of w, coset-reduced if needed, with optional exponent and coefficient."""
-    wp = coset_reduce(w, p)
-    if q is None:
-        q = (0,) * len(p.nodes)
-    if isinstance(coeff, int):
-        coeff = SPoly.const(p.rs.rank, coeff)
-    return QHClass(p, {(wp, tuple(q)): coeff})
+def sigma(p: ParabolicSet, w: WeylElt) -> QHClass:
+    """The class of w, coset-reduced if needed; q_shift and qh_scale give it
+    an exponent and a coefficient."""
+    return QHClass(p, {(coset_reduce(w, p), (0,) * len(p.nodes)): SPoly.const(p.rs.rank, 1)})
 
 
 def qh_add(a: QHClass, b: QHClass) -> QHClass:

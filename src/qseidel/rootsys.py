@@ -322,7 +322,6 @@ class RootSystem:
         pos = sorted((r for r in known if is_positive_vec(r)), key=lambda r: (sum(r), r))
         self.pos_roots: tuple[Vec, ...] = tuple(pos)
         self.roots: tuple[Vec, ...] = tuple(pos) + tuple(vneg(r) for r in pos)
-        self.root_set = frozenset(self.roots)
         # Root k + N is -root k (N = |R^+|); Weyl elements permute these indices.
         self.root_index: dict[Vec, int] = {r: k for k, r in enumerate(self.roots)}
         self.simple_index: tuple[int, ...] = tuple(self.root_index[r] for r in simple)

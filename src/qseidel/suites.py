@@ -114,21 +114,15 @@ class RunConfig:
         if (not isinstance(self.types, tuple) or not self.types
                 or not all(isinstance(t, str) for t in self.types)):
             raise ValueError(f"types must be a non-empty list of type names, got {self.types!r}")
-        ranks = {name: build_root_system(name).rank for name in self.types}
+        types = [build_root_system(name) for name in self.types]
         if len(set(self.types)) != len(self.types):  # would run each repeat again
             raise ValueError(f"types must be distinct, got {list(self.types)}")
         if self.parabolic is not None:
-            if not strict_ints(self.parabolic, "parabolic"):  # would run the degenerate P = G
-                raise ValueError("parabolic must be null or a non-empty list of nodes, got []")
-            # Only the suites that build a parabolic set would see a repeated
+            nodes = strict_ints(self.parabolic, "parabolic")
+            # Only the suites that build a parabolic set would meet a bad
             # node; the others would run as if the list were well formed.
-            if len(set(self.parabolic)) != len(self.parabolic):
-                raise ValueError(f"parabolic nodes must be distinct, got {list(self.parabolic)}")
-            # Likewise a node past the rank of a type.
-            for name, rank in ranks.items():
-                if not all(1 <= i <= rank for i in self.parabolic):
-                    raise ValueError(f"parabolic nodes must lie in 1..{rank} for {name}, "
-                                     f"got {list(self.parabolic)}")
+            for rs in types:
+                parabolic(rs, nodes)
         for key in ("radius", "max_rank", "seed"):
             strict_int(getattr(self, key), key)
         # Either would run an empty scope and report "made no checks".
@@ -227,7 +221,7 @@ def suite_seidel_table(cfg: RunConfig, res: SuiteResult, types: list[RootSystem]
             (1, (2, 1)): q_shift(unit_class(p), (1,)),
             (2, ()): sigma(p, s21),
             (2, (1,)): q_shift(unit_class(p), (1,)),
-            (2, (2, 1)): sigma(p, s1, q=(1,)),
+            (2, (2, 1)): q_shift(sigma(p, s1), (1,)),
         }
         table = seidel_table(p)
         res.check(len(table) == 9, lambda: f"table has {len(table)} entries, wanted 9")

@@ -24,6 +24,7 @@ s_1 s_2, apply s_2 first).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -161,7 +162,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
 @lru_cache(maxsize=None)
 def reflection(rs: RootSystem, root: Vec) -> WeylElt:
     """The reflection s_alpha for any root alpha."""
-    if root not in rs.root_set:
+    if root not in rs.root_index:
         raise ValueError(f"not a root: {root}")
     cw = rs.coroot_to_coweight(rs.coroot_of(root))  # alpha_vee as coweight
     perm = []
@@ -301,18 +302,27 @@ def involution(rs: RootSystem) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ParabolicSet:
-    """A choice of quantum nodes I_P; W_P is generated by the complement."""
+    """A choice of quantum nodes I_P; W_P is generated by the complement.
+    The one home of the node rules: any iterable of distinct ints in 1..rank,
+    non-empty (P = G is degenerate), stored sorted so one set is one value."""
 
     rs: RootSystem
     nodes: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.nodes, Iterable):
+            raise ValueError(f"parabolic nodes must be a list of integers, got {self.nodes!r}")
         # True would hash equal to node 1 and share its memo entries
-        nodes = [strict_int(i, "parabolic node") for i in self.nodes]
-        if nodes != sorted(set(nodes)):
-            raise ValueError(f"parabolic nodes must be sorted and distinct, got {nodes}")
-        if any(not 1 <= i <= self.rs.rank for i in self.nodes):
-            raise ValueError("parabolic node out of range")
+        given = [strict_int(i, "parabolic node") for i in self.nodes]
+        nodes = tuple(sorted(given))
+        if not nodes:
+            raise ValueError("parabolic nodes must be non-empty, got []")
+        if len(set(nodes)) != len(nodes):
+            raise ValueError(f"parabolic nodes must be distinct, got {given}")
+        if not 1 <= nodes[0] <= nodes[-1] <= self.rs.rank:
+            raise ValueError(f"parabolic nodes must lie in 1..{self.rs.rank} "
+                             f"for {self.rs.name()}, got {given}")
+        object.__setattr__(self, "nodes", nodes)
         # The dataclass hash, taken once: parabolic sets key the element caches.
         object.__setattr__(self, "_hash", hash((self.rs, self.nodes)))
 
@@ -344,9 +354,8 @@ class ParabolicSet:
 
 
 def parabolic(rs: RootSystem, nodes) -> ParabolicSet:
-    """The parabolic set with quantum nodes `nodes`, in any order (a repeated
-    node is refused, not merged); each node must be an int."""
-    return ParabolicSet(rs, tuple(sorted(strict_int(i, "parabolic node") for i in nodes)))
+    """The parabolic set with quantum nodes `nodes`; ParabolicSet checks them."""
+    return ParabolicSet(rs, nodes)
 
 
 def is_minrep(w: WeylElt, p: ParabolicSet) -> bool:
@@ -376,6 +385,8 @@ def enumerate_parabolic_subgroup(p: ParabolicSet) -> tuple[WeylElt, ...]:
 @lru_cache(maxsize=None)
 def enumerate_minreps(rs: RootSystem, p: ParabolicSet) -> tuple[WeylElt, ...]:
     """Minimal coset representatives W^P in length order."""
+    if p.rs is not rs:
+        raise ValueError("mixed root systems")
     return _closure(rs, [r for r in rs.pos_roots if r not in p.rp_pos])
 
 

@@ -123,6 +123,23 @@ def test_weyl_counts(capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 56
 
 
+@pytest.mark.parametrize("command", ["weyl", "seidel-table"])
+def test_weyl_and_seidel_table_echo_the_sorted_parabolic(command, capsys):
+    # I_P is echoed as the set it is, not in the order typed: the output is
+    # the same bytes as for the sorted list, and the table's products agree
+    for fmt in ([], ["--format", "json"]):
+        assert cli.run([command, "A3", "--parabolic", "3", "1", *fmt]) == 0
+        out = capsys.readouterr().out
+        assert cli.run([command, "A3", "--parabolic", "1", "3", *fmt]) == 0
+        assert capsys.readouterr().out == out
+        if fmt:
+            data = json.loads(out)
+            assert data["parabolic"] == [1, 3]
+            assert all(row["product"]["parabolic"] == [1, 3] for row in data.get("rows", []))
+        else:
+            assert out.startswith("type A3  I_P=[1, 3]")
+
+
 def _enumeration_cache_sizes():
     return tuple(f.cache_info().currsize for f in (weyl.enumerate_weyl, weyl.enumerate_minreps))
 

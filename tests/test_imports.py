@@ -1,11 +1,11 @@
 """Every name a package module imports is used in that module, none is
 another module's private name, only rootsys imports fractions, no module
-builds a Weyl element from simple-root images, only rootsys and affine
-read the level of an affine root, every suite check passes its failure
-message as a lambda, only rootsys compiles code, only RunConfig and
-run_suites decide which types a suite runs on, the package's memos are
-exactly the pinned inventory (stdlib ast only), and the README's API
-sentence names exactly qseidel.__all__."""
+builds a Weyl element from simple-root images, only weyl calls
+ParabolicSet(...), only rootsys and affine read the level of an affine
+root, every suite check passes its failure message as a lambda, only
+rootsys compiles code, only RunConfig and run_suites decide which types a
+suite runs on, the package's memos are exactly the pinned inventory (stdlib
+ast only), and the README's API sentence names exactly qseidel.__all__."""
 
 import ast
 import re
@@ -63,11 +63,11 @@ def fractions_imports(source: str) -> list[str]:
                 and (node.module or "").split(".")[0] == "fractions")]
 
 
-def weylelt_calls(source: str) -> list[str]:
-    """Calls WeylElt(...) or <module>.WeylElt(...)."""
-    return [f"line {node.lineno}: WeylElt" for node in ast.walk(ast.parse(source))
+def class_calls(source: str, name: str) -> list[str]:
+    """Calls name(...) or <module>.name(...)."""
+    return [f"line {node.lineno}: {name}" for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call)
-            and "WeylElt" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
 def level_reads(source: str) -> list[str]:
@@ -249,7 +249,15 @@ def test_only_rootsys_imports_fractions():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_weyl_element_built_from_images(path):
     # elements are built from root permutations through weyl._elt
-    assert weylelt_calls(path.read_text(encoding="utf-8")) == []
+    assert class_calls(path.read_text(encoding="utf-8"), "WeylElt") == []
+
+
+def test_only_weyl_builds_a_parabolic_set():
+    # ParabolicSet holds the node rules, and weyl.parabolic is the one way
+    # the other modules build one
+    builders = {p.name for p in SRC.glob("*.py")
+                if class_calls(p.read_text(encoding="utf-8"), "ParabolicSet")}
+    assert builders == {"weyl.py"}
 
 
 def test_only_rootsys_and_affine_read_affine_root_levels():
@@ -370,7 +378,21 @@ def test_the_check_sees_a_weyl_element_built_from_images():
               "ok = isinstance(w, WeylElt)\n"
               "u = object.__new__(WeylElt)\n"
               "t = WeylEltFactory(rs)\n")
-    assert weylelt_calls(source) == ["line 1: WeylElt", "line 2: WeylElt"]
+    assert class_calls(source, "WeylElt") == ["line 1: WeylElt", "line 2: WeylElt"]
+
+
+def test_the_check_sees_a_parabolic_set_built_outside_weyl():
+    source = ("p = ParabolicSet(rs, (1,))\n"
+              "q = weyl.ParabolicSet(rs, [2, 1])\n"
+              "def f(p: ParabolicSet) -> ParabolicSet:\n"
+              "    return parabolic(p.rs, p.nodes), isinstance(p, ParabolicSet)\n")
+    assert class_calls(source, "ParabolicSet") == ["line 1: ParabolicSet",
+                                                   "line 2: ParabolicSet"]
+    # the real module with RunConfig building its sets directly
+    real = (SRC / "suites.py").read_text(encoding="utf-8")
+    seeded = real.replace("                parabolic(rs, nodes)\n",
+                          "                ParabolicSet(rs, nodes)\n", 1)
+    assert seeded != real and len(class_calls(seeded, "ParabolicSet")) == 1
 
 
 def test_the_check_sees_a_level_read():

@@ -5,7 +5,7 @@ import pytest
 from qseidel.affine import affine_simple_ext
 from qseidel.nilhecke import NilHeckeElt, nh_basis, nh_one
 from qseidel.poly import SPoly, add_terms
-from qseidel.qh import qh_add, sigma, unit_class
+from qseidel.qh import qh_add, qh_scale, sigma, unit_class
 from qseidel.rootsys import build_root_system
 from qseidel.weyl import from_word, parabolic
 
@@ -153,7 +153,7 @@ def test_add_terms_leaves_start_untouched():
     rs = build_root_system("A2")
     p = parabolic(rs, (1,))
     qa = qh_add(unit_class(p), sigma(p, from_word(rs, (1,))))
-    qb = sigma(p, from_word(rs, (1,)), coeff=-1)
+    qb = qh_scale(sigma(p, from_word(rs, (1,))), -1)
     before = dict(qa.terms)
     assert qh_add(qa, qb) == unit_class(p)
     assert qa.terms == before

@@ -333,9 +333,9 @@ def _chevalley_inputs(p):
         yield sigma(p, w)
     shift = tuple(range(1, len(p.nodes) + 1))
     poly = SPoly.weight(range(1, rs.rank + 1)) + SPoly.const(rs.rank, -2)
-    yield qh_add(qh_add(sigma(p, reps[-1], q=shift, coeff=poly),
-                        sigma(p, reps[len(reps) // 2], coeff=3)),
-                 sigma(p, reps[-1], coeff=poly * poly))
+    yield qh_add(qh_add(qh_scale(q_shift(sigma(p, reps[-1]), shift), poly),
+                        qh_scale(sigma(p, reps[len(reps) // 2]), 3)),
+                 qh_scale(sigma(p, reps[-1]), poly * poly))
 
 
 def test_chevalley_multiply_matches_the_root_loop():

@@ -86,7 +86,7 @@ def test_roots_closed_under_negation():
     for name in CATALOG:
         rs = build_root_system(name)
         for r in rs.roots:
-            assert vneg(r) in rs.root_set
+            assert vneg(r) in rs.root_index
         for r in rs.pos_roots:
             assert is_positive_vec(r)
             assert not is_positive_vec(vneg(r))
@@ -96,9 +96,9 @@ def test_theta_is_highest():
     # theta + alpha_i is never a root
     for name in CATALOG:
         rs = build_root_system(name)
-        assert rs.theta in rs.root_set
+        assert rs.theta in rs.root_index
         for i in range(1, rs.rank + 1):
-            assert vadd(rs.theta, rs.simple_root(i)) not in rs.root_set
+            assert vadd(rs.theta, rs.simple_root(i)) not in rs.root_index
 
 
 def test_theta_values():

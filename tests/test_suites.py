@@ -135,7 +135,7 @@ def test_runconfig_refuses_a_parabolic_node_past_the_rank_of_a_type():
     ({"seed": 2.5}, "seed must be an integer"),
     ({"seed": True}, "seed must be an integer"),
     ({"types": ()}, "types must be a non-empty list"),
-    ({"parabolic": ()}, "parabolic must be null or a non-empty list"),
+    ({"parabolic": ()}, "parabolic nodes must be non-empty"),
     ({"suite": "no-such-suite"}, "suite must be one of"),
     ({"fmt": "xml"}, "format must be one of"),
     ({"types": "A2"}, "types must be a non-empty list"),

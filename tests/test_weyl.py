@@ -373,3 +373,31 @@ def test_coset_reduce_refuses_mixed_root_systems():
             with pytest.raises(ValueError, match="mixed root systems"):
                 coset_reduce(w, p)
     assert coset_reduce.cache_info().currsize == before
+
+
+def test_parabolic_set_keeps_the_node_rules_and_one_normal_form():
+    # every order of one set builds one value, however it is built; an empty
+    # set (the degenerate P = G), a bare int, a repeat and a node past the
+    # rank are refused by ParabolicSet itself, so parabolic() refuses them too
+    rs = build_root_system("A2")
+    p, q = ParabolicSet(rs, [2, 1]), parabolic(rs, (1, 2))
+    assert p == q and hash(p) == hash(q) and p.nodes == (1, 2)
+    for make in (parabolic, ParabolicSet):
+        for bad, match in (([], "non-empty"), ((), "non-empty"), (3, "list of integers"),
+                           ((2, 2), r"distinct, got \[2, 2\]"),
+                           ((3, 1), r"must lie in 1\.\.2 for A2, got \[3, 1\]"),
+                           ((0,), r"must lie in 1\.\.2 for A2")):
+            with pytest.raises(ValueError, match=match):
+                make(rs, bad)
+
+
+def test_enumerate_minreps_refuses_mixed_root_systems():
+    # a B3 parabolic set given with A3 once gave 4 elements of A3; the
+    # refusal leaves nothing in the memo
+    a3 = build_root_system("A3")
+    p = parabolic(build_root_system("B3"), (1,))
+    before = enumerate_minreps.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="mixed root systems"):
+            enumerate_minreps(a3, p)
+    assert enumerate_minreps.cache_info().currsize == before
