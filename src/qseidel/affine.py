@@ -17,7 +17,12 @@ Conventions, fixed once and used everywhere:
 * length: sum_{alpha > 0} |e_alpha(x)|, the number of positive real affine
   roots sent negative, which also covers translations by general coweights
   (the hat part has the same length, asserted in tests);
-* s_0 = s_theta t_{-theta_vee}, and affine reduced words use letters 0..n.
+* s_0 = s_theta t_{-theta_vee}, and affine reduced words use letters 0..n;
+  reduced_word_affine walks the raw (w.perm, lambda), one descent read and
+  one permutation composition per letter, and builds no element. Each
+  letter moves the length by exactly one, so after length(x) letters the
+  walk is on the identity exactly when every letter was a descent: the end
+  is checked, not each letter.
 
 Central elements are the length-zero elements v_i t_{-varpi_i_vee} attached to
 the minuscule nodes; they realize the coweight classes modulo the coroot
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional
 
 from .rootsys import (
@@ -161,11 +167,15 @@ def inversion_count_oracle(x: ExtAffElt) -> int:
     return count
 
 
-def _simple_descent(x: ExtAffElt) -> Optional[int]:
-    """The first i >= 1 with e = lambda_i + [w(alpha_i) < 0] > 0 (x(alpha_i) < 0), or None."""
-    big = len(x.rs.pos_roots)
-    perm = x.w.perm
-    for i, (c, k) in enumerate(zip(x.lam, x.rs.simple_index), 1):
+def _affine_descent(rs: RootSystem, perm: tuple[int, ...], lam: Vec,
+                    affine: bool = True) -> Optional[int]:
+    """For x = w t_lambda with w.perm = perm, the smallest i in 0..n with
+    x(alpha_i) < 0, or None: i = 0 when e_theta < 0, i >= 1 when e =
+    lambda_i + [w(alpha_i) < 0] > 0. With affine=False, i = 0 is not read."""
+    big = len(rs.pos_roots)
+    if affine and dot(lam, rs.theta) + (perm[rs.root_index[rs.theta]] >= big) < 0:
+        return 0
+    for i, (c, k) in enumerate(zip(lam, rs.simple_index), 1):
         if c + (perm[k] >= big) > 0:
             return i
     return None
@@ -173,7 +183,7 @@ def _simple_descent(x: ExtAffElt) -> Optional[int]:
 
 def is_waff_minus(x: ExtAffElt) -> bool:
     """Minimal length in its right W-coset: e <= 0 at every alpha_i."""
-    return _simple_descent(x) is None
+    return _affine_descent(x.rs, x.w.perm, x.lam, affine=False) is None
 
 
 def is_wpaff(x: ExtAffElt, p: ParabolicSet) -> bool:
@@ -283,13 +293,6 @@ def affine_simple_ext(rs: RootSystem, i: int) -> ExtAffElt:
     return ext(simple_reflection(rs, i))
 
 
-def _affine_descent(x: ExtAffElt) -> Optional[int]:
-    """The smallest i in 0..n with x(alpha_i) < 0 (i = 0: e_theta < 0), or None."""
-    rs = x.rs
-    e = dot(x.lam, rs.theta) + (x.w.perm[rs.root_index[rs.theta]] >= len(rs.pos_roots))
-    return 0 if e < 0 else _simple_descent(x)
-
-
 def left_ascent(y: ExtAffElt, i: int) -> bool:
     """Whether l(s_i y) > l(y), i.e. y^-1(alpha_i) > 0: the left-hand twin of
     _affine_descent. For gamma = alpha_i (theta if i = 0) and beta = w^-1(gamma),
@@ -305,29 +308,34 @@ def reduced_word_affine(x: ExtAffElt) -> tuple[int, ...]:
 
     Each step peels the smallest right descent. The word has aff_length(x)
     letters, which grows linearly in lambda; above AFFINE_WORD_CAP it is
-    refused before the first letter is computed.
+    refused before the first letter is computed. The walk (module docstring)
+    runs on (perm, lambda): x s_i = w s_i t_{lambda - lambda_i alpha_i_vee},
+    x s_0 = w s_theta t_{lambda - (<lambda, theta> + 1) theta_vee}.
     """
     rs = x.rs
     if not rs.in_coroot_lattice(x.lam):
         raise ValueError("affine reduced words need a coroot-lattice translation")
-    cur = x
-    cur_len = aff_length(cur)
-    if cur_len > AFFINE_WORD_CAP:
-        raise ValueError(f"affine word of length {cur_len} exceeds the cap of "
+    length = aff_length(x)
+    if length > AFFINE_WORD_CAP:
+        raise ValueError(f"affine word of length {length} exceeds the cap of "
                          f"{AFFINE_WORD_CAP} letters")
+    perm, lam = x.w.perm, x.lam
     rev: list[int] = []
-    while cur_len:
-        i = _affine_descent(cur)
+    for _ in range(length):
+        i = _affine_descent(rs, perm, lam)
         if i is None:
             raise AssertionError("positive-length element without an affine descent")
-        cur = aff_mul(cur, affine_simple_ext(rs, i))
-        nxt_len = aff_length(cur)
-        if nxt_len != cur_len - 1:
-            raise AssertionError("affine descent did not drop the length by one")
-        cur_len = nxt_len
+        s = affine_simple_ext(rs, i)
+        perm = itemgetter(*s.w.perm)(perm)
+        if i:  # alpha_i_vee in coweight coordinates is row i of the Cartan matrix
+            c, coroot = lam[i - 1], rs.cartan[i - 1]
+        else:  # s_0 = s_theta t_{-theta_vee}
+            c, coroot = -dot(lam, rs.theta) - 1, s.lam
+        if c:
+            lam = tuple(a - c * b for a, b in zip(lam, coroot))
         rev.append(i)
-    if not cur.is_identity():
-        raise AssertionError("length-zero non-extended element is not the identity")
+    if perm != identity(rs).perm or any(lam):
+        raise AssertionError("affine descent walk did not end on the identity")
     return tuple(reversed(rev))
 
 

@@ -152,8 +152,10 @@ def identity(rs: RootSystem) -> WeylElt:
     return _elt(rs, tuple(range(len(rs.roots))))
 
 
-@lru_cache(maxsize=None)
+# typed: True and 1.0 miss the entry of node 1 and are refused, never served it
+@lru_cache(maxsize=None, typed=True)
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
+    strict_int(i, "simple reflection index")
     if not 1 <= i <= rs.rank:
         raise ValueError(f"simple reflection index out of range: {i}")
     return reflection(rs, rs.simple_root(i))
@@ -193,10 +195,15 @@ def w_inv(a: WeylElt) -> WeylElt:
 
 
 def from_word(rs: RootSystem, word) -> WeylElt:
-    w = identity(rs)
+    """s_i1 s_i2 ... for word [i1, i2, ...]: one right map per letter on the
+    raw permutation, one element per word. Letters are ints in 1..rank."""
+    right, rank = _right_simple(rs), rs.rank
+    perm = identity(rs).perm
     for i in word:
-        w = w_mul(w, simple_reflection(rs, i))
-    return w
+        if type(i) is not int or not 1 <= i <= rank:
+            simple_reflection(rs, i)  # raises the ValueError naming the letter
+        perm = right[i - 1](perm)
+    return _elt(rs, perm)
 
 
 def _peel(w: WeylElt, nodes) -> tuple[tuple[int, ...], list[int]]:
@@ -212,8 +219,10 @@ def _peel(w: WeylElt, nodes) -> tuple[tuple[int, ...], list[int]]:
     perm = w.perm
     letters: list[int] = []
     while True:
-        j = next((j for j in nodes if perm[simple[j - 1]] >= big), None)
-        if j is None:
+        for j in nodes:
+            if perm[simple[j - 1]] >= big:
+                break
+        else:
             return perm, letters
         perm = right[j - 1](perm)
         letters.append(j)

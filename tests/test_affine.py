@@ -235,6 +235,63 @@ def test_affine_word_round_trip():
             assert y == hat
 
 
+def _hats_of_positive_length(rs, rng, count):
+    hats = []
+    while len(hats) < count:
+        hat = hat_decompose(_random_elt(rs, rng, box=2))[1]
+        if aff_length(hat):
+            hats.append(hat)
+    return hats
+
+
+def test_reduced_word_affine_walks_without_building_elements(monkeypatch):
+    # one aff_length for the cap, then the walk on (perm, lambda): no product
+    # and no per-letter length
+    rng = random.Random(37)
+    cases = [(rs, _hats_of_positive_length(rs, rng, 10))
+             for rs in map(build_root_system, ("A2", "B3", "G2"))]
+    calls = {"aff_length": 0, "aff_mul": 0}
+    for name in calls:
+        real = getattr(affine, name)
+        monkeypatch.setattr(affine, name, lambda *a, real=real, name=name:
+                            calls.__setitem__(name, calls[name] + 1) or real(*a))
+    for rs, hats in cases:
+        for hat in hats:
+            calls.update(aff_length=0, aff_mul=0)
+            word = reduced_word_affine(hat)
+            assert calls == {"aff_length": 1, "aff_mul": 0}, word
+            assert len(word) == aff_length(hat)
+
+
+def test_reduced_word_affine_refuses_a_walk_that_takes_an_ascent(monkeypatch):
+    # the walk checks its end, not each letter: one letter that is not a
+    # descent leaves it two above the identity after aff_length(x) letters.
+    # On A1, s_1 walked through s_0 ends on t_{-alpha_vee}, whose permutation
+    # is the identity: only its lambda shows the wrong letter.
+    rng = random.Random(41)
+    real = affine._affine_descent
+    a1 = build_root_system("A1")
+    cases = [(a1, [affine_simple_ext(a1, 1)])]
+    cases += [(rs, _hats_of_positive_length(rs, rng, 10))
+              for rs in map(build_root_system, ("A2", "B3", "G2"))]
+    for rs, hats in cases:
+        for hat in hats:
+            ascents = [i for i in range(rs.rank + 1)
+                       if aff_length(aff_mul(hat, affine_simple_ext(rs, i))) > aff_length(hat)]
+            taken = []
+
+            def descent(rs, perm, lam, ascent=ascents[0]):
+                taken.append(ascent)
+                return ascent if len(taken) == 1 else real(rs, perm, lam)
+
+            monkeypatch.setattr(affine, "_affine_descent", descent)
+            with pytest.raises(AssertionError, match="did not end on the identity"):
+                reduced_word_affine(hat)
+            assert len(taken) == aff_length(hat)
+            monkeypatch.setattr(affine, "_affine_descent", real)
+            assert len(reduced_word_affine(hat)) == aff_length(hat)
+
+
 @pytest.mark.parametrize("name", CATALOG + ("G2", "F4"))
 def test_reduced_word_affine_matches_the_root_action_descent(name):
     # The closed-form descent against x applied to each affine simple root,
@@ -391,7 +448,7 @@ def test_every_sign_reader_matches_the_root_action(name):
             minus = aff_mul(minus, affine_simple_ext(rs, finite[0]))
         for y in (x, minus, pi_P(x, rng.choice(ps))):
             down = descents(y)
-            assert _affine_descent(y) == (down[0] if down else None), y
+            assert _affine_descent(y.rs, y.w.perm, y.lam) == (down[0] if down else None), y
             assert is_waff_minus(y) == (down in ([], [0])), y
             seen.add(("W_aff^-", is_waff_minus(y)))
             inv = aff_inv(y)

@@ -242,7 +242,8 @@ def test_affine_commands(capsys):
 def test_affine_decompose_refuses_a_word_above_the_cap_before_any_letter(monkeypatch, capsys):
     peeled = []
     real = affine._affine_descent
-    monkeypatch.setattr(affine, "_affine_descent", lambda x: peeled.append(x) or real(x))
+    monkeypatch.setattr(affine, "_affine_descent",
+                        lambda rs, perm, lam: peeled.append(perm) or real(rs, perm, lam))
     elt = json.dumps({"w": [], "lambda": [10**9, 0]})
     assert cli.run(["affine", "decompose", "A2", "--elt", elt]) == 2
     out = capsys.readouterr()

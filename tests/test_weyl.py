@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qseidel import weyl
 from qseidel.rootsys import CATALOG, build_root_system, dot, is_positive_vec
 from qseidel.weyl import (
     ParabolicSet,
@@ -401,3 +402,50 @@ def test_enumerate_minreps_refuses_mixed_root_systems():
         with pytest.raises(ValueError, match="mixed root systems"):
             enumerate_minreps(a3, p)
     assert enumerate_minreps.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("name", CATALOG + ("G2", "F4", "E6"))
+def test_from_word_is_the_left_to_right_product_of_simple_reflections(name):
+    # the reference composes elements: one w_mul per letter, left to right
+    rs = build_root_system(name)
+    rng = random.Random(31)
+    words = [()] + [[rng.randint(1, rs.rank) for _ in range(rng.randint(1, 12))]
+                    for _ in range(40)]
+    for word in words:
+        want = identity(rs)
+        for i in word:
+            want = w_mul(want, simple_reflection(rs, i))
+        got = from_word(rs, word)
+        assert got == want and got.perm == want.perm and hash(got) == hash(want), word
+
+
+def test_from_word_and_simple_reflection_take_int_letters_in_range_only():
+    # a float, bool or str letter is a usage error, never read as node 1, and
+    # the simple_reflection memo neither serves nor stores one in place of 1
+    rs = build_root_system("A2")
+    assert from_word(rs, (1, 2)) == w_mul(simple_reflection(rs, 1), simple_reflection(rs, 2))
+    before = simple_reflection.cache_info().currsize
+    for bad, match in (((1.0,), "must be an integer, got 1.0"),
+                       ([True], "must be an integer, got True"),
+                       (("1",), "must be an integer, got '1'"),
+                       ((1, 2.0), "must be an integer, got 2.0"),
+                       ((0,), "out of range: 0"),
+                       ((1, 3), "out of range: 3")):
+        with pytest.raises(ValueError, match=match):
+            from_word(rs, bad)
+        with pytest.raises(ValueError, match=match):
+            simple_reflection(rs, bad[-1])
+    assert simple_reflection.cache_info().currsize == before
+
+
+def test_from_word_builds_one_element_per_word(monkeypatch):
+    # the letters compose raw permutations; only the finished word is an element
+    rs = build_root_system("D4")
+    from_word(rs, (1,))  # the identity and the right maps are memoised per type
+    built = []
+    real = weyl._elt
+    monkeypatch.setattr(weyl, "_elt", lambda rs, perm: built.append(perm) or real(rs, perm))
+    for word in ((), (2,), (1, 2, 3, 4, 2, 1, 3, 2)):
+        built.clear()
+        w = from_word(rs, word)
+        assert built == [w.perm]
