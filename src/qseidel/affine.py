@@ -26,12 +26,13 @@ Conventions, fixed once and used everywhere:
 
 Central elements are the length-zero elements v_i t_{-varpi_i_vee} attached to
 the minuscule nodes; they realize the coweight classes modulo the coroot
-lattice and act on the affine Dynkin diagram by rotation.
+lattice and act on the affine Dynkin diagram by rotation. A CentralElt is
+that ExtAffElt itself, labelled by its node, so the group law takes it as
+it is; central_mul labels a product by the class of its translation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Optional
@@ -44,6 +45,7 @@ from .rootsys import (
     int_inverse,
     is_positive_vec,
     mat_vec,
+    strict_int,
     vadd,
     vneg,
     vsub,
@@ -199,28 +201,24 @@ def is_wpaff(x: ExtAffElt, p: ParabolicSet) -> bool:
 # -- central elements --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CentralElt:
-    """Length-zero element: identity (node None) or v_i t_{-varpi_i_vee}."""
+class CentralElt(ExtAffElt):
+    """The length-zero element named by a minuscule node: the identity (node
+    None) or tau_i = v_i t_{-varpi_i_vee}. It is that ExtAffElt (==, hash and
+    repr are the element's) and keeps its node as the label."""
 
-    rs: RootSystem
-    node: Optional[int]
+    __slots__ = ("node",)
 
-    def __post_init__(self):
-        if self.node is not None and self.node not in self.rs.minuscule_nodes:
-            raise ValueError(f"node {self.node} is not minuscule in {self.rs.name()}")
-
-    def to_ext(self) -> ExtAffElt:
-        if self.node is None:
-            return identity_aff(self.rs)
-        return ExtAffElt(v_element(self.rs, self.node),
-                         vneg(self.rs.fund_coweight(self.node)))
+    def __init__(self, rs: RootSystem, node: Optional[int]):
+        if node is None:
+            super().__init__(identity(rs), (0,) * rs.rank)
+        elif type(node) is int and node in rs.minuscule_nodes:
+            super().__init__(v_element(rs, node), vneg(rs.fund_coweight(node)))
+        else:
+            raise ValueError(f"node {node!r} is not minuscule in {rs.name()}")
+        self.node = node
 
     def is_identity(self) -> bool:
         return self.node is None
-
-    def __repr__(self) -> str:
-        return f"Central({self.rs.name()}, {self.node})"
 
 
 def central_elements(rs: RootSystem) -> tuple[CentralElt, ...]:
@@ -245,27 +243,25 @@ def hat_decompose(x: ExtAffElt) -> tuple[CentralElt, ExtAffElt]:
     tau = CentralElt(rs, i)
     if not rs.in_coroot_lattice(lam_hat):
         raise AssertionError("hat translation left the coroot lattice")
-    if aff_mul(tau.to_ext(), hat) != x:
+    if aff_mul(tau, hat) != x:
         raise AssertionError("hat decomposition does not recompose")
     return tau, hat
 
 
 def central_mul(z1: CentralElt, z2: CentralElt) -> CentralElt:
-    if z1.is_identity():
-        return z2
-    if z2.is_identity():
-        return z1
-    tau, hat = hat_decompose(aff_mul(z1.to_ext(), z2.to_ext()))
-    if not hat.is_identity():
-        raise AssertionError("product of central elements has a non-identity hat part")
-    return tau
+    """z1 z2, labelled by the class of its translation modulo Q_vee."""
+    prod = aff_mul(z1, z2)
+    z = CentralElt(prod.rs, prod.rs.minuscule_class_node(prod.lam))
+    if z != prod:
+        raise AssertionError("product of central elements is not central")
+    return z
 
 
 def central_order(z: CentralElt) -> int:
     order = 1
-    cur = z
+    cur: ExtAffElt = z
     while not cur.is_identity():
-        cur = central_mul(cur, z)
+        cur = aff_mul(cur, z)
         order += 1
         if order > len(z.rs.roots):
             raise AssertionError("central element order runaway")
@@ -275,7 +271,7 @@ def central_order(z: CentralElt) -> int:
 def central_dynkin_action(z: CentralElt, i: int) -> int:
     """Index j with tau(alpha_i) = alpha_j on the affine Dynkin diagram."""
     rs = z.rs
-    image = aff_act_root(z.to_ext(), rs.affine_simple(i))
+    image = aff_act_root(z, rs.affine_simple(i))
     for j in range(rs.rank + 1):
         if image == rs.affine_simple(j):
             return j
@@ -285,9 +281,10 @@ def central_dynkin_action(z: CentralElt, i: int) -> int:
 # -- affine reduced words -----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def affine_simple_ext(rs: RootSystem, i: int) -> ExtAffElt:
-    if i == 0:
+    """s_i for i in 0..n; typed, so True and 1.0 miss node 1's entry and are refused."""
+    if strict_int(i, "affine simple reflection index") == 0:
         return ExtAffElt(reflection(rs, rs.theta),
                          vneg(rs.coroot_to_coweight(rs.theta_coroot)))
     return ext(simple_reflection(rs, i))

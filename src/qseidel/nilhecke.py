@@ -2,15 +2,15 @@
 
 Elements are finite sums  f A_x  with x in the extended affine Weyl group and f
 an integer polynomial in the equivariant parameters on the left. Writing
-x = h tau with tau central (length zero) and h in the affine Weyl group,
+x = h tau with tau a length-zero CentralElt and h in the affine Weyl group,
 A_x = A_h tau; the key relations driving multiplication are
 
 * A_i f = s_i(f) A_i + d_i(f), with d_i the divided difference (f - s_i f)/alpha_i,
   realized by the twisted Leibniz recursion so coefficients stay integral;
 * A_i A_y = A_{s_i y} when the length goes up and 0 otherwise;
-* tau f = tau(f) tau, with tau acting on scalars through its finite Weyl part
-  (delta maps to zero on S, so translations act trivially there and the
-  node-0 letters act through s_theta with alpha_0 read as -theta).
+* tau f = tau(f) tau, tau(f) = weyl_act_poly(tau.w, f): delta maps to zero on
+  S, so translations act trivially there and the node-0 letters act through
+  s_theta with alpha_0 read as -theta.
 
 Every product is built one letter at a time: f A_h tau times an element
 twists the element by tau and then applies A_i for each letter of a reduced
@@ -103,13 +103,6 @@ def reflect_poly(rs: RootSystem, i: int, f: SPoly) -> SPoly:
     return _by_rows(rs, i, f, 0)
 
 
-def central_act_poly(z: CentralElt, f: SPoly) -> SPoly:
-    """Central elements act on S through their finite part (delta |-> 0)."""
-    if z.node is None:
-        return f
-    return weyl_act_poly(z.to_ext().w, f)
-
-
 def divdiff(rs: RootSystem, i: int, f: SPoly) -> SPoly:
     """Divided difference (f - s_i f)/alpha_i, read off the memoised rows."""
     return _by_rows(rs, i, f, 1)
@@ -136,9 +129,6 @@ class NilHeckeElt:
         return (isinstance(other, NilHeckeElt) and self.rs is other.rs
                 and self.terms == other.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __repr__(self) -> str:
         if not self.terms:
             return "NH(0)"
@@ -163,7 +153,7 @@ def _split(x: ExtAffElt) -> tuple[tuple[int, ...], CentralElt]:
     Memoised per element; a refusal raises and is not cached.
     """
     tau = CentralElt(x.rs, x.rs.minuscule_class_node(x.lam))
-    h = x if tau.node is None else aff_mul(x, aff_inv(tau.to_ext()))
+    h = x if tau.node is None else aff_mul(x, aff_inv(tau))
     if aff_length(h) > EXPANSION_CAP:  # refused before any letter is peeled
         raise ValueError(f"nil Hecke expansion beyond length {EXPANSION_CAP}")
     return reduced_word_affine(h), tau
@@ -193,8 +183,7 @@ def nh_mul(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
         terms = b.terms
         if tau.node is not None:
             # tau g A_y = tau(g) A_{tau y}, and y -> tau y is injective
-            t = tau.to_ext()
-            terms = {aff_mul(t, y): central_act_poly(tau, g) for y, g in terms.items()}
+            terms = {aff_mul(tau, y): weyl_act_poly(tau.w, g) for y, g in terms.items()}
         for i in reversed(word):
             terms = _letter_times(rs, i, terms)
         # coefficients are shared, never changed in place; a basis operand
@@ -212,7 +201,7 @@ def embed_group(x: ExtAffElt) -> NilHeckeElt:
     """
     rs = x.rs
     word, tau = _split(x)
-    terms = {tau.to_ext(): SPoly.one(rs.rank)}
+    terms = {tau: SPoly.one(rs.rank)}
     for i in reversed(word):
         minus_root = -scalar_root(rs, i)
         terms = add_terms(((y, minus_root * g) for y, g in

@@ -365,6 +365,9 @@ class RootSystem:
         return self._coroot[root]
 
     def simple_root(self, i: int) -> Vec:
+        if type(i) is not int or not 1 <= i <= self.rank:
+            raise ValueError(f"simple root index must be an integer in 1..{self.rank}, "
+                             f"got {i!r}")
         return tuple(int(k == i - 1) for k in range(self.rank))
 
     def fund_coweight(self, i: int) -> Vec:

@@ -197,6 +197,8 @@ def w_inv(a: WeylElt) -> WeylElt:
 def from_word(rs: RootSystem, word) -> WeylElt:
     """s_i1 s_i2 ... for word [i1, i2, ...]: one right map per letter on the
     raw permutation, one element per word. Letters are ints in 1..rank."""
+    if not isinstance(word, Iterable):
+        raise ValueError(f"a word must be a list of integers, got {word!r}")
     right, rank = _right_simple(rs), rs.rank
     perm = identity(rs).perm
     for i in word:

@@ -581,7 +581,7 @@ def nh_mul_by_recursion(a, b):
     n = rs.rank
     out = {}
     for x, f in a.terms.items():
-        t = CentralElt(rs, rs.minuscule_class_node(x.lam)).to_ext()
+        t = CentralElt(rs, rs.minuscule_class_node(x.lam))
         word = reduced_word_affine(aff_mul(x, aff_inv(t)))
         twist = [SPoly.weight(t.w.act_weight(tuple(int(s == k) for s in range(n))))
                  for k in range(n)]
@@ -607,7 +607,7 @@ def embed_by_products(x):
     rs = x.rs
     n = rs.rank
     one = SPoly.one(n)
-    t = CentralElt(rs, rs.minuscule_class_node(x.lam)).to_ext()
+    t = CentralElt(rs, rs.minuscule_class_node(x.lam))
     acc = NilHeckeElt(rs, {identity_aff(rs): one})
     for i in reduced_word_affine(aff_mul(x, aff_inv(t))):
         root = ([-_dot(rs.cartan[k], rs.theta) for k in range(n)] if i == 0

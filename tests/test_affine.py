@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qseidel import affine, weyl
+from qseidel import affine, rootsys, weyl
 from qseidel.affine import (
     _affine_descent,
     CentralElt,
@@ -47,10 +47,12 @@ from qseidel.weyl import (
     enumerate_weyl,
     from_word,
     identity,
+    involution,
     longest_element,
     parabolic,
     reduced_word,
     simple_reflection,
+    v_element,
     w_inv,
     w_mul,
 )
@@ -312,10 +314,55 @@ def test_reduced_word_affine_matches_the_root_action_descent(name):
 def central_inv(z):
     if z.is_identity():
         return z
-    tau, hat = hat_decompose(aff_inv(z.to_ext()))
+    tau, hat = hat_decompose(aff_inv(z))
     if not hat.is_identity():
         raise AssertionError("inverse of a central element has a non-identity hat part")
     return tau
+
+
+def test_central_elements_are_the_length_zero_elements_they_name():
+    # every type: tau_i is an ExtAffElt of length zero equal to v_i t_{-varpi_i_vee},
+    # and tau_i^-1 = tau_{f(i)} with f the diagram involution
+    for name in rootsys._BY_NAME:
+        rs = build_root_system(name)
+        f = involution(rs)
+        zs = central_elements(rs)
+        assert [z.node for z in zs] == [None, *rs.minuscule_nodes]
+        assert zs[0] == identity_aff(rs) and zs[0].is_identity()
+        for z in zs[1:]:
+            assert isinstance(z, ExtAffElt) and not z.is_identity()
+            assert z == ExtAffElt(v_element(rs, z.node), vneg(rs.fund_coweight(z.node)))
+            assert hash(z) == hash(ExtAffElt(z.w, z.lam)) and repr(z).startswith("Aff(")
+            assert aff_length(z) == 0
+            assert aff_inv(z) == CentralElt(rs, f[z.node - 1])
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", 0, 3])
+def test_central_element_refuses_a_node_that_is_not_a_minuscule_int(bad):
+    # True and 1.0 were once taken as node 1
+    with pytest.raises(ValueError, match="is not minuscule in A2"):
+        CentralElt(build_root_system("A2"), bad)
+
+
+def test_affine_letters_are_ints_in_range():
+    # the memo is typed: True and 1.0 miss node 1's entry and are refused,
+    # False and 0.0 are not read as node 0, and a letter past the rank is a
+    # ValueError, not a KeyError
+    rs = build_root_system("A2")
+    assert affine_simple_ext(rs, 1) == ext(simple_reflection(rs, 1))
+    before = affine_simple_ext.cache_info().currsize
+    for bad, match in ((True, "must be an integer, got True"),
+                       (1.0, "must be an integer, got 1.0"),
+                       (False, "must be an integer, got False"),
+                       (0.0, "must be an integer, got 0.0"),
+                       (3, "out of range: 3"),
+                       (-1, "out of range: -1")):
+        with pytest.raises(ValueError, match=match):
+            affine_simple_ext(rs, bad)
+    assert affine_simple_ext.cache_info().currsize == before
+    for bad in (3, True, 1.0):
+        with pytest.raises(ValueError, match="simple root index must be an integer"):
+            left_ascent(identity_aff(rs), bad)
 
 
 def test_central_group_structure():
@@ -367,10 +414,9 @@ def test_central_conjugation_permutes_affine_simples():
         for z in central_elements(rs):
             if z.node is None:
                 continue
-            zx = z.to_ext()
             for i in range(rs.rank + 1):
-                lhs = aff_mul(aff_mul(zx, affine_simple_ext(rs, i)),
-                              aff_inv(zx))
+                lhs = aff_mul(aff_mul(z, affine_simple_ext(rs, i)),
+                              aff_inv(z))
                 assert lhs == affine_simple_ext(rs, central_dynkin_action(z, i))
 
 
@@ -390,7 +436,7 @@ def test_hat_decompose_round_trip():
         for _ in range(30):
             x = _random_elt(rs, rng)
             tau, hat = hat_decompose(x)
-            assert aff_mul(tau.to_ext(), hat) == x
+            assert aff_mul(tau, hat) == x
             assert rs.in_coroot_lattice(hat.lam)
             assert aff_length(x) == aff_length(hat)
 
@@ -485,7 +531,7 @@ def test_pi_p_properties():
                 # on the extended group pi_P(tau hat) = tau pi_P(hat), with
                 # hat in the non-extended group
                 tau, hat = hat_decompose(x)
-                assert x1 == aff_mul(tau.to_ext(), pi_P(hat, p)), (x, nodes)
+                assert x1 == aff_mul(tau, pi_P(hat, p)), (x, nodes)
                 off += not tau.is_identity()
     assert off > 0
 

@@ -239,6 +239,32 @@ def test_affine_commands(capsys):
     assert data["residual"] == {"lambda": [0, 0], "w": []}
 
 
+@pytest.mark.parametrize("name, elt, text, payload", [
+    ("A2", '{"w": [1], "lambda": [-1, 0]}',
+     'central node: 1\nhat = {"lambda": [-1, -1], "w": [1, 2, 1]}\nhat word: [0]\n',
+     '{"central": 1, "hat": {"lambda": [-1, -1], "w": [1, 2, 1]}, "hat_word": [0]}\n'),
+    ("D4", '{"w": [2, 4], "lambda": [1, 0, -1, 0]}',
+     'central node: 4\nhat = {"lambda": [1, -1, -1, 1], "w": [2, 4, 2, 3, 1, 2]}\n'
+     'hat word: [2, 1, 0, 2, 4, 0, 2, 1]\n',
+     '{"central": 4, "hat": {"lambda": [1, -1, -1, 1], "w": [2, 4, 2, 3, 1, 2]}, '
+     '"hat_word": [2, 1, 0, 2, 4, 0, 2, 1]}\n'),
+])
+def test_affine_decompose_off_the_coroot_lattice_prints_the_central_node(
+        name, elt, text, payload, capsys):
+    for fmt, want in (("text", text), ("json", payload)):
+        assert cli.run(["affine", "decompose", name, "--elt", elt, "--format", fmt]) == 0
+        assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("action", ["length", "pi-p", "decompose"])
+def test_affine_refuses_a_lambda_of_the_wrong_rank(action, capsys):
+    for lam in ([-1], [-1, 0, 0]):
+        elt = json.dumps({"w": [1], "lambda": lam})
+        assert cli.run(["affine", action, "A2", "--elt", elt, "--parabolic", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: lambda has wrong rank\n"
+
+
 def test_affine_decompose_refuses_a_word_above_the_cap_before_any_letter(monkeypatch, capsys):
     peeled = []
     real = affine._affine_descent

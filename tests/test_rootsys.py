@@ -208,6 +208,15 @@ def test_affine_simple_root():
             assert ai.level == 0
 
 
+@pytest.mark.parametrize("bad", [0, 3, -1, True, 1.0, "1"])
+def test_simple_root_refuses_a_node_that_is_not_an_int_in_range(bad):
+    # on A2, node 3 once read as the non-root (0, 0) and True as node 1
+    rs = build_root_system("A2")
+    assert rs.simple_root(1) == (1, 0) and rs.simple_root(2) == (0, 1)
+    with pytest.raises(ValueError, match="simple root index must be an integer in 1..2"):
+        rs.simple_root(bad)
+
+
 def _leibniz_det(m):
     n = len(m)
     total = 0

@@ -436,6 +436,10 @@ def test_from_word_and_simple_reflection_take_int_letters_in_range_only():
         with pytest.raises(ValueError, match=match):
             simple_reflection(rs, bad[-1])
     assert simple_reflection.cache_info().currsize == before
+    # a bare letter is not a word, refused like a non-iterable node list
+    for bad in (3, None, 1.5):
+        with pytest.raises(ValueError, match="a word must be a list of integers"):
+            from_word(rs, bad)
 
 
 def test_from_word_builds_one_element_per_word(monkeypatch):
