@@ -45,7 +45,7 @@ from .rootsys import (
     int_inverse,
     is_positive_vec,
     mat_vec,
-    strict_int,
+    strict_ints,
     vadd,
     vneg,
     vsub,
@@ -107,9 +107,11 @@ def ext(w: WeylElt) -> ExtAffElt:
 
 
 def translation(rs: RootSystem, m: Vec) -> ExtAffElt:
+    """t_m for a list or tuple m of rank ints; ValueError for anything else."""
+    m = strict_ints(m, "coweight")
     if len(m) != rs.rank:
         raise ValueError("coweight has wrong rank")
-    return ExtAffElt(identity(rs), tuple(m))
+    return ExtAffElt(identity(rs), m)
 
 
 @lru_cache(maxsize=None)
@@ -211,10 +213,8 @@ class CentralElt(ExtAffElt):
     def __init__(self, rs: RootSystem, node: Optional[int]):
         if node is None:
             super().__init__(identity(rs), (0,) * rs.rank)
-        elif type(node) is int and node in rs.minuscule_nodes:
+        else:  # v_element refuses a node that is not a minuscule int
             super().__init__(v_element(rs, node), vneg(rs.fund_coweight(node)))
-        else:
-            raise ValueError(f"node {node!r} is not minuscule in {rs.name()}")
         self.node = node
 
     def is_identity(self) -> bool:
@@ -284,10 +284,9 @@ def central_dynkin_action(z: CentralElt, i: int) -> int:
 @lru_cache(maxsize=None, typed=True)
 def affine_simple_ext(rs: RootSystem, i: int) -> ExtAffElt:
     """s_i for i in 0..n; typed, so True and 1.0 miss node 1's entry and are refused."""
-    if strict_int(i, "affine simple reflection index") == 0:
-        return ExtAffElt(reflection(rs, rs.theta),
-                         vneg(rs.coroot_to_coweight(rs.theta_coroot)))
-    return ext(simple_reflection(rs, i))
+    if rs.node(i, 0):
+        return ext(simple_reflection(rs, i))
+    return ExtAffElt(reflection(rs, rs.theta), vneg(rs.coroot_to_coweight(rs.theta_coroot)))
 
 
 def left_ascent(y: ExtAffElt, i: int) -> bool:
@@ -295,7 +294,7 @@ def left_ascent(y: ExtAffElt, i: int) -> bool:
     _affine_descent. For gamma = alpha_i (theta if i = 0) and beta = w^-1(gamma),
     e = e_gamma(y^-1) = [beta < 0] - <lambda, beta>, read without forming y^-1."""
     rs = y.rs
-    k = y.w.perm.index(rs.root_index[rs.theta if i == 0 else rs.simple_root(i)])
+    k = y.w.perm.index(rs.root_index[rs.simple_root(i) if rs.node(i, 0) else rs.theta])
     e = (k >= len(rs.pos_roots)) - dot(y.lam, rs.roots[k])  # beta = roots[k]
     return e >= 0 if i == 0 else e <= 0
 

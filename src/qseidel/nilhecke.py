@@ -15,7 +15,8 @@ A_x = A_h tau; the key relations driving multiplication are
 Every product is built one letter at a time: f A_h tau times an element
 twists the element by tau and then applies A_i for each letter of a reduced
 word of h, right to left. A letter acts on coefficients through rows memoised
-per (i, monomial), the images s_i(w^e) and d_i(w^e). Whether it raises the
+per (i, monomial), the images s_i(w^e) and d_i(w^e), for i in 0..n checked
+by RootSystem.node. Whether it raises the
 length of a key y is read in affine (left_ascent, by its sign rule). Group
 elements embed through s_i = 1 - alpha_i A_i, applied the same way to tau; the
 embedding is memoised per element.
@@ -93,6 +94,7 @@ def _letter_rows(rs: RootSystem, i: int, e: tuple[int, ...]) -> tuple[dict, dict
 
 def _by_rows(rs: RootSystem, i: int, f: SPoly, side: int) -> SPoly:
     """The linear extension of one side of the letter rows to f."""
+    rs.node(i, 0)  # before the untyped row memo, and for f = 0 too
     return SPoly._of(rs.rank, add_terms(
         (m, c * d) for e, c in f.terms.items()
         for m, d in _letter_rows(rs, i, e)[side].items()))

@@ -36,6 +36,7 @@ from .rootsys import (
     Vec,
     build_root_system,
     dot,
+    strict_int,
     strict_ints,
     strict_keys,
     vadd,
@@ -126,12 +127,19 @@ def qh_sub(a: QHClass, b: QHClass) -> QHClass:
 
 
 def qh_scale(a: QHClass, c: SPoly | int) -> QHClass:
+    """Multiply by c, an int or an SPoly; ValueError for anything else."""
+    if not isinstance(c, SPoly):
+        c = strict_int(c, "scalar")
     return QHClass(a.p, {k: v * c for k, v in a.terms.items()})
 
 
 def q_shift(a: QHClass, d: Vec) -> QHClass:
-    """Multiply by the quantum monomial with exponent d (entries may be negative)."""
-    return QHClass(a.p, {(w, vadd(e, tuple(d))): v for (w, e), v in a.terms.items()})
+    """Multiply by the quantum monomial with exponent d, one int per quantum
+    node (entries may be negative); ValueError for anything else."""
+    d = strict_ints(d, "quantum exponent")
+    if len(d) != len(a.p.nodes):
+        raise ValueError(f"quantum exponent needs one entry per quantum node, got {list(d)}")
+    return QHClass(a.p, {(w, vadd(e, d)): v for (w, e), v in a.terms.items()})
 
 
 # -- Seidel operators ----------------------------------------------------------
@@ -151,9 +159,7 @@ def _seidel_term(i: int, w: WeylElt, p: ParabolicSet) -> QKey:
 def seidel_multiply(i: int, c: QHClass) -> QHClass:
     """Exact multiplication by the class of v_i for a minuscule node i."""
     p = c.p
-    rs = p.rs
-    if i not in rs.minuscule_nodes:
-        raise ValueError(f"node {i} is not minuscule in {rs.name()}")
+    v_element(p.rs, i)  # refuses a node that is not a minuscule int
     pairs = []
     for (w, d), coeff in c.terms.items():
         w2, e = _seidel_term(i, w, p)
@@ -259,8 +265,8 @@ def _chevalley_row(j: int, w: WeylElt, p: ParabolicSet):
 def chevalley_multiply(j: int, c: QHClass, equivariant: bool = False) -> QHClass:
     """Multiplication by sigma(s_j) for a quantum node j, by the two-part root sum."""
     p = c.p
-    if j not in p.nodes:
-        raise ValueError(f"node {j} is not a quantum node of {p!r}")
+    if type(j) is not int or j not in p.nodes:
+        raise ValueError(f"node {j!r} is not a quantum node of {p!r}")
     return QHClass._of(p, add_terms(_chevalley_terms(j, c, equivariant)))
 
 

@@ -11,7 +11,8 @@ is bookkeeping over a handful of integer lattices attached to a Cartan matrix:
   lambda = sum m_i varpi_i_vee with m_i = <lambda, alpha_i>, so the pairing of
   a coweight against a root is a plain dot product.
 
-Simple roots are numbered 1..n following Bourbaki (see README for the table).
+Simple roots are numbered 1..n following Bourbaki (see README for the table),
+node 0 is the affine node, and RootSystem.node is the one check of a node.
 
 Every integer matrix-vector product runs through generated code, compiled
 from integers only:
@@ -90,7 +91,10 @@ def strict_ints(values, what: str) -> Vec:
     """A JSON list of integers as a tuple; ValueError for anything else."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{what} must be a list of integers, got {values!r}")
-    return tuple(strict_int(v, what) for v in values)
+    for v in values:
+        if type(v) is not int:
+            strict_int(v, what)  # raises, naming v
+    return tuple(values)
 
 
 def strict_keys(data: dict, allowed, what: str) -> None:
@@ -287,6 +291,8 @@ class RootSystem:
         # adj / denom maps them back.
         self._cartan_t: tuple[Vec, ...] = tuple(zip(*self.cartan))
         self._adj, self._denom = int_inverse(self._cartan_t)
+        # unit vectors: alpha_i in root, varpi_i_vee in coweight coordinates
+        self._units = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
         self._generate_roots()
         self.coroot_to_coweight, self._scaled_coroot, self.pos_root_pairings = fold_maps(
             rank, coroot_to_coweight=self._cartan_t, scaled_coroot=self._adj,
@@ -299,10 +305,10 @@ class RootSystem:
 
     def _generate_roots(self) -> None:
         n = self.rank
-        simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        simple = self._units
         # Pairs (root, coroot); reflecting a root reflects its coroot, so the
         # coroot of every root comes out of the same closure for free.
-        known: dict[Vec, Vec] = {simple[i]: simple[i] for i in range(n)}
+        known: dict[Vec, Vec] = {e: e for e in simple}
         frontier = list(known)
         while frontier:
             nxt = []
@@ -311,10 +317,10 @@ class RootSystem:
                 for i in range(n):
                     # s_i(r) = r - <r, alpha_i_vee> alpha_i
                     k = dot(self.cartan[i], r)
-                    r2 = tuple(x - k * int(j == i) for j, x in enumerate(r))
+                    r2 = tuple(x - k * e for x, e in zip(r, simple[i]))
                     # s_i(c) = c - <c_as_coroot, alpha_i> e_i
                     k2 = dot(self._cartan_t[i], c)
-                    c2 = tuple(x - k2 * int(j == i) for j, x in enumerate(c))
+                    c2 = tuple(x - k2 * e for x, e in zip(c, simple[i]))
                     if r2 not in known:
                         known[r2] = c2
                         nxt.append(r2)
@@ -352,8 +358,7 @@ class RootSystem:
         """Map each nontrivial coset of the coweight lattice mod Q_vee to its minuscule node."""
         table: dict[Vec, int] = {}
         for i in self.minuscule_nodes:
-            m = tuple(-int(k == i - 1) for k in range(self.rank))  # -varpi_i_vee
-            table[self.coweight_class(m)] = i
+            table[self.coweight_class(vneg(self._units[i - 1]))] = i  # -varpi_i_vee
         self._class_to_minuscule = table
 
     # -- lattice arithmetic ----------------------------------------------
@@ -364,14 +369,17 @@ class RootSystem:
     def coroot_of(self, root: Vec) -> Vec:
         return self._coroot[root]
 
+    def node(self, i: int, low: int = 1) -> int:
+        """i if it is an int in low..rank (low=0 admits node 0); else ValueError."""
+        if type(i) is not int or not low <= i <= self.rank:
+            raise ValueError(f"node must be an integer in {low}..{self.rank}, got {i!r}")
+        return i
+
     def simple_root(self, i: int) -> Vec:
-        if type(i) is not int or not 1 <= i <= self.rank:
-            raise ValueError(f"simple root index must be an integer in 1..{self.rank}, "
-                             f"got {i!r}")
-        return tuple(int(k == i - 1) for k in range(self.rank))
+        return self._units[self.node(i) - 1]
 
     def fund_coweight(self, i: int) -> Vec:
-        return tuple(int(k == i - 1) for k in range(self.rank))
+        return self._units[self.node(i) - 1]
 
     def coweight_to_coroot(self, m: Vec) -> tuple[Fraction, ...]:
         """Rational coroot coordinates of any coweight (a view; not used internally)."""
@@ -405,9 +413,9 @@ class RootSystem:
 
     def affine_simple(self, i: int) -> AffineRoot:
         """alpha_0 = delta - theta, alpha_i the finite simple roots."""
-        if i == 0:
-            return AffineRoot(vneg(self.theta), 1)
-        return AffineRoot(self.simple_root(i), 0)
+        if self.node(i, 0):
+            return AffineRoot(self._units[i - 1], 0)
+        return AffineRoot(vneg(self.theta), 1)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name()})"

@@ -155,9 +155,6 @@ def identity(rs: RootSystem) -> WeylElt:
 # typed: True and 1.0 miss the entry of node 1 and are refused, never served it
 @lru_cache(maxsize=None, typed=True)
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
-    strict_int(i, "simple reflection index")
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"simple reflection index out of range: {i}")
     return reflection(rs, rs.simple_root(i))
 
 
@@ -196,15 +193,13 @@ def w_inv(a: WeylElt) -> WeylElt:
 
 def from_word(rs: RootSystem, word) -> WeylElt:
     """s_i1 s_i2 ... for word [i1, i2, ...]: one right map per letter on the
-    raw permutation, one element per word. Letters are ints in 1..rank."""
+    raw permutation, one element per word. Letters are nodes (RootSystem.node)."""
     if not isinstance(word, Iterable):
         raise ValueError(f"a word must be a list of integers, got {word!r}")
-    right, rank = _right_simple(rs), rs.rank
+    right, node = _right_simple(rs), rs.node
     perm = identity(rs).perm
     for i in word:
-        if type(i) is not int or not 1 <= i <= rank:
-            simple_reflection(rs, i)  # raises the ValueError naming the letter
-        perm = right[i - 1](perm)
+        perm = right[node(i) - 1](perm)
     return _elt(rs, perm)
 
 
@@ -401,17 +396,18 @@ def enumerate_minreps(rs: RootSystem, p: ParabolicSet) -> tuple[WeylElt, ...]:
     return _closure(rs, [r for r in rs.pos_roots if r not in p.rp_pos])
 
 
-@lru_cache(maxsize=None)
+# typed: True and 1.0 miss the entry of node 1 and are refused, never served it
+@lru_cache(maxsize=None, typed=True)
 def v_element(rs: RootSystem, i: int) -> WeylElt:
     """v_i = w0 * w0^{P_i} for a minuscule node i, read as the coset reduction
     of w0 modulo W_{P_i}: w0 = v_i * w0^{P_i} with lengths adding.
 
     Sends varpi_i_vee where w0 sends it, and is the minimal coset representative
     of its class modulo the stabilizer of varpi_i_vee, hence the unique
-    minimal-length element with that action.
+    minimal-length element with that action. The one minuscule node check.
     """
-    if i not in rs.minuscule_nodes:
-        raise ValueError(f"node {i} is not minuscule in {rs.name()}")
+    if type(i) is not int or i not in rs.minuscule_nodes:
+        raise ValueError(f"node {i!r} is not minuscule in {rs.name()}")
     w0 = longest_element(rs)
     p = parabolic(rs, (i,))
     v = coset_reduce(w0, p)

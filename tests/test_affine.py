@@ -265,6 +265,14 @@ def test_reduced_word_affine_walks_without_building_elements(monkeypatch):
             assert len(word) == aff_length(hat)
 
 
+def test_reduced_word_affine_refuses_a_translation_off_the_coroot_lattice():
+    # t_{varpi_1_vee} on A2 is in P_vee but not in Q_vee: no word over 0..n
+    rs = build_root_system("A2")
+    for x in (translation(rs, (1, 0)), ExtAffElt(from_word(rs, (1,)), (0, -1))):
+        with pytest.raises(ValueError, match="coroot-lattice translation"):
+            reduced_word_affine(x)
+
+
 def test_reduced_word_affine_refuses_a_walk_that_takes_an_ascent(monkeypatch):
     # the walk checks its end, not each letter: one letter that is not a
     # descent leaves it two above the identity after aff_length(x) letters.
@@ -351,17 +359,17 @@ def test_affine_letters_are_ints_in_range():
     rs = build_root_system("A2")
     assert affine_simple_ext(rs, 1) == ext(simple_reflection(rs, 1))
     before = affine_simple_ext.cache_info().currsize
-    for bad, match in ((True, "must be an integer, got True"),
-                       (1.0, "must be an integer, got 1.0"),
-                       (False, "must be an integer, got False"),
-                       (0.0, "must be an integer, got 0.0"),
-                       (3, "out of range: 3"),
-                       (-1, "out of range: -1")):
+    for bad, match in ((True, "node must be an integer in 0..2, got True"),
+                       (1.0, "node must be an integer in 0..2, got 1.0"),
+                       (False, "node must be an integer in 0..2, got False"),
+                       (0.0, "node must be an integer in 0..2, got 0.0"),
+                       (3, "node must be an integer in 0..2, got 3"),
+                       (-1, "node must be an integer in 0..2, got -1")):
         with pytest.raises(ValueError, match=match):
             affine_simple_ext(rs, bad)
     assert affine_simple_ext.cache_info().currsize == before
     for bad in (3, True, 1.0):
-        with pytest.raises(ValueError, match="simple root index must be an integer"):
+        with pytest.raises(ValueError, match="node must be an integer in 0..2"):
             left_ascent(identity_aff(rs), bad)
 
 
@@ -898,6 +906,8 @@ def test_pi_p_and_peterson_refuse_mixed_root_systems():
         for f, x in itertools.product((pi_P, peterson_decompose), xs):
             with pytest.raises(ValueError, match="mixed root systems"):
                 f(x, p)
+        with pytest.raises(ValueError, match="mixed root systems"):
+            aff_mul(xs[0], identity_aff(p.rs))
     assert (pi_P.cache_info().currsize, peterson_decompose.cache_info().currsize) == before
 
 
@@ -908,3 +918,18 @@ def test_identity_and_translation_basics():
         assert aff_length(identity_aff(rs)) == 0
         z = tuple(0 for _ in range(rs.rank))
         assert translation(rs, z) == identity_aff(rs)
+
+
+def test_translation_takes_a_list_of_rank_ints_only():
+    # (True, 0) was once t[True, 0] of length 2, and (0.5, 0) a TypeError
+    # from the pairing kernel
+    rs = build_root_system("A2")
+    assert translation(rs, [1, -1]) == translation(rs, (1, -1))
+    for bad, match in (((True, 0), "coweight must be an integer, got True"),
+                       ((0.5, 0), "coweight must be an integer, got 0.5"),
+                       (("1", 0), "coweight must be an integer, got '1'"),
+                       (5, "coweight must be a list of integers"),
+                       ((1,), "coweight has wrong rank"),
+                       ((1, 0, 0), "coweight has wrong rank")):
+        with pytest.raises(ValueError, match=match):
+            translation(rs, bad)

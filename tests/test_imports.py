@@ -4,8 +4,9 @@ builds a Weyl element from simple-root images, only weyl calls
 ParabolicSet(...), only rootsys and affine read the level of an affine
 root, every suite check passes its failure message as a lambda, only
 rootsys compiles code, only RunConfig and run_suites decide which types a
-suite runs on, the package's memos are exactly the pinned inventory (stdlib
-ast only), and the README's API sentence names exactly qseidel.__all__."""
+suite runs on, the node rule is written only in its homes, the package's
+memos are exactly the pinned inventory (stdlib ast only), and the README's
+API sentence names exactly qseidel.__all__."""
 
 import ast
 import re
@@ -125,6 +126,44 @@ def scope_reads(source: str) -> list[str]:
                     or isinstance(node, ast.Attribute) and name in ("types", "max_rank")):
                 found.append((node.lineno, node.col_offset, name))
     return [f"line {line}: {name}" for line, _, name in sorted(found)]
+
+
+# Where the node rule may be written, as (module, enclosing definition, rule):
+# a node in range is checked by RootSystem.node and a node set by
+# ParabolicSet, a minuscule node by weyl.v_element; everything else asks them.
+NODE_RULE_HOMES = {
+    ("rootsys", "RootSystem.node", "range"),
+    ("weyl", "ParabolicSet.__post_init__", "range"),
+    ("weyl", "v_element", "minuscule"),
+}
+
+
+def node_rule_sites(source: str) -> list[tuple[int, str, str]]:
+    """(line, enclosing definition, rule) for each comparison that writes out
+    the node rule: a chained comparison with an operand <expr>.rank ("range",
+    as in 1 <= i <= rs.rank) and a membership test against
+    <expr>.minuscule_nodes ("minuscule"). The definition is dotted, as in
+    RootSystem.node, and empty at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Compare):
+                operands = [child.left, *child.comparators]
+                if len(child.ops) > 1 and any(getattr(o, "attr", None) == "rank"
+                                              for o in operands):
+                    found.append((child.lineno, ".".join(scope), "range"))
+                if any(isinstance(op, (ast.In, ast.NotIn))
+                       and getattr(right, "attr", None) == "minuscule_nodes"
+                       for op, right in zip(child.ops, child.comparators)):
+                    found.append((child.lineno, ".".join(scope), "minuscule"))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return sorted(found)
 
 
 # The element types and the monomial exponents whose memo entries grow with
@@ -302,6 +341,38 @@ def test_the_check_sees_a_suite_choosing_its_own_types():
                           '    for rs in [build_root_system("A2")]:\n'
                           '        p = parabolic(rs, (1,))', 1)
     assert seeded != real and len(scope_reads(seeded)) == 1
+
+
+def test_the_node_rule_is_written_only_in_its_homes():
+    # a copy of the rule elsewhere drifts from it: five entry points once
+    # skipped it and two memos served True as node 1
+    sites = {(module, scope, rule) for module, source in _package_sources().items()
+             for _, scope, rule in node_rule_sites(source)}
+    assert sites == NODE_RULE_HOMES
+
+
+def test_the_check_sees_a_copy_of_the_node_rule():
+    source = ("class RootSystem:\n"
+              "    def node(self, i, low=1):\n"
+              "        return low <= i <= self.rank\n"
+              "def letter(rs, i):\n"
+              "    if 1 <= i <= rs.rank:\n"
+              "        return i not in rs.minuscule_nodes\n"
+              "ok = 0 < p.rs.rank < 9 and i in p.nodes and rs.rank > 1\n"
+              "for i in rs.minuscule_nodes:\n"
+              "    pass\n")
+    assert node_rule_sites(source) == [(3, "RootSystem.node", "range"),
+                                       (5, "letter", "range"),
+                                       (6, "letter", "minuscule"),
+                                       (7, "", "range")]
+    # the real module with from_word checking its letters itself
+    real = (SRC / "weyl.py").read_text(encoding="utf-8")
+    seeded = real.replace("    for i in word:\n",
+                          "    for i in word:\n"
+                          "        if not 1 <= i <= rs.rank:\n"
+                          "            raise ValueError(i)\n", 1)
+    sites = [{site[1:] for site in node_rule_sites(text)} for text in (real, seeded)]
+    assert seeded != real and sites[1] - sites[0] == {("from_word", "range")}
 
 
 def test_only_rootsys_generates_code():

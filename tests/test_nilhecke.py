@@ -307,6 +307,13 @@ def test_xi_unit_action():
     assert v2.terms == direct.terms
 
 
+def test_nh_mul_refuses_mixed_root_systems():
+    a1, a2 = build_root_system("A1"), build_root_system("A2")
+    for a, b in ((nh_one(a1), nh_one(a2)), (nh_basis(affine_simple_ext(a2, 0)), nh_one(a1))):
+        with pytest.raises(ValueError, match="mixed root systems"):
+            nh_mul(a, b)
+
+
 def test_xi_action_refuses_a_key_outside_the_minimal_representatives():
     rs = build_root_system("A1")
     s0 = affine_simple_ext(rs, 0)

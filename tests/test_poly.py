@@ -119,6 +119,12 @@ def test_text_rendering():
 def test_mismatched_arity_rejected():
     with pytest.raises(ValueError):
         SPoly.var(2, 1) + SPoly.var(3, 1)
+    with pytest.raises(ValueError, match="exponent tuple has wrong length"):
+        SPoly(2, {(1,): 1})
+    with pytest.raises(ValueError, match="one image per variable"):
+        SPoly.var(2, 1).subst([SPoly.var(2, 1)])
+    with pytest.raises(ValueError, match="negative power"):
+        SPoly.var(2, 1) ** -1
 
 
 def test_add_terms_drops_cancelled_keys():

@@ -36,6 +36,7 @@ from qseidel.weyl import (
     coset_reduce,
     enumerate_minreps,
     from_word,
+    identity,
     involution,
     parabolic,
     v_element,
@@ -139,6 +140,8 @@ def test_seidel_multiply_validates_node():
         for i in range(1, rs.rank + 1):
             with pytest.raises(ValueError):
                 seidel_multiply(i, c)
+            with pytest.raises(ValueError, match=f"node {i} is not minuscule in {name}"):
+                v_element(rs, i)
     assert _seidel_term.cache_info() == before
 
 
@@ -152,6 +155,32 @@ def test_classes_refuse_mixed_root_systems():
             QHClass(p, {(w, (0,)): SPoly.one(p.rs.rank)})
         with pytest.raises(ValueError, match="mixed root systems"):
             sigma(p, w)
+    # one exponent per quantum node, and a sum within one parabolic set
+    rs, p = _p2()
+    for d in ((), (0, 0)):
+        with pytest.raises(ValueError, match="quantum exponent has wrong arity"):
+            QHClass(p, {(identity(rs), d): SPoly.one(2)})
+    with pytest.raises(ValueError, match="mixed parabolic contexts"):
+        qh_add(unit_class(p), unit_class(parabolic(rs, (2,))))
+
+
+def test_q_shift_and_qh_scale_take_ints_only():
+    # on the parent (0.5,) printed q1^0.5*1, (1, 5) was truncated to q1,
+    # True was node 1's exponent, and qh_scale(c, 1.5) an AttributeError
+    rs, p = _p2()
+    c = unit_class(p)
+    assert q_shift(c, [1]) == q_shift(c, (1,))
+    for bad, match in (((0.5,), "quantum exponent must be an integer, got 0.5"),
+                       ((True,), "quantum exponent must be an integer, got True"),
+                       (1, "quantum exponent must be a list of integers"),
+                       ((1, 5), "one entry per quantum node, got \\[1, 5\\]"),
+                       ((), "one entry per quantum node, got \\[\\]")):
+        with pytest.raises(ValueError, match=match):
+            q_shift(c, bad)
+    assert qh_scale(c, 2) == qh_scale(c, SPoly.const(2, 2)) == qh_add(c, c)
+    for bad in (1.5, True, "2", None):
+        with pytest.raises(ValueError, match=f"scalar must be an integer, got {bad!r}"):
+            qh_scale(c, bad)
 
 
 def test_seidel_term_memo_matches_its_formula():
@@ -422,6 +451,8 @@ def test_psi_rejects_bad_reference():
     from qseidel.affine import affine_simple_ext
     with pytest.raises(ValueError):
         psi_P(affine_simple_ext(rs, 0), (1,), b1)  # dominant reference
+    with pytest.raises(ValueError, match="must be in the coroot lattice"):
+        psi_P(affine_simple_ext(rs, 0), (-1,), b1)  # -varpi_1_vee is off Q_vee
 
 
 @pytest.mark.parametrize("name", ["A2", "B3"])

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from qseidel import rootsys
+from qseidel import affine, nilhecke, qh, rootsys, weyl
 from qseidel.affine import inversion_count_oracle
+from qseidel.poly import SPoly
 from qseidel.rootsys import (
     CATALOG,
     build_root_system,
@@ -213,8 +214,80 @@ def test_simple_root_refuses_a_node_that_is_not_an_int_in_range(bad):
     # on A2, node 3 once read as the non-root (0, 0) and True as node 1
     rs = build_root_system("A2")
     assert rs.simple_root(1) == (1, 0) and rs.simple_root(2) == (0, 1)
-    with pytest.raises(ValueError, match="simple root index must be an integer in 1..2"):
+    with pytest.raises(ValueError, match="node must be an integer in 1..2"):
         rs.simple_root(bad)
+
+
+# Every entry point that takes a node, by the lowest node it admits, the
+# message of its refusal and a setup that builds its other arguments (and the
+# per-type state a first call makes) for a root system: each reads the node
+# through RootSystem.node, or through weyl.v_element when it must be
+# minuscule (on A2 both nodes are). chevalley_multiply's class has every node
+# quantum, so it refuses exactly what the others do.
+RANGE = "node must be an integer in {low}..2, got {i!r}"
+MINUSCULE = "node {i!r} is not minuscule in A2"
+
+
+def _class(rs, nodes):
+    return qh.unit_class(weyl.parabolic(rs, nodes))
+
+
+NODE_TAKERS = {
+    "simple_root": (1, RANGE, lambda rs: rs.simple_root),
+    "fund_coweight": (1, RANGE, lambda rs: rs.fund_coweight),
+    "affine_simple": (0, RANGE, lambda rs: rs.affine_simple),
+    "simple_reflection": (1, RANGE, lambda rs: lambda i: weyl.simple_reflection(rs, i)),
+    "from_word": (1, RANGE, lambda rs: lambda i, _=weyl.from_word(rs, ()):
+                  weyl.from_word(rs, (1, i))),
+    "affine_simple_ext": (0, RANGE, lambda rs: lambda i: affine.affine_simple_ext(rs, i)),
+    "left_ascent": (0, RANGE, lambda rs: lambda i, y=affine.identity_aff(rs):
+                    affine.left_ascent(y, i)),
+    "v_element": (1, MINUSCULE, lambda rs: lambda i: weyl.v_element(rs, i)),
+    "CentralElt": (1, MINUSCULE, lambda rs: lambda i: affine.CentralElt(rs, i)),
+    "seidel_multiply": (1, MINUSCULE, lambda rs: lambda i, c=_class(rs, (1,)):
+                        qh.seidel_multiply(i, c)),
+    "chevalley_multiply": (1, "node {i!r} is not a quantum node of ParabolicSet(A2, [1, 2])",
+                           lambda rs: lambda i, c=_class(rs, (1, 2)):
+                           qh.chevalley_multiply(i, c, True)),
+    "divdiff": (0, RANGE, lambda rs: lambda i: nilhecke.divdiff(rs, i, SPoly.var(2, 1) ** 2)),
+    "reflect_poly": (0, RANGE, lambda rs: lambda i:
+                     nilhecke.reflect_poly(rs, i, SPoly.var(2, 1) ** 2)),
+    # no row is read for f = 0, and the node is still checked
+    "divdiff of 0": (0, RANGE, lambda rs: lambda i: nilhecke.divdiff(rs, i, SPoly.zero(2))),
+    "reflect_poly of 0": (0, RANGE, lambda rs: lambda i:
+                          nilhecke.reflect_poly(rs, i, SPoly.zero(2))),
+    "scalar_root": (0, RANGE, lambda rs: lambda i: nilhecke.scalar_root(rs, i)),
+    "central_dynkin_action": (0, RANGE, lambda rs: lambda i, z=affine.CentralElt(rs, 1):
+                              affine.central_dynkin_action(z, i)),
+}
+
+
+def _memo_sizes() -> list[int]:
+    memos = {id(f): f for module in (rootsys, weyl, affine, nilhecke, qh)
+             for f in vars(module).values() if hasattr(f, "cache_info")}
+    return [f.cache_info().currsize for f in memos.values()]
+
+
+@pytest.mark.parametrize("name", sorted(NODE_TAKERS))
+def test_every_node_taker_refuses_what_the_node_rule_refuses(name):
+    # cold and warm alike: a fresh A2 (not the cached one) starts every memo
+    # keyed by it empty, and a warm node 1 (or 0) entry serves no True, 1.0,
+    # False or 0.0. Each refusal is the one message of its rule, and stores
+    # nothing in any memo of the package.
+    low, message, setup = NODE_TAKERS[name]
+    rs = rootsys.RootSystem("A", 2)
+    call = setup(rs)
+    bad = [True, False, 1.0, 0.0, "1", -1, rs.rank + 1] + [0] * low
+    for warm in (False, True):
+        if warm:
+            for i in range(low, 2):
+                call(i)
+        before = _memo_sizes()
+        for i in bad:
+            with pytest.raises(ValueError) as refused:
+                call(i)
+            assert str(refused.value) == message.format(low=low, i=i)
+        assert _memo_sizes() == before
 
 
 def _leibniz_det(m):
