@@ -165,8 +165,8 @@ def test_classes_refuse_mixed_root_systems():
 
 
 def test_q_shift_and_qh_scale_take_ints_only():
-    # on the parent (0.5,) printed q1^0.5*1, (1, 5) was truncated to q1,
-    # True was node 1's exponent, and qh_scale(c, 1.5) an AttributeError
+    # (0.5,) once printed q1^0.5*1, (1, 5) was truncated to q1, True was
+    # node 1's exponent, and qh_scale(c, 1.5) raised AttributeError
     rs, p = _p2()
     c = unit_class(p)
     assert q_shift(c, [1]) == q_shift(c, (1,))
