@@ -125,11 +125,24 @@ class NilHeckeElt:
     terms: dict[ExtAffElt, SPoly] = field(default_factory=dict)
 
     def __post_init__(self):
+        """Checked: ExtAffElt keys of rs, SPoly values in rank variables; zeros dropped."""
+        rs = self.rs
+        if not isinstance(rs, RootSystem):
+            raise ValueError(f"a nil Hecke element needs a RootSystem, got {rs!r}")
+        for x, v in self.terms.items():
+            if not isinstance(x, ExtAffElt) or x.rs is not rs:
+                raise ValueError(f"nil Hecke keys must be ExtAffElts of {rs.name()}, got {x!r}")
+            if not isinstance(v, SPoly) or v.nvars != rs.rank:
+                raise ValueError(f"coefficients must be SPolys in {rs.rank} variables, got {v!r}")
         self.terms = {k: v for k, v in self.terms.items() if v}
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, NilHeckeElt) and self.rs is other.rs
-                and self.terms == other.terms)
+    @classmethod
+    def _of(cls, rs: RootSystem, terms: dict) -> "NilHeckeElt":
+        """Wrap `terms` as they are, as add_terms returns them; nothing is checked."""
+        e = object.__new__(cls)
+        e.rs = rs
+        e.terms = terms
+        return e
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -140,7 +153,7 @@ class NilHeckeElt:
 
 
 def nh_one(rs: RootSystem) -> NilHeckeElt:
-    return NilHeckeElt(rs, {identity_aff(rs): SPoly.one(rs.rank)})
+    return NilHeckeElt._of(rs, {identity_aff(rs): SPoly.one(rs.rank)})
 
 
 def nh_basis(x: ExtAffElt) -> NilHeckeElt:
@@ -192,7 +205,7 @@ def nh_mul(a: NilHeckeElt, b: NilHeckeElt) -> NilHeckeElt:
         # has the constant 1 on the left, which needs no product
         pairs.extend(terms.items() if f == one else
                      ((z, f * c) for z, c in terms.items()))
-    return NilHeckeElt(rs, add_terms(pairs))
+    return NilHeckeElt._of(rs, add_terms(pairs))
 
 
 @lru_cache(maxsize=None)
@@ -208,12 +221,12 @@ def embed_group(x: ExtAffElt) -> NilHeckeElt:
         minus_root = -scalar_root(rs, i)
         terms = add_terms(((y, minus_root * g) for y, g in
                            _letter_times(rs, i, terms).items()), terms)
-    return NilHeckeElt(rs, terms)
+    return NilHeckeElt._of(rs, terms)
 
 
 def nh_mod_Jtilde(a: NilHeckeElt) -> NilHeckeElt:
     """Reduction modulo the annihilator of the fundamental class: keep minimal-coset keys."""
-    return NilHeckeElt(a.rs, {x: v for x, v in a.terms.items() if is_waff_minus(x)})
+    return NilHeckeElt._of(a.rs, {x: v for x, v in a.terms.items() if is_waff_minus(x)})
 
 
 # -- the homology module -------------------------------------------------------
@@ -236,4 +249,4 @@ def act_on_xi(x: ExtAffElt, v: NilHeckeElt) -> NilHeckeElt:
         xy = aff_mul(x, y)
         if aff_length(xy) == lx + aff_length(y) and is_waff_minus(xy):
             out[xy] = c  # y -> xy is injective, so no key repeats
-    return NilHeckeElt(x.rs, out)
+    return NilHeckeElt._of(x.rs, out)

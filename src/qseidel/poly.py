@@ -40,13 +40,18 @@ class SPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
+        """Checked: nvars >= 0, keys of nvars ints >= 0, int values; zeros dropped."""
+        if strict_int(nvars, "variable count") < 0:
+            raise ValueError(f"variable count must be non-negative, got {nvars}")
         self.nvars = nvars
         self.terms: dict[tuple[int, ...], int] = {}
         if terms:
             for k, v in terms.items():
+                if type(k) is not tuple or not all(type(e) is int and e >= 0 for e in k):
+                    raise ValueError(f"exponents must be non-negative ints, got {k!r}")
                 if len(k) != nvars:
                     raise ValueError("exponent tuple has wrong length")
-                if v:
+                if strict_int(v, "coefficient"):
                     self.terms[k] = v
 
     @classmethod
@@ -172,7 +177,7 @@ class SPoly:
                 raise ValueError("exponent key must be comma-separated "
                                  f"non-negative integers, got {key!r}")
             k = tuple(map(int, key.split(","))) if key else ()
-            terms[k] = strict_int(v, "coefficient")
+            terms[k] = v
         return SPoly(nvars, terms)
 
     def to_text(self) -> str:

@@ -67,13 +67,21 @@ class QHClass:
     terms: dict[QKey, SPoly] = field(default_factory=dict)
 
     def __post_init__(self):
-        for w, d in self.terms:
-            if w.rs is not self.p.rs:
+        """Checked: keys (w in W^P, one int per quantum node), SPoly values; zeros dropped."""
+        p = self.p
+        if not isinstance(p, ParabolicSet):
+            raise ValueError(f"a class needs a ParabolicSet, got {p!r}")
+        for key, v in self.terms.items():
+            if type(key) is not tuple or len(key) != 2 or not isinstance(key[0], WeylElt):
+                raise ValueError(f"class keys must be (WeylElt, exponent) pairs, got {key!r}")
+            if key[0].rs is not p.rs:
                 raise ValueError("mixed root systems")
-            if not is_minrep(w, self.p):
+            if not is_minrep(key[0], p):
                 raise ValueError("class keys must be minimal coset representatives")
-            if len(d) != len(self.p.nodes):
-                raise ValueError("quantum exponent has wrong arity")
+            _q_exponent(p, key[1])
+            if not isinstance(v, SPoly) or v.nvars != p.rs.rank:
+                raise ValueError(f"coefficients must be SPolys in {p.rs.rank} variables, "
+                                 f"got {v!r}")
         self.terms = {k: v for k, v in self.terms.items() if v}
 
     @classmethod
@@ -89,10 +97,6 @@ class QHClass:
     @property
     def rs(self) -> RootSystem:
         return self.p.rs
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, QHClass) and self.p == other.p
-                and self.terms == other.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -113,13 +117,13 @@ def unit_class(p: ParabolicSet) -> QHClass:
 def sigma(p: ParabolicSet, w: WeylElt) -> QHClass:
     """The class of w, coset-reduced if needed; q_shift and qh_scale give it
     an exponent and a coefficient."""
-    return QHClass(p, {(coset_reduce(w, p), (0,) * len(p.nodes)): SPoly.const(p.rs.rank, 1)})
+    return QHClass._of(p, {(coset_reduce(w, p), (0,) * len(p.nodes)): SPoly.const(p.rs.rank, 1)})
 
 
 def qh_add(a: QHClass, b: QHClass) -> QHClass:
     if a.p != b.p:
         raise ValueError("mixed parabolic contexts")
-    return QHClass(a.p, add_terms(b.terms.items(), a.terms))
+    return QHClass._of(a.p, add_terms(b.terms.items(), a.terms))
 
 
 def qh_sub(a: QHClass, b: QHClass) -> QHClass:
@@ -130,16 +134,24 @@ def qh_scale(a: QHClass, c: SPoly | int) -> QHClass:
     """Multiply by c, an int or an SPoly; ValueError for anything else."""
     if not isinstance(c, SPoly):
         c = strict_int(c, "scalar")
-    return QHClass(a.p, {k: v * c for k, v in a.terms.items()})
+    # S is a domain: a nonzero c keeps every term nonzero
+    return QHClass._of(a.p, {k: v * c for k, v in a.terms.items()} if c else {})
 
 
 def q_shift(a: QHClass, d: Vec) -> QHClass:
     """Multiply by the quantum monomial with exponent d, one int per quantum
     node (entries may be negative); ValueError for anything else."""
+    d = _q_exponent(a.p, d)  # vadd would truncate to the shorter length
+    return QHClass._of(a.p, {(w, vadd(e, d)): v for (w, e), v in a.terms.items()})
+
+
+def _q_exponent(p: ParabolicSet, d) -> Vec:
+    """d as a tuple of one int per quantum node of p; ValueError otherwise."""
     d = strict_ints(d, "quantum exponent")
-    if len(d) != len(a.p.nodes):
-        raise ValueError(f"quantum exponent needs one entry per quantum node, got {list(d)}")
-    return QHClass(a.p, {(w, vadd(e, d)): v for (w, e), v in a.terms.items()})
+    if len(d) != len(p.nodes):
+        raise ValueError("quantum exponent has wrong arity: one entry per quantum node, "
+                         f"got {list(d)}")
+    return d
 
 
 # -- Seidel operators ----------------------------------------------------------
@@ -255,11 +267,8 @@ def _chevalley_row(j: int, w: WeylElt, p: ParabolicSet):
             row.append((w2p, zero, mult))
         if w2p.length == lw + 1 - n_alpha:
             row.append((w2p, eta, mult))
-    # <w(w_j), alpha_k_vee> = <w_j, w^-1(alpha_k)_vee>: the j-th coroot
-    # coordinate of w^-1(alpha_k)
-    coroot_of = p.rs.coroot_of
     wj = (0,) * (j - 1) + (1,) + (0,) * (p.rs.rank - j)
-    return tuple(row), SPoly.weight(vsub(wj, [coroot_of(col)[j - 1] for col in w.inv_images]))
+    return tuple(row), SPoly.weight(vsub(wj, w.act_weight(wj)))
 
 
 def chevalley_multiply(j: int, c: QHClass, equivariant: bool = False) -> QHClass:
@@ -366,14 +375,11 @@ def qh_from_json(data: dict) -> QHClass:
     for t in raw_terms:
         strict_keys(t, ("w", "q", "coeff"), "term")
         w = from_word(rs, strict_ints(t["w"], "w"))
-        if not is_minrep(w, p):
-            raise ValueError("term Weyl part is not a minimal coset representative")
         q = strict_ints(t["q"], "q")
-        if len(q) != len(p.nodes):
-            raise ValueError("q needs one exponent per quantum node")
         raw = t.get("coeff")
         if raw is not None and not isinstance(raw, dict):
             raise ValueError(f"coeff must be an object, got {raw!r}")
         coeff = SPoly.from_json(rs.rank, raw) if raw is not None else SPoly.one(rs.rank)
         pairs.append(((w, q), coeff))
-    return QHClass(p, add_terms(pairs))
+    QHClass(p, dict(pairs))  # checks every term, one whose coefficients cancel too
+    return QHClass._of(p, add_terms(pairs))

@@ -282,8 +282,8 @@ class RootSystem:
     """
 
     def __init__(self, letter: str, rank: int):
-        if letter not in _VALID_RANKS or rank not in _VALID_RANKS[letter]:
-            raise ValueError(f"not a valid simple type: {letter}{rank}")
+        if type(rank) is not int or rank not in _VALID_RANKS.get(letter, ()):
+            raise ValueError(f"not a valid simple type: {letter!r}, rank {rank!r}")
         self.letter = letter
         self.rank = rank
         self.cartan = cartan_matrix(letter, rank)

@@ -5,8 +5,9 @@ ParabolicSet(...), only rootsys and affine read the level of an affine
 root, every suite check passes its failure message as a lambda, only
 rootsys compiles code, only RunConfig and run_suites decide which types a
 suite runs on, the node rule is written only in its homes, the package's
-memos are exactly the pinned inventory (stdlib ast only), and the README's
-API sentence names exactly qseidel.__all__."""
+memos are exactly the pinned inventory, the checked value constructors are
+called only where pinned (stdlib ast only), and the README's API sentence
+names exactly qseidel.__all__."""
 
 import ast
 import re
@@ -69,6 +70,26 @@ def class_calls(source: str, name: str) -> list[str]:
     return [f"line {node.lineno}: {name}" for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call)
             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def call_scopes(source: str, name: str) -> list[str]:
+    """The innermost definition enclosing each call that class_calls finds,
+    dotted as in SPoly.const and empty at module level, in source order."""
+    spans = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+                spans.append((child.lineno, child.end_lineno, ".".join(inner)))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    lines = sorted(int(site.split()[1].rstrip(":")) for site in class_calls(source, name))
+    # nested definitions start after the ones around them
+    return [max((span for span in spans if span[0] <= line <= span[1]),
+                default=(0, 0, ""))[2] for line in lines]
 
 
 def level_reads(source: str) -> list[str]:
@@ -247,6 +268,26 @@ MEMOS = {
     ("qh", "_chevalley_row"): "per element",
     ("cli", "build_parser"): "per process",
 }
+
+
+# Where src/ calls a checked value constructor, by (module, class): builders
+# that take a caller's values. Every builder whose terms are well formed by
+# construction wraps them with the trusted _of, so a hot path that re-checks
+# what it just built shows up here.
+CHECKED_CONSTRUCTORS = ("SPoly", "QHClass", "NilHeckeElt")
+CONSTRUCTOR_CALLS = {
+    ("poly", "SPoly"): ["SPoly.zero", "SPoly.const", "SPoly.var", "SPoly.from_json"],
+    ("nilhecke", "SPoly"): ["_letter_rows"],
+    ("nilhecke", "NilHeckeElt"): ["nh_basis"],
+    ("qh", "QHClass"): ["qh_from_json"],
+}
+
+
+def constructor_calls(sources: dict[str, str]) -> dict[tuple[str, str], list[str]]:
+    """call_scopes of each checked constructor over modules given by name,
+    keyed by (module, class), modules without such a call left out."""
+    return {(module, name): scopes for module, source in sources.items()
+            for name in CHECKED_CONSTRUCTORS if (scopes := call_scopes(source, name))}
 
 
 def package_memos(sources: dict[str, str]) -> dict[tuple[str, str], str]:
@@ -464,6 +505,32 @@ def test_the_check_sees_a_parabolic_set_built_outside_weyl():
     seeded = real.replace("                parabolic(rs, nodes)\n",
                           "                ParabolicSet(rs, nodes)\n", 1)
     assert seeded != real and len(class_calls(seeded, "ParabolicSet")) == 1
+
+
+def test_checked_constructors_are_called_only_where_pinned():
+    # a builder of well-formed terms pays for no check: it uses _of
+    assert constructor_calls(_package_sources()) == CONSTRUCTOR_CALLS
+
+
+def test_the_check_sees_a_new_checked_constructor_call():
+    source = ("def f(p):\n"
+              "    return QHClass(p, {})\n"
+              "class SPoly:\n"
+              "    def zero(n):\n"
+              "        def inner():\n"
+              "            return poly.SPoly(n)\n"
+              "        return SPoly._of(n, {}), SPoly(n)\n"
+              "x = QHClass._of(p, {}) or QHClass(p)\n")
+    assert call_scopes(source, "QHClass") == ["f", ""]
+    assert call_scopes(source, "SPoly") == ["SPoly.zero.inner", "SPoly.zero"]
+    # the real module with seidel_multiply re-checking its product
+    sources = _package_sources()
+    real = sources["qh"]
+    sources["qh"] = real.replace("    return QHClass._of(p, add_terms(pairs))\n",
+                                 "    return QHClass(p, add_terms(pairs))\n", 1)
+    assert sources["qh"] != real
+    assert constructor_calls(sources)[("qh", "QHClass")] == ["seidel_multiply",
+                                                             "qh_from_json"]
 
 
 def test_the_check_sees_a_level_read():

@@ -307,6 +307,37 @@ def test_xi_unit_action():
     assert v2.terms == direct.terms
 
 
+def _bad_element_rows():
+    """(root system, terms, message) rows that NilHeckeElt(...) refuses."""
+    a2, b2 = build_root_system("A2"), build_root_system("B2")
+    e, one = identity_aff(a2), SPoly.one(2)
+    return [
+        (a2, {identity_aff(b2): one}, "nil Hecke keys must be ExtAffElts of A2, got Aff"),
+        (a2, {"A_1": one}, "nil Hecke keys must be ExtAffElts of A2, got 'A_1'"),
+        (a2, {from_word(a2, (1,)): one}, "nil Hecke keys must be ExtAffElts"),
+        (a2, {e: 1}, "SPolys in 2 variables, got 1"),
+        (a2, {e: SPoly.one(3)}, "SPolys in 2 variables"),
+        (a2, {identity_aff(b2): SPoly.zero(2)}, "ExtAffElts of A2"),
+        ("A2", {}, "a nil Hecke element needs a RootSystem, got 'A2'"),
+    ]
+
+
+@pytest.mark.parametrize("row", range(len(_bad_element_rows())))
+def test_nil_hecke_constructor_refuses_a_malformed_term(row):
+    # a B2 key under A2 and an int coefficient were once kept, and a str key
+    # was kept until printing raised AttributeError
+    rs, terms, match = _bad_element_rows()[row]
+    with pytest.raises(ValueError, match=match):
+        NilHeckeElt(rs, terms)
+
+
+def test_nil_hecke_constructor_keeps_what_the_products_build():
+    rs = build_root_system("A2")
+    a = nh_mul(embed_group(affine_simple_ext(rs, 0)), nh_basis(affine_simple_ext(rs, 1)))
+    assert NilHeckeElt(rs, dict(a.terms)) == a
+    assert NilHeckeElt(rs, {identity_aff(rs): SPoly.zero(2)}) == nh_zero(rs)
+
+
 def test_nh_mul_refuses_mixed_root_systems():
     a1, a2 = build_root_system("A1"), build_root_system("A2")
     for a, b in ((nh_one(a1), nh_one(a2)), (nh_basis(affine_simple_ext(a2, 0)), nh_one(a1))):

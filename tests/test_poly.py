@@ -127,6 +127,47 @@ def test_mismatched_arity_rejected():
         SPoly.var(2, 1) ** -1
 
 
+@pytest.mark.parametrize("nvars, terms, match", [
+    (2, {(0, 0): 0.5}, "coefficient must be an integer, got 0.5"),
+    (2, {(0, 0): True}, "coefficient must be an integer, got True"),
+    (2, {(0, 0): "1"}, "coefficient must be an integer, got '1'"),
+    (2, {(True, 0): 1}, r"exponents must be non-negative ints, got \(True, 0\)"),
+    (2, {(-1, 0): 1}, r"exponents must be non-negative ints, got \(-1, 0\)"),
+    (2, {(-1, 0): 0}, r"exponents must be non-negative ints, got \(-1, 0\)"),
+    (2, {(0.0, 1): 1}, r"exponents must be non-negative ints, got \(0.0, 1\)"),
+    (2, {"1,0": 1}, "exponents must be non-negative ints, got '1,0'"),
+    (2, {range(2): 1}, r"exponents must be non-negative ints, got range\(0, 2\)"),
+    (2, {5: 1}, "exponents must be non-negative ints, got 5"),
+    (2, {(0,): 1}, "exponent tuple has wrong length"),
+    (2, {(0, 0, 0): 1}, "exponent tuple has wrong length"),
+    (2.0, {}, "variable count must be an integer, got 2.0"),
+    (True, {}, "variable count must be an integer, got True"),
+    (-1, {}, "variable count must be non-negative, got -1"),
+])
+def test_spoly_constructor_refuses_a_malformed_term(nvars, terms, match):
+    # SPoly(2, {(0, 0): 0.5}) once printed 0.5 and {(True, 0): 1} printed w1;
+    # a zero coefficient does not excuse a bad key
+    with pytest.raises(ValueError, match=match):
+        SPoly(nvars, terms)
+
+
+def test_spoly_constructor_drops_zero_terms():
+    assert SPoly(2, {(1, 0): 0, (0, 2): 3}).terms == {(0, 2): 3}
+    assert SPoly(0, {(): 5}) == SPoly.const(0, 5)
+
+
+def test_value_classes_are_unequal_to_other_types():
+    rs = build_root_system("A2")
+    p = parabolic(rs, (1,))
+    for value in (SPoly.one(2), unit_class(p), nh_one(rs)):
+        assert value == value
+        for other in (1, None, "1", SPoly.one(3)):
+            assert (value == other) is False
+            assert value != other
+    assert unit_class(p) != unit_class(parabolic(rs, (2,)))
+    assert nh_one(rs) != nh_one(build_root_system("B2"))
+
+
 def test_add_terms_drops_cancelled_keys():
     assert add_terms([("a", 2), ("b", 1), ("a", -2)]) == {"b": 1}
     assert add_terms([("a", 1)], {"a": -1}) == {}

@@ -227,7 +227,50 @@ def test_public_constructors_still_check_minimal_representatives():
     with pytest.raises(ValueError):
         qh_from_json({"type": "A2", "parabolic": [1],
                       "terms": [{"w": [1, 2], "q": [0]}]})
+    # a term that a sum would drop is checked all the same
+    for term in ({"w": [1, 2], "q": [0], "coeff": {}},
+                 {"w": [1], "q": [0, 0], "coeff": {"0,0": 0}}):
+        with pytest.raises(ValueError):
+            qh_from_json({"type": "A2", "parabolic": [1], "terms": [term]})
     assert sigma(p, w) == sigma(p, from_word(rs, (1,)))
+
+
+def _bad_class_rows():
+    """(parabolic set, terms, message) rows that QHClass(...) refuses, on A2
+    with I_P = {1} unless a row says otherwise."""
+    rs, p = _p2()
+    e, one = identity(rs), SPoly.one(2)
+    return [
+        (p, {(e, (0.5,)): one}, "quantum exponent must be an integer, got 0.5"),
+        (p, {(e, (True,)): one}, "quantum exponent must be an integer, got True"),
+        (p, {(e, "0"): one}, "quantum exponent must be a list of integers"),
+        (p, {(e, (0, 0)): one}, "wrong arity: one entry per quantum node, got \\[0, 0\\]"),
+        (p, {(e, (0, 0)): SPoly.zero(2)}, "wrong arity"),
+        (p, {(e,): one}, "class keys must be \\(WeylElt, exponent\\) pairs"),
+        (p, {"e0": one}, "class keys must be \\(WeylElt, exponent\\) pairs, got 'e0'"),
+        (p, {(e.perm, (0,)): one}, "class keys must be \\(WeylElt, exponent\\) pairs"),
+        (p, {(from_word(rs, (2,)), (0,)): one}, "minimal coset representatives"),
+        (p, {(identity(build_root_system("B2")), (0,)): one}, "mixed root systems"),
+        (p, {(e, (0,)): 1}, "SPolys in 2 variables, got 1"),
+        (p, {(e, (0,)): SPoly.one(3)}, "SPolys in 2 variables"),
+        (rs, {}, "a class needs a ParabolicSet"),
+    ]
+
+
+@pytest.mark.parametrize("row", range(len(_bad_class_rows())))
+def test_qh_class_constructor_refuses_a_malformed_term(row):
+    # (e, (0.5,)) once built QH[q1^0.5*1], and seidel_multiply carried it on
+    p, terms, match = _bad_class_rows()[row]
+    with pytest.raises(ValueError, match=match):
+        QHClass(p, terms)
+
+
+def test_qh_class_constructor_keeps_what_the_operators_build():
+    rs, p = _p2()
+    c = qh_add(q_shift(sigma(p, from_word(rs, (1,))), [-2]), qh_scale(unit_class(p), 3))
+    assert QHClass(p, dict(c.terms)) == c
+    assert QHClass(p, {(identity(rs), (0,)): SPoly.zero(2)}) == QHClass(p)
+    assert qh_scale(c, 0) == qh_scale(c, SPoly.zero(2)) == QHClass(p)
 
 
 def test_seidel_orbits_small():

@@ -47,6 +47,15 @@ def test_unknown_type_rejected():
         build_root_system("A0")
 
 
+@pytest.mark.parametrize("letter, rank", [("A", True), ("A", 2.0), ("A", "2"), ("B", 1),
+                                          ("Q", 2)])
+def test_root_system_refuses_a_rank_that_is_not_an_int_of_its_type(letter, rank):
+    # RootSystem("A", True) once built a type named ATrue, and rank 2.0 raised
+    # TypeError deep inside the construction
+    with pytest.raises(ValueError, match=f"not a valid simple type: '{letter}', rank"):
+        rootsys.RootSystem(letter, rank)
+
+
 @pytest.mark.parametrize("name", ["a2", " A2", "A2 ", "A02", "A+2", "A 2", "B\u0663", "A", ""])
 def test_only_the_printed_name_builds_a_root_system(name):
     # a second spelling would build a second root system of the same type,
